@@ -342,6 +342,14 @@ def run_inequality_scan(config: dict) -> int:
             interp_fail += 1
     eps0 = 0.15 / k_band
     eps_seq = tuple(eps0 * 0.5**j for j in range(7))
+    # Per mode the scan value scales like t^{-sigma/2}(1 - e^{-t}) with
+    # t = eps^2 |k|^2, which falls as eps shrinks only while
+    # sigma <= 2t/(e^t - 1). That limit decreases in t, so the whole scan is
+    # monotone when sigma is at most its value at t_max = (eps0 k_band)^2;
+    # above it (sigma near 2) a rising scan is correct and only the uniform
+    # bound is checked.
+    t_max = (eps0 * k_band) ** 2
+    sigma_monotone = 2.0 * t_max / math.expm1(t_max)
     for i in range(max(1, n_interp // 10)):
         u = sample_band_limited(grid, 1.0, k_band, seed + 40_000 + i)
         s = float(rng.uniform(-0.5, 1.5))
@@ -350,7 +358,7 @@ def run_inequality_scan(config: dict) -> int:
         bound = scan_bound(u, s, sigma)
         if any(v > bound * (1.0 + 1e-10) for v in vals):
             scan_fail += 1
-        if any(b > a * (1.0 + 1e-10) for a, b in zip(vals, vals[1:])):
+        if sigma <= sigma_monotone and any(b > a * (1.0 + 1e-10) for a, b in zip(vals, vals[1:])):
             scan_fail += 1
 
     n_cancel = int(config["cancel_samples"])

@@ -2,16 +2,19 @@
 
 Coefficients live on the FFT-ordered lattice of GridSpec; coeff[m] is the
 coefficient of exp(i k(m).x). All operators here are Fourier multipliers
-except the advection product, which goes through physical space and is
-truncated back to the dealias band.
+except the quadratic products (advection and the pointwise product), which
+go through physical space on a grid sized to their bands and are truncated
+back to the dealias band.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
-from .grid import GridSpec
+from .grid import GridSpec, LevelTable
 
 __all__ = [
     "SpectralField",
@@ -103,7 +106,12 @@ class SpectralField:
 
     def max_mode_index(self) -> int:
         """Largest |m_i| carrying a nonzero coefficient (0 for the zero field)."""
-        nz = np.abs(self.coeffs) > 0
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> int:
+        # coefficients are read-only, so the support radius is computed once
+        nz = self.coeffs != 0
         if not nz.any():
             return 0
         m = np.abs(self.grid.modes)
@@ -111,9 +119,13 @@ class SpectralField:
 
 
 def _wrap(grid: GridSpec, coeffs: np.ndarray, dealiased: bool) -> SpectralField:
-    """Internal constructor for arrays already Hermitian by construction."""
+    """Internal constructor for fresh arrays already Hermitian by construction.
+
+    The field takes ownership of ``coeffs`` (no copy); callers pass an array
+    nothing else refers to.
+    """
     f = object.__new__(SpectralField)
-    c = coeffs.astype(np.complex128, copy=True)
+    c = np.asarray(coeffs, dtype=np.complex128)
     c[0, 0] = 0.0
     c.setflags(write=False)
     object.__setattr__(f, "grid", grid)
@@ -218,16 +230,24 @@ def velocity_from_theta(theta: SpectralField) -> VelocityField:
 
 def low_pass_mask(grid: GridSpec, N: int) -> np.ndarray:
     """Sharp radial cutoff |k| <= 2^N (boundary modes included)."""
-    r2 = float(4.0**N)
-    return grid.k2 <= r2 * (1.0 + 1e-12)
+    mask = np.zeros((grid.K, grid.K), dtype=bool)
+    mask.ravel()[grid.level(N).idx] = True
+    mask[0, 0] = True
+    return mask
+
+
+def _from_level(grid: GridSpec, level: LevelTable, values: np.ndarray, dealiased: bool = True) -> SpectralField:
+    """The field holding ``values`` on the disk of a level and zero elsewhere."""
+    out = np.zeros(grid.K * grid.K, dtype=np.complex128)
+    out[level.idx] = values
+    return _wrap(grid, out.reshape(grid.K, grid.K), dealiased)
 
 
 def project_low(u: SpectralField, N: int) -> SpectralField:
     """Truncation P_N to wavenumbers |k| <= 2^N."""
-    if 2.0**N > u.grid.nyquist_k * (1.0 + 1e-12):
-        raise ValueError(f"2^{N} exceeds the Nyquist wavenumber {u.grid.nyquist_k:g}; truncation is meaningless")
+    level = u.grid.level(N)
     dealiased = u.is_dealiased or 2.0**N <= u.grid.dealias_k * (1.0 + 1e-12)
-    return _wrap(u.grid, np.where(low_pass_mask(u.grid, N), u.coeffs, 0.0), dealiased)
+    return _from_level(u.grid, level, u.coeffs.ravel()[level.idx], dealiased)
 
 
 def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
@@ -238,6 +258,124 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 
 
 # -- the nonlinearity -----------------------------------------------------
+#
+# A quadratic product of factors with mode radii Ma and Mb, kept on the
+# modes |m_i| <= Mo, is an exact truncated convolution on any P x P grid
+# with P >= Ma + Mb + Mo + 1: an aliased copy m + P j of a kept mode would
+# need |m_i + P j_i| <= Ma + Mb. Each factor enters as the m2 >= 0 half of
+# its spectrum, a P x (P/2+1) array, and reaches the grid through one
+# irfft2; the product returns through one rfft2. The m2 < 0 half of the
+# result is filled by conjugate symmetry, so it is Hermitian by
+# construction. Radii beyond what can reach a kept mode are cut first, and
+# Mo never exceeds the dealias index, so the result is the dealiased
+# product whatever the factors' bands.
+
+
+def _product_size(ma: int, mb: int, mo: int) -> tuple[int, int, int, int]:
+    """Radii cut to the modes that interact, and the transform size P (0: the product vanishes)."""
+    ma, mb, mo = min(ma, mb + mo), min(mb, ma + mo), min(mo, ma + mb)
+    if min(ma, mb, mo) == 0:
+        return ma, mb, mo, 0
+    return ma, mb, mo, scipy.fft.next_fast_len(ma + mb + mo + 1, real=True)
+
+
+def _samples(c: np.ndarray, r: int, P: int, dk: float = 0.0, axis: int | None = None) -> np.ndarray:
+    """Values on the P x P grid of the modes |m_i| <= r of c, or of d_axis of them."""
+    K = c.shape[0]
+    h = np.zeros((P, P // 2 + 1), dtype=np.complex128)
+    h[: r + 1, : r + 1] = c[: r + 1, : r + 1]
+    h[P - r :, : r + 1] = c[K - r :, : r + 1]
+    if axis == 0:
+        h[: r + 1, : r + 1] *= 1j * dk * np.arange(r + 1)[:, None]
+        h[P - r :, : r + 1] *= 1j * dk * np.arange(-r, 0)[:, None]
+    elif axis == 1:
+        h[:, : r + 1] *= 1j * dk * np.arange(r + 1)
+    return scipy.fft.irfft2(h, s=(P, P), norm="forward")
+
+
+def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
+    """Modes |m1| <= mo, 0 <= m2 <= mo of real samples x; row m1 + mo, column m2."""
+    P = x.shape[0]
+    spec = scipy.fft.rfft2(x, norm="forward")
+    return np.concatenate((spec[P - mo :, : mo + 1], spec[: mo + 1, : mo + 1]))
+
+
+def _quadratic(grid: GridSpec, form: str, factors: tuple, radii: tuple[int, int], mo: int) -> np.ndarray:
+    """Half square of radius mo (see LevelTable) of a dealiased quadratic term.
+
+    form "product": factors (u, w), the product u w.
+    form "advective": factors (v1, v2, theta), v . grad(theta).
+    form "divergence": factors (v1, v2, theta), div(v theta).
+    Factors are K x K coefficient arrays; radii are the mode radii of the
+    first factor(s) and of the last one.
+    """
+    out = np.zeros((2 * mo + 1, mo + 1), dtype=np.complex128)
+    ma, mb, m, P = _product_size(radii[0], radii[1], min(mo, grid.dealias_index))
+    if P == 0:
+        return out
+    dk = grid.dk
+    if form == "product":
+        u, w = factors
+        sq = _half_square(_samples(u, ma, P) * _samples(w, mb, P), m)
+    elif form == "advective":
+        v1, v2, theta = factors
+        x = _samples(v1, ma, P) * _samples(theta, mb, P, dk, axis=0)
+        x += _samples(v2, ma, P) * _samples(theta, mb, P, dk, axis=1)
+        sq = _half_square(x, m)
+    else:
+        v1, v2, theta = factors
+        t = _samples(theta, mb, P)
+        sq = _half_square(_samples(v1, ma, P) * t, m) * (1j * dk * np.arange(-m, m + 1)[:, None])
+        sq += _half_square(_samples(v2, ma, P) * t, m) * (1j * dk * np.arange(m + 1))
+    # the m2 = 0 column of a real field is Hermitian on its own
+    sq[:m, 0] = np.conj(sq[:m:-1, 0])
+    out[mo - m : mo + m + 1, : m + 1] = sq
+    return out
+
+
+def _square_coeffs(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
+    """K x K coefficients of a half square, m2 < 0 filled by conjugate symmetry."""
+    K = grid.K
+    mo = sq.shape[1] - 1
+    out = np.zeros((K, K), dtype=np.complex128)
+    out[: mo + 1, : mo + 1] = sq[mo:]
+    out[K - mo :, : mo + 1] = sq[:mo]
+    if mo:
+        flip = np.conj(sq[::-1, :0:-1])  # row m1 + mo, column m2 + mo for m2 = -mo..-1
+        out[: mo + 1, K - mo :] = flip[mo:]
+        out[K - mo :, K - mo :] = flip[:mo]
+    return out
+
+
+def _level_values(level: LevelTable, sq: np.ndarray) -> np.ndarray:
+    """Disk values of a half square of radius level.M."""
+    vals = sq.ravel()[level.src]
+    np.conjugate(vals, out=vals, where=level.conj)
+    return vals
+
+
+def _check_advect_inputs(v: VelocityField, theta: SpectralField) -> None:
+    if v.grid != theta.grid:
+        raise ValueError("velocity and scalar live on different grids")
+    if not (v.is_dealiased and theta.is_dealiased):
+        raise ValueError("advect requires dealiased inputs; apply dealias() first")
+
+
+def _velocity_radius(v: VelocityField) -> int:
+    return max(v.v1.max_mode_index(), v.v2.max_mode_index())
+
+
+def _advect_level(v: VelocityField, theta: SpectralField, level: LevelTable, theta_radius: int | None = None) -> np.ndarray:
+    """P_N (v . grad(theta)) as values on the disk of ``level``.
+
+    theta_radius, when given, replaces the measured support radius of theta
+    (the caller has checked theta lies in that band).
+    """
+    _check_advect_inputs(v, theta)
+    rb = theta.max_mode_index() if theta_radius is None else theta_radius
+    factors = (v.v1.coeffs, v.v2.coeffs, theta.coeffs)
+    return _level_values(level, _quadratic(theta.grid, "advective", factors, (_velocity_radius(v), rb), level.M))
+
 
 def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> SpectralField:
     """Dealiased spectral representation of v . grad(theta).
@@ -246,29 +384,13 @@ def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> S
     convolution after truncation (2/3 rule). form="divergence" computes
     div(v theta) instead; the two agree since div v = 0.
     """
-    g = theta.grid
-    if v.grid != g:
-        raise ValueError("velocity and scalar live on different grids")
-    if not (v.is_dealiased and theta.is_dealiased):
-        raise ValueError("advect requires dealiased inputs; apply dealias() first")
-    K2 = g.K**2
-    if form == "advective":
-        v1p = np.fft.ifft2(v.v1.coeffs).real * K2
-        v2p = np.fft.ifft2(v.v2.coeffs).real * K2
-        t1p = np.fft.ifft2(1j * g.kx * theta.coeffs).real * K2
-        t2p = np.fft.ifft2(1j * g.ky * theta.coeffs).real * K2
-        prod = np.fft.fft2(v1p * t1p + v2p * t2p) / K2
-        out = np.where(g.dealias_mask, prod, 0.0)
-    elif form == "divergence":
-        v1p = np.fft.ifft2(v.v1.coeffs).real * K2
-        v2p = np.fft.ifft2(v.v2.coeffs).real * K2
-        tp = np.fft.ifft2(theta.coeffs).real * K2
-        f1 = np.fft.fft2(v1p * tp) / K2
-        f2 = np.fft.fft2(v2p * tp) / K2
-        out = np.where(g.dealias_mask, 1j * g.kx * f1 + 1j * g.ky * f2, 0.0)
-    else:
+    _check_advect_inputs(v, theta)
+    if form not in ("advective", "divergence"):
         raise ValueError(f"unknown form {form!r}")
-    return _wrap(g, out, True)
+    g = theta.grid
+    factors = (v.v1.coeffs, v.v2.coeffs, theta.coeffs)
+    sq = _quadratic(g, form, factors, (_velocity_radius(v), theta.max_mode_index()), g.dealias_index)
+    return _wrap(g, _square_coeffs(g, sq), True)
 
 
 def rescale(u: SpectralField, a: float) -> SpectralField:
@@ -299,12 +421,9 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
     if not (u.is_dealiased and w.is_dealiased):
         raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
     g = u.grid
-    K2 = g.K**2
-    up = np.fft.ifft2(u.coeffs).real * K2
-    wp = np.fft.ifft2(w.coeffs).real * K2
-    c = np.where(g.dealias_mask, np.fft.fft2(up * wp) / K2, 0.0)
-    c = 0.5 * (c + _conjugate_flip(c))
-    return _wrap(g, c, True)
+    radii = (u.max_mode_index(), w.max_mode_index())
+    sq = _quadratic(g, "product", (u.coeffs, w.coeffs), radii, g.dealias_index)
+    return _wrap(g, _square_coeffs(g, sq), True)
 
 
 def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:

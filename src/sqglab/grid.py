@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridSpec", "make_grid"]
+__all__ = ["GridSpec", "LevelTable", "make_grid"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -35,6 +35,10 @@ class GridSpec:
     kx, ky : wavenumber components on the 2D lattice.
     k2 : |k|^2; kmag : |k|.
     dealias_mask : True where max(|m1|,|m2|) <= M_d.
+
+    The operator table of each truncation level N (see ``level``) is built
+    on first use and kept by the instance, so it lives exactly as long as
+    the grid.
     """
 
     K: int
@@ -47,6 +51,7 @@ class GridSpec:
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     kmag: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.K, (int, np.integer)) or not _is_power_of_two(int(self.K)) or self.K < 16:
@@ -69,6 +74,7 @@ class GridSpec:
         md = self.dealias_index
         mask = (np.abs(m)[:, None] <= md) & (np.abs(m)[None, :] <= md)
         object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "_levels", {})
 
     @property
     def dealias_index(self) -> int:
@@ -96,6 +102,62 @@ class GridSpec:
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.K, self.K), dtype=np.complex128)
+
+    def level(self, N: int) -> "LevelTable":
+        """Operator table of the truncation level |k| <= 2^N, built once per grid."""
+        N = int(N)
+        table = self._levels.get(N)
+        if table is None:
+            # setdefault is atomic: threads racing on a new level all get the stored table
+            table = self._levels.setdefault(N, LevelTable(self, N))
+        return table
+
+
+class LevelTable:
+    """Derived arrays of the lattice disk 0 < |k| <= 2^N on one grid.
+
+    Attributes
+    ----------
+    M : mode radius, the largest |m_i| in the disk.
+    idx : int32 flat indices of the disk modes in the K x K array, in
+        row-major order; the zero mode is excluded.
+    partner : int32 position of the mode -m within the disk vector.
+    src, conj : where each disk mode sits in a half square of the modes
+        |m1| <= M, 0 <= m2 <= M stored as a (2M+1) x (M+1) array with row
+        m1 + M and column m2. Modes with m2 < 0 read the conjugate of their
+        partner there (``conj`` is True).
+    """
+
+    def __init__(self, grid: GridSpec, N: int) -> None:
+        if 2.0**N > grid.nyquist_k * (1.0 + 1e-12):
+            raise ValueError(f"2^{N} exceeds the Nyquist wavenumber {grid.nyquist_k:g}; truncation is meaningless")
+        K = grid.K
+        disk = grid.k2 <= 4.0**N * (1.0 + 1e-12)
+        disk[0, 0] = False
+        idx = np.flatnonzero(disk)
+        m1 = grid.modes[idx // K]
+        m2 = grid.modes[idx % K]
+        M = int(max(np.abs(m1).max(), np.abs(m2).max())) if idx.size else 0
+        conj = m2 < 0
+        s1 = np.where(conj, -m1, m1)
+        s2 = np.where(conj, -m2, m2)
+        self.M = M
+        self.idx = idx.astype(np.int32)
+        self.partner = np.searchsorted(idx, ((-m1) % K) * K + (-m2) % K).astype(np.int32)
+        self.src = ((s1 + M) * (M + 1) + s2).astype(np.int32)
+        self.conj = conj
+        self._kmag = grid.kmag.ravel()[idx]
+        self._powers: dict[float, np.ndarray] = {}
+
+    def radial_power(self, p: float) -> np.ndarray:
+        """|k|^p on the disk (read-only, cached per exponent)."""
+        p = float(p)
+        w = self._powers.get(p)
+        if w is None:
+            w = self._kmag**p
+            w.setflags(write=False)
+            w = self._powers.setdefault(p, w)
+        return w
 
 
 def make_grid(K: int, L: float, dealias_fraction: float = 2.0 / 3.0) -> GridSpec:

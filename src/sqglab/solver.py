@@ -16,14 +16,17 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .field import (
     SpectralField,
     VelocityField,
+    _advect_level,
+    _from_level,
+    _product_size,
+    _velocity_radius,
     _wrap,
     advect,
     fractional_laplacian,
-    low_pass_mask,
     project_low,
     velocity_from_theta,
 )
-from .grid import GridSpec
+from .grid import GridSpec, LevelTable
 from .norms import hs_norm, velocity_hs_norm
 
 __all__ = [
@@ -92,12 +95,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStep:
+    """One outer step. matvecs counts Lax-Milgram operator applications and
+    transform_size is the points per axis of their products (both 0 for the
+    first step, which solves nothing)."""
+
     n: int
     h_alpha: float
     h_crit: float
     diff_h_alpha: float
     inner_iters: int
     residual: float
+    matvecs: int = 0
+    transform_size: int = 0
 
 
 @dataclass
@@ -140,19 +149,27 @@ def default_schedule(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(1, n_max + 1))
 
 
-def _check_in_range(theta: SpectralField, N: int) -> None:
-    mask = low_pass_mask(theta.grid, N)
-    out = np.abs(theta.coeffs[~mask])
-    scale = float(np.max(np.abs(theta.coeffs))) if theta.coeffs.size else 0.0
-    if out.size and scale > 0 and float(out.max()) > 1e-12 * scale:
-        raise ValueError(f"field carries modes outside the range of P_{N}")
+def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
+    """(-Delta)^{-alpha} P_N f as values on the disk of the level."""
+    return f.coeffs.ravel()[level.idx] * level.radial_power(-2.0 * alpha)
 
 
 def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, alpha: float) -> SpectralField:
     """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta))."""
-    _check_in_range(theta, N)
-    adv = advect(v, theta)
-    return theta + fractional_laplacian(project_low(adv, N), -alpha)
+    grid = theta.grid
+    level = grid.level(N)
+    out = theta.coeffs.ravel().copy()
+    inside = out[level.idx]
+    out[level.idx] = 0.0  # out now holds what lies outside the range of P_N
+    # largest real or imaginary part, within a factor sqrt(2) of the largest |c|
+    parts, rest = inside.view(np.float64), out.view(np.float64)
+    off = max(float(rest.max(initial=0.0)), -float(rest.min(initial=0.0)))
+    scale = max(off, float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if scale > 0 and off > 1e-12 * scale:
+        raise ValueError(f"field carries modes outside the range of P_{N}")
+    adv = _advect_level(v, theta, level, theta_radius=level.M)
+    out[level.idx] = inside + level.radial_power(-2.0 * alpha) * adv
+    return _wrap(grid, out.reshape(grid.K, grid.K), True)
 
 
 def _gmres_solve(matvec, b_vec: np.ndarray, x0: np.ndarray, cfg: SolverConfig) -> tuple[np.ndarray, int, bool]:
@@ -189,31 +206,26 @@ def _linear_solve_info(
             f"{cfg.smallness_threshold:g}; coercivity is not guaranteed"
         )
 
-    b = fractional_laplacian(project_low(f, N), -cfg.alpha)
-    mask = low_pass_mask(grid, N).copy()
-    mask[0, 0] = False
-    b_vec = b.coeffs[mask]
+    level = grid.level(N)
+    idx = level.idx
+    b_vec = _low_data(f, level, cfg.alpha)
+    info = {"iterations": 0, "residual_rel": 0.0, "dim": int(idx.size), "matvecs": 0,
+            "transform_size": _product_size(_velocity_radius(v), level.M, level.M)[3]}
     if float(np.max(np.abs(b_vec), initial=0.0)) == 0.0:
-        zero = _wrap(grid, grid.zeros(), True)
-        return zero, {"iterations": 0, "residual_rel": 0.0, "dim": int(mask.sum())}
+        return _wrap(grid, grid.zeros(), True), info
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        full = grid.zeros()
-        full[mask] = x
-        theta_x = _wrap(grid, full, True)
-        return apply_lax_milgram_operator(v, theta_x, N, cfg.alpha).coeffs[mask]
+        info["matvecs"] += 1
+        theta_x = _from_level(grid, level, x)
+        return apply_lax_milgram_operator(v, theta_x, N, cfg.alpha).coeffs.ravel()[idx]
 
-    x_start = b_vec if x0 is None else x0.coeffs[mask]
+    x_start = b_vec if x0 is None else x0.coeffs.ravel()[idx]
     x, iters, converged = _gmres_solve(matvec, b_vec, x_start, cfg)
     rel = float(np.linalg.norm(b_vec - matvec(x)) / np.linalg.norm(b_vec))
+    info["iterations"], info["residual_rel"] = iters, rel
 
-    full = grid.zeros()
-    full[mask] = x
     # GMRES preserves Hermitian symmetry only up to rounding; re-symmetrize
-    K = grid.K
-    idx = (-np.arange(K)) % K
-    full = 0.5 * (full + np.conj(full[np.ix_(idx, idx)]))
-    theta = _wrap(grid, full, True)
+    theta = _from_level(grid, level, 0.5 * (x + np.conj(x[level.partner])))
     if not converged:
         raise ConvergenceError(
             f"linear solve did not reach inner_tol={cfg.inner_tol:g} within {cfg.max_inner} iterations "
@@ -221,7 +233,7 @@ def _linear_solve_info(
             best=theta,
             residual_rel=rel,
         )
-    return theta, {"iterations": iters, "residual_rel": rel, "dim": int(mask.sum())}
+    return theta, info
 
 
 def linear_solve(
@@ -238,9 +250,12 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
     With project_N the nonlinearity and force are truncated to P_N, matching
     the equation the outer iteration actually solves.
     """
-    adv = advect(velocity_from_theta(theta), theta)
-    if project_N is not None:
-        adv = project_low(adv, project_N)
+    v = velocity_from_theta(theta)
+    if project_N is None:
+        adv = advect(v, theta)
+    else:
+        level = theta.grid.level(project_N)
+        adv = _from_level(theta.grid, level, _advect_level(v, theta, level))
         f = project_low(f, project_N)
     r = fractional_laplacian(theta, alpha) + adv - f
     return ResidualRecord(r_field=r, r_norm=hs_norm(r, -alpha))
@@ -264,7 +279,8 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     target = cfg.outer_tol * f_low
     report = SolveReport(alpha=cfg.alpha)
 
-    theta = fractional_laplacian(project_low(f, schedule[0]), -cfg.alpha)
+    first = grid.level(schedule[0])
+    theta = _from_level(grid, first, _low_data(f, first, cfg.alpha))
     res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
     report.steps.append(
         SolveStep(
@@ -309,6 +325,8 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                 diff_h_alpha=diff,
                 inner_iters=info["iterations"],
                 residual=res,
+                matvecs=info["matvecs"],
+                transform_size=info["transform_size"],
             )
         )
         step_count += 1
@@ -353,8 +371,9 @@ def theta2(a: SpectralField, alpha: float, project_N: int | None = None) -> Spec
     if project_N is None:
         return picard_theta1(a, alpha) - bilinear_B(a, a, alpha)
     t1 = picard_theta1(project_low(a, project_N), alpha)
-    adv = project_low(advect(velocity_from_theta(t1), t1), project_N)
-    return t1 - fractional_laplacian(adv, -alpha)
+    level = a.grid.level(project_N)
+    adv = _advect_level(velocity_from_theta(t1), t1, level) * level.radial_power(-2.0 * alpha)
+    return t1 - _from_level(a.grid, level, adv)
 
 
 def solve_pair_gap(f: SpectralField, g: SpectralField, cfg: SolverConfig) -> GapRecord:

@@ -17,6 +17,9 @@ from sqglab import (
     make_grid,
     product_estimate_ratio,
     read_field,
+    sample_band_limited,
+    scan_bound,
+    smoothing_limit_scan,
     write_field,
 )
 from sqglab.cli import main
@@ -53,6 +56,8 @@ class TestSolve:
         with open(out / "report.json") as fh:
             report = json.load(fh)
         assert report["converged"] is True
+        assert all(step["matvecs"] >= step["inner_iters"] for step in report["steps"])
+        assert report["steps"][-1]["transform_size"] > 0
         theta = read_field(out / "theta.sqgf")
         with open(out / "norms.json") as fh:
             norms = json.load(fh)
@@ -303,6 +308,45 @@ class TestIneqScan:
         for name, digest in manifest["artifacts"].items():
             assert sha256(out / name) == digest
 
+    def test_smoothing_scan_near_sigma_two(self, tmp_path):
+        """Seed 31 draws sigma = 1.9988, above the monotone limit 1.9776.
+
+        Its scan values rise as eps halves, which is correct there, and stay
+        under the uniform bound; the run passes and counts no failure.
+        """
+        grid = make_grid(128, np.pi)
+        k_band = grid.dealias_k / 2.0
+        rng = np.random.default_rng(31 + 20_000)
+        rng.uniform(size=3 * 100)  # the 100 interpolation samples draw (s, sigma, eps) first
+        for _ in range(5):
+            s = float(rng.uniform(-0.5, 1.5))
+            sigma = float(rng.uniform(0.0, 2.0))
+        assert abs(sigma - 1.9988451) < 1e-6
+        t_max = 0.15**2
+        assert sigma > 2.0 * t_max / math.expm1(t_max) > 1.9775
+        u = sample_band_limited(grid, 1.0, k_band, 31 + 40_000 + 4)
+        vals = smoothing_limit_scan(u, s, sigma, tuple(0.15 / k_band * 0.5**j for j in range(7)))
+        assert vals[1] > vals[0] * (1.0 + 1e-10)
+        assert max(vals) <= scan_bound(u, s, sigma)
+
+        out = tmp_path / "run"
+        args = ["--K", "128", "--seed", "31", "--samples", "1", "--interp_samples", "100", "--cancel_samples", "1"]
+        assert main(["ineq-scan", *args, "--outdir", str(out)]) == 0
+        with open(out / "lemma_checks.json") as fh:
+            assert json.load(fh)["smoothing_scan"]["failures"] == 0
+
+    def test_rising_scan_is_caught(self, tmp_path, monkeypatch):
+        """A scan that rises as eps shrinks fails the run while sigma is below the limit."""
+        import sqglab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "smoothing_limit_scan", lambda u, s, sigma, eps: [1e-3 / e for e in eps])
+        monkeypatch.setattr(experiments, "scan_bound", lambda u, s, sigma: math.inf)
+        out = tmp_path / "run"
+        args = ["--K", "32", "--samples", "1", "--interp_samples", "10", "--cancel_samples", "1"]
+        assert main(["ineq-scan", *args, "--outdir", str(out)]) == 1
+        with open(out / "lemma_checks.json") as fh:
+            assert json.load(fh)["smoothing_scan"]["failures"] == 1
+
     def test_exponents_from_config_only(self, tmp_path, capsys):
         """Exponent lists load from JSON but have no flag form."""
         cfg = tmp_path / "cfg.json"
@@ -413,11 +457,19 @@ class TestThreads:
     """Worker-count override."""
 
     def test_serial_override(self, tmp_path, monkeypatch):
-        """SQG_THREADS=1 forces the serial path and changes nothing."""
-        monkeypatch.setenv("SQG_THREADS", "1")
-        out = tmp_path / "run"
-        rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(out)])
-        assert rc == 0
+        """SQG_THREADS=1 forces the serial path and changes nothing.
+
+        With 2 threads the pool's workers share one grid and its level
+        tables; the table must come out byte for byte the same.
+        """
+        tables = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SQG_THREADS", threads)
+            out = tmp_path / f"run{threads}"
+            rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(out)])
+            assert rc == 0
+            tables[threads] = (out / "continuity.csv").read_bytes()
+        assert tables["1"] == tables["2"]
 
     def test_invalid_value(self, tmp_path, monkeypatch, capsys):
         """A non-integer SQG_THREADS is a configuration error."""

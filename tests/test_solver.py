@@ -1,6 +1,7 @@
 """Tests for the Lax-Milgram linear solves and the outer iteration."""
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from sqglab import (
     ConfigError,
@@ -360,6 +361,30 @@ class TestOuterIterate:
         f = field_from_modes(g, {(1, 0): -0.5j})
         with pytest.raises(ConfigError):
             outer_iterate(f, SolverConfig(alpha=ALPHA, n_schedule=(1, 8)))
+
+    def test_step_counters(self, monkeypatch):
+        """Each step counts its operator applications and the size of their transforms."""
+        import sqglab.solver as solver
+
+        calls = []
+        apply = solver.apply_lax_milgram_operator
+
+        def counted(v, theta, N, alpha):
+            calls.append(N)
+            return apply(v, theta, N, alpha)
+
+        monkeypatch.setattr(solver, "apply_lax_milgram_operator", counted)
+        g = make_grid(64, np.pi)
+        amp = 1e-2
+        f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
+        _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
+        first, rest = report.steps[0], report.steps[1:]
+        assert (first.matvecs, first.transform_size) == (0, 0)
+        assert sum(s.matvecs for s in rest) == len(calls)
+        for s in rest:
+            assert s.matvecs >= s.inner_iters + 1
+            M = g.level(s.n).M
+            assert 2 * M + 1 < s.transform_size <= next_fast_len(3 * M + 1, real=True) < g.K
 
     def test_report_serializes(self):
         """The report renders to plain JSON-ready types."""
