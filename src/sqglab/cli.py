@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 
 from .experiments import (
     run_continuity,
@@ -20,7 +21,7 @@ from .experiments import (
     run_rlcheck,
     run_solve,
 )
-from .solver import ConfigError, ConvergenceError, SmallnessError
+from .solver import ConfigError, ConvergenceError, SmallnessError, SolverConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -41,131 +42,40 @@ def _length(text: str) -> float:
     return float(s)
 
 
-_SOLVER_KEYS = {
-    "alpha": float,
-    "inner_tol": float,
-    "outer_tol": float,
-    "max_inner": int,
-    "max_outer": int,
-    "smallness_threshold": float,
+# One schema per experiment: key -> (type, default), MISSING for keys
+# without a default. The solver's scalar fields, their types and defaults
+# come from SolverConfig (n_schedule is not a scalar and stays a library
+# argument); alpha has no default there, so each experiment sets one.
+_SOLVER = {
+    f.name: ({"float": float, "int": int}[f.type], f.default)
+    for f in fields(SolverConfig)
+    if f.type in ("float", "int")
 }
-
-_SOLVER_DEFAULTS = {
-    "inner_tol": 1e-10,
-    "outer_tol": 1e-7,
-    "max_inner": 400,
-    "max_outer": 60,
-    "smallness_threshold": 0.1,
-}
-
-_GRID_KEYS = {"K": int, "L": _length, "dealias_fraction": float}
+_GRID = {"K": (int, 128), "L": (_length, math.pi), "dealias_fraction": (float, MISSING)}
 
 _EXPERIMENTS = {
-    "solve": {
-        "run": run_solve,
-        "keys": {
-            **_GRID_KEYS,
-            **_SOLVER_KEYS,
-            "force": str,
-            "force_file": str,
-            "amplitude": float,
-            "outdir": str,
-        },
-        "defaults": {
-            **_SOLVER_DEFAULTS,
-            "K": 128,
-            "L": math.pi,
-            "alpha": 0.4,
-            "force": "single_mode",
-            "amplitude": 1e-2,
-            "outdir": "out_solve",
-        },
-    },
-    "continuity": {
-        "run": run_continuity,
-        "keys": {
-            **_GRID_KEYS,
-            **_SOLVER_KEYS,
-            "force": str,
-            "amplitude": float,
-            "perturbation": str,
-            "perturbation_amplitude": float,
-            "j_min": int,
-            "j_max": int,
-            "outdir": str,
-        },
-        "defaults": {
-            **_SOLVER_DEFAULTS,
-            "K": 128,
-            "L": math.pi,
-            "alpha": 0.4,
-            "force": "two_mode",
-            "amplitude": 1e-2,
-            "perturbation": "single_mode",
-            "perturbation_amplitude": 1e-2,
-            "j_min": 1,
-            "j_max": 6,
-            "outdir": "out_continuity",
-        },
-    },
-    "nonuniform": {
-        "run": run_nonuniform,
-        "keys": {
-            **_GRID_KEYS,
-            **_SOLVER_KEYS,
-            "delta": float,
-            "n_min": int,
-            "n_max": int,
-            "h_xi": float,
-            "torus": bool,
-            "outdir": str,
-        },
-        "defaults": {
-            **_SOLVER_DEFAULTS,
-            "K": 1024,
-            "L": 16.0 * math.pi,
-            "alpha": 0.4,
-            "delta": 0.02,
-            "n_min": 3,
-            "n_max": 10,
-            "h_xi": 1.0 / 32.0,
-            "torus": False,
-            "outdir": "out_nonuniform",
-        },
-    },
-    "rlcheck": {
-        "run": run_rlcheck,
-        "keys": {"alpha": float, "n_min": int, "n_max": int, "h_xi": float, "outdir": str},
-        "defaults": {
-            "alpha": 0.4,
-            "n_min": 1,
-            "n_max": 12,
-            "h_xi": 1.0 / 32.0,
-            "outdir": "out_rlcheck",
-        },
-    },
-    "ineq-scan": {
-        "run": run_inequality_scan,
-        "keys": {
-            **_GRID_KEYS,
-            "alpha": float,
-            "seed": int,
-            "samples": int,
-            "interp_samples": int,
-            "cancel_samples": int,
-            "outdir": str,
-        },
-        "defaults": {
-            "K": 128,
-            "L": math.pi,
-            "alpha": 0.4,
-            "seed": 42,
-            "samples": 200,
-            "interp_samples": 100,
-            "cancel_samples": 50,
-            "outdir": "out_ineq",
-        },
-    },
+    "solve": (run_solve, {
+        **_GRID, **_SOLVER, "alpha": (float, 0.4), "force": (str, "single_mode"), "force_file": (str, MISSING),
+        "amplitude": (float, 1e-2), "outdir": (str, "out_solve"),
+    }),
+    "continuity": (run_continuity, {
+        **_GRID, **_SOLVER, "alpha": (float, 0.4), "force": (str, "two_mode"), "amplitude": (float, 1e-2),
+        "perturbation": (str, "single_mode"), "perturbation_amplitude": (float, 1e-2), "j_min": (int, 1),
+        "j_max": (int, 6), "outdir": (str, "out_continuity"),
+    }),
+    "nonuniform": (run_nonuniform, {
+        **_GRID, **_SOLVER, "K": (int, 1024), "L": (_length, 16.0 * math.pi), "alpha": (float, 0.4),
+        "delta": (float, 0.02), "n_min": (int, 3), "n_max": (int, 10), "h_xi": (float, 1.0 / 32.0),
+        "torus": (bool, False), "outdir": (str, "out_nonuniform"),
+    }),
+    "rlcheck": (run_rlcheck, {
+        "alpha": (float, 0.4), "n_min": (int, 1), "n_max": (int, 12), "h_xi": (float, 1.0 / 32.0),
+        "outdir": (str, "out_rlcheck"),
+    }),
+    "ineq-scan": (run_inequality_scan, {
+        **_GRID, "alpha": (float, 0.4), "seed": (int, 42), "samples": (int, 200), "interp_samples": (int, 100),
+        "cancel_samples": (int, 50), "outdir": (str, "out_ineq"),
+    }),
 }
 
 # list-valued keys settable only through the JSON config, never by flag
@@ -173,15 +83,25 @@ _JSON_ONLY_KEYS = {
     "ineq-scan": ("product_exponents", "commutator_exponents"),
 }
 
+# JSON values each key type accepts: the value must already have the type,
+# except that an integer is a valid float and a length may be "16pi"
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    _length: ((int, float, str), 'a number or a pi multiple like "16pi"'),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqg-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    for name, meta in _EXPERIMENTS.items():
+    for name, (_, schema) in _EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its scalar keys")
-        for key, typ in meta["keys"].items():
+        for key, (typ, _) in schema.items():
             if typ is bool:
                 p.add_argument(f"--{key}", type=_parse_bool, default=None, metavar="BOOL")
             else:
@@ -204,9 +124,9 @@ def _parse_bool(text: str) -> bool:
 
 
 def _resolve_config(name: str, args: argparse.Namespace) -> dict:
-    meta = _EXPERIMENTS[name]
-    config = dict(meta["defaults"])
-    allowed = set(meta["keys"]) | set(_JSON_ONLY_KEYS.get(name, ()))
+    schema = _EXPERIMENTS[name][1]
+    config = {key: default for key, (_, default) in schema.items() if default is not MISSING}
+    allowed = set(schema) | set(_JSON_ONLY_KEYS.get(name, ()))
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -224,13 +144,20 @@ def _resolve_config(name: str, args: argparse.Namespace) -> dict:
                 continue
             if key not in allowed:
                 raise ConfigError(f"unknown config field {key!r} for experiment {name!r}")
-            typ = meta["keys"].get(key)
-            config[key] = typ(val) if typ is not None and not isinstance(val, bool) else val
-    for key in meta["keys"]:
+            config[key] = _json_value(key, schema[key][0], val) if key in schema else val
+    for key in schema:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
     return config
+
+
+def _json_value(key: str, typ, val):
+    """A JSON config value of a typed key; bools pass only as bools and nothing is coerced."""
+    accepted, name = _JSON_TYPES[typ]
+    if isinstance(val, bool) != (typ is bool) or not isinstance(val, accepted):
+        raise ConfigError(f"config field {key!r} must be {name}, got {json.dumps(val)}")
+    return typ(val)
 
 
 def main(argv=None) -> int:
@@ -242,9 +169,7 @@ def main(argv=None) -> int:
         if args.command == "norms":
             s_values = tuple(float(s) for s in str(args.s).split(","))
             return run_norms(args.file, s_values, dealias_fraction=args.dealias_fraction)
-        meta = _EXPERIMENTS[args.command]
-        config = _resolve_config(args.command, args)
-        return meta["run"](config)
+        return _EXPERIMENTS[args.command][0](_resolve_config(args.command, args))
     except SmallnessError as exc:
         print(f"smallness gate: {exc}", file=sys.stderr)
         return 2

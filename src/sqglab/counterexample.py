@@ -392,7 +392,7 @@ def nonuniform_experiment(
                         f"n={n}: triangle inequality violated: gap+remainders+data = {slack:.6g} "
                         f"below the second-iterate gap {parts.g2_gap:.6g}"
                     )
-            except (FrequencyOverflowError, ValueError) as exc:
+            except FrequencyOverflowError as exc:
                 warnings.append(f"n={n}: torus columns skipped: {exc}")
         rows.append(row)
     return NormTable(rows=rows, warnings=warnings)

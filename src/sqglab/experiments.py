@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -115,14 +116,7 @@ def _grid_from(config: dict) -> GridSpec:
 
 
 def _solver_from(config: dict) -> SolverConfig:
-    return SolverConfig(
-        alpha=float(config["alpha"]),
-        inner_tol=float(config["inner_tol"]),
-        outer_tol=float(config["outer_tol"]),
-        max_inner=int(config["max_inner"]),
-        max_outer=int(config["max_outer"]),
-        smallness_threshold=float(config["smallness_threshold"]),
-    )
+    return SolverConfig(**{f.name: config[f.name] for f in fields(SolverConfig) if f.name in config})
 
 
 def _write_csv_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:

@@ -1,14 +1,23 @@
 """Real-valued fields on the periodic square, stored spectrally.
 
-Coefficients live on the FFT-ordered lattice of GridSpec; coeff[m] is the
-coefficient of exp(i k(m).x). All operators here are Fourier multipliers
-except the quadratic products (advection and the pointwise product), which
-go through physical space on a grid sized to their bands and are truncated
-back to the dealias band.
+The coefficient c(m) of exp(i k(m).x) of a real field satisfies
+c(-m) = conj(c(m)), so its modes with m2 >= 0 determine it. A SpectralField
+of mode radius M stores just those: the half square |m1| <= M, 0 <= m2 <= M
+as a (2M+1) x (M+1) array with row m1 + M and column m2 (see
+GridSpec.square). Its m2 = 0 column holds both signs of m1, the m1 < 0
+entries being the conjugates of the m1 > 0 ones, and every operator keeps
+it so: a field is Hermitian by construction. ``coeffs``, the K x K array in
+FFT order, is built on first use for I/O and tests; outside data enter
+through the validating constructor, field_from_modes or field_from_physical.
+
+All operators are Fourier multipliers on the half square except the
+quadratic products (advection and the pointwise product), which go through
+physical space on a grid sized to their bands and are truncated back to the
+dealias band.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,43 +47,57 @@ __all__ = [
 _HERM_TOL = 1e-12
 
 
-def _conjugate_flip(coeffs: np.ndarray) -> np.ndarray:
-    """conj(c(-m)) in FFT index order."""
-    K = coeffs.shape[0]
-    idx = (-np.arange(K)) % K
-    return np.conj(coeffs[np.ix_(idx, idx)])
-
-
-@dataclass(frozen=True)
 class SpectralField:
-    """Zero-mean real field given by Hermitian-symmetric coefficients."""
+    """Zero-mean real field, stored as the half square of its modes.
 
-    grid: GridSpec
-    coeffs: np.ndarray = field(repr=False, compare=False)
-    is_dealiased: bool = False
+    SpectralField(grid, coeffs, is_dealiased=False) takes a K x K coefficient
+    array in FFT order, checks that it is Hermitian-symmetric with zero mean
+    (and inside the dealias band when is_dealiased is set), and keeps in
+    ``half`` (read-only) the half square of its support radius.
+    """
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        K = self.grid.K
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray, is_dealiased: bool = False) -> None:
+        c = np.asarray(coeffs, dtype=np.complex128)
+        K = grid.K
         if c.shape != (K, K):
             raise ValueError(f"coefficient array shape {c.shape} does not match grid K={K}")
-        scale = float(np.max(np.abs(c))) if c.size else 0.0
+        scale = float(np.max(np.abs(c)))
         if scale > 0:
-            asym = float(np.max(np.abs(c - _conjugate_flip(c))))
+            flip = (-np.arange(K)) % K
+            asym = float(np.max(np.abs(c - np.conj(c[np.ix_(flip, flip)]))))
             if asym > _HERM_TOL * scale:
                 raise ValueError(
                     f"coefficients are not Hermitian-symmetric (asymmetry {asym:.3e} vs scale {scale:.3e})"
                 )
             if abs(c[0, 0]) > _HERM_TOL * scale:
                 raise ValueError(f"zero mode must vanish (got {c[0, 0]:.3e}); fields are mean-free")
-        c = c.copy()
-        c[0, 0] = 0.0
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        if self.is_dealiased and scale > 0:
-            off = float(np.max(np.abs(c[~self.grid.dealias_mask])))
-            if off > _HERM_TOL * scale:
+        sq = _close(grid, c[:, : K // 2 + 1].copy())
+        M = _support_radius(sq)
+        if is_dealiased and M > grid.dealias_index:
+            if float(np.max(np.abs(c[~grid.dealias_mask]))) > _HERM_TOL * scale:
                 raise ValueError("is_dealiased set but coefficients extend past the dealias band")
+            M = grid.dealias_index
+        _init(self, grid, _resize(sq, M).copy(), is_dealiased)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpectralField is immutable; cannot set {name!r}")
+
+    @property
+    def M(self) -> int:
+        """Mode radius of the stored half square."""
+        return self.half.shape[1] - 1
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Full K x K coefficients in FFT order (read-only, built on first use)."""
+        K = self.grid.K
+        h = _rfft_half(self)
+        out = np.empty((K, K), dtype=np.complex128)
+        out[:, : K // 2 + 1] = h
+        out[:, K // 2 + 1 :] = np.conj(h[(-np.arange(K)) % K, K // 2 - 1 : 0 : -1])  # c(-m) = conj(c(m))
+        out[0, 0] = 0.0  # +0, whatever sign of zero arithmetic left there
+        out.setflags(write=False)
+        return out
 
     # -- arithmetic -------------------------------------------------------
 
@@ -82,22 +105,26 @@ class SpectralField:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
         self._require_same_grid(other)
-        return _wrap(self.grid, self.coeffs + other.coeffs, self.is_dealiased and other.is_dealiased)
+        M = max(self.M, other.M)
+        sq = op(_resize(self.half, M), _resize(other.half, M))
+        return _new(self.grid, sq, self.is_dealiased and other.is_dealiased)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._require_same_grid(other)
-        return _wrap(self.grid, self.coeffs - other.coeffs, self.is_dealiased and other.is_dealiased)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, a: float) -> "SpectralField":
         # real scalars only; complex scaling would break realness
-        return _wrap(self.grid, float(a) * self.coeffs, self.is_dealiased)
+        return _new(self.grid, float(a) * self.half, self.is_dealiased)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return _wrap(self.grid, -self.coeffs, self.is_dealiased)
+        return _new(self.grid, -self.half, self.is_dealiased)
 
     def mode(self, m1: int, m2: int) -> complex:
         """Coefficient at integer mode (m1, m2)."""
@@ -110,28 +137,67 @@ class SpectralField:
 
     @cached_property
     def _radius(self) -> int:
-        # coefficients are read-only, so the support radius is computed once
-        nz = self.coeffs != 0
-        if not nz.any():
-            return 0
-        m = np.abs(self.grid.modes)
-        return int(max(m[nz.any(axis=1)].max(), m[nz.any(axis=0)].max()))
+        return _support_radius(self.half)
 
 
-def _wrap(grid: GridSpec, coeffs: np.ndarray, dealiased: bool) -> SpectralField:
-    """Internal constructor for fresh arrays already Hermitian by construction.
+def _support_radius(sq: np.ndarray) -> int:
+    """Largest |m_i| of a nonzero entry of the half square sq (0 if there is none)."""
+    nz = sq != 0
+    if not nz.any():
+        return 0
+    rows = np.flatnonzero(nz.any(axis=1)) - (sq.shape[1] - 1)
+    return int(max(np.abs(rows).max(), np.flatnonzero(nz.any(axis=0)).max()))
 
-    The field takes ownership of ``coeffs`` (no copy); callers pass an array
-    nothing else refers to.
-    """
-    f = object.__new__(SpectralField)
-    c = np.asarray(coeffs, dtype=np.complex128)
-    c[0, 0] = 0.0
-    c.setflags(write=False)
-    object.__setattr__(f, "grid", grid)
-    object.__setattr__(f, "coeffs", c)
-    object.__setattr__(f, "is_dealiased", dealiased)
+
+def _init(f: SpectralField, grid: GridSpec, sq: np.ndarray, dealiased: bool) -> SpectralField:
+    sq.setflags(write=False)
+    f.__dict__.update(grid=grid, half=sq, is_dealiased=dealiased)
     return f
+
+
+def _new(grid: GridSpec, sq: np.ndarray, dealiased: bool) -> SpectralField:
+    """Field taking over the half square sq (no copy; nothing else may write to it).
+
+    sq has a zero mean and a Hermitian m2 = 0 column.
+    """
+    return _init(object.__new__(SpectralField), grid, sq, dealiased)
+
+
+def _close(grid: GridSpec, h: np.ndarray) -> np.ndarray:
+    """Half square of radius K/2 of the m2 >= 0 half spectrum h (K x (K/2+1), FFT row order).
+
+    On the self-conjugate columns m2 = 0 and m2 = K/2 the m1 < 0 entries
+    become the conjugates of the m1 > 0 ones and the self-conjugate modes
+    their real parts; the zero mode is dropped. Entries that already hold
+    those values keep their bits, so exactly Hermitian data round-trip
+    byte for byte.
+    """
+    K = grid.K
+    n = K // 2
+    for j in (0, n):
+        want, neg = np.conj(h[n - 1 : 0 : -1, j]), h[n + 1 :, j]
+        h[n + 1 :, j] = np.where(neg == want, neg, want)
+        own = h[[0, n], j]
+        h[[0, n], j] = np.where(own.imag == 0, own, own.real)
+    sq = np.zeros((K + 1, n + 1), dtype=np.complex128)
+    sq[:K] = np.fft.fftshift(h, axes=0)  # rows m1 = -K/2 .. K/2 - 1; row +K/2 aliases -K/2
+    sq[n, 0] = 0.0
+    return sq
+
+
+def _rfft_half(u: SpectralField) -> np.ndarray:
+    """The m2 >= 0 half of u's spectrum, K x (K/2+1) in FFT row order (row +K/2 aliases -K/2)."""
+    return np.fft.ifftshift(_resize(u.half, u.grid.K // 2)[:-1], axes=0)
+
+
+def _resize(sq: np.ndarray, M: int) -> np.ndarray:
+    """The half square sq cut (as a view) or zero-padded to mode radius M."""
+    m = sq.shape[1] - 1
+    if M <= m:
+        return sq[m - M : m + M + 1, : M + 1]
+    out = np.zeros((2 * M + 1, M + 1), dtype=np.complex128)
+    out[M - m : M + m + 1, : m + 1] = sq
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,10 +210,11 @@ class VelocityField:
     def __post_init__(self) -> None:
         if self.v1.grid != self.v2.grid:
             raise ValueError("velocity components live on different grids")
-        g = self.grid
-        div = g.kx * self.v1.coeffs + g.ky * self.v2.coeffs
-        scale = float(np.max(g.kmag * (np.abs(self.v1.coeffs) + np.abs(self.v2.coeffs))))
-        if scale > 0 and float(np.max(np.abs(div))) > 1e-13 * scale:
+        M = max(self.v1.M, self.v2.M)
+        t = self.grid.square(M)
+        a1, a2 = _resize(self.v1.half, M), _resize(self.v2.half, M)
+        div = np.abs(t.kx[:, None] * a1 + t.ky * a2)
+        if div.max() > 1e-13 * float(np.max(t.kmag * (np.abs(a1) + np.abs(a2)))):
             raise ValueError("velocity field is not divergence-free")
 
     @property
@@ -170,10 +237,10 @@ def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex], deal
             raise ValueError(f"mode {(m1, m2)} outside the lattice for K={K}")
         c[m1 % K, m2 % K] = val
         c[(-m1) % K, (-m2) % K] = np.conj(val)
+    if dealiased is not None:
+        return SpectralField(grid, c, is_dealiased=dealiased)
     f = SpectralField(grid, c)
-    if dealiased is None:
-        dealiased = bool(f.max_mode_index() <= grid.dealias_index)
-    return replace(f, is_dealiased=dealiased) if dealiased != f.is_dealiased else f
+    return dealias(f) if f.max_mode_index() <= grid.dealias_index else f
 
 
 def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -182,79 +249,74 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     if s.shape != (grid.K, grid.K):
         raise ValueError(f"sample array shape {s.shape} does not match grid")
     shifted = np.roll(s, -(grid.K // 2), axis=(0, 1))  # to the [0, 2L) grid fft expects
-    c = np.fft.fft2(shifted) / grid.K**2
-    mean = abs(c[0, 0])
-    if mean > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        raise ValueError(f"samples have nonzero mean {c[0,0]:.3e}; subtract it first")
-    return _wrap(grid, c, False)
+    h = scipy.fft.rfft2(shifted, norm="forward")
+    if abs(h[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
+        raise ValueError(f"samples have nonzero mean {h[0, 0]:.3e}; subtract it first")
+    return _new(grid, _close(grid, h), False)
 
 
 def to_physical(u: SpectralField) -> np.ndarray:
     """Evaluate on the physical grid x_j = -L + 2L*j/K (real array)."""
-    phys = np.fft.ifft2(u.coeffs) * u.grid.K**2
-    return np.roll(phys, u.grid.K // 2, axis=(0, 1)).real
+    K = u.grid.K
+    phys = scipy.fft.irfft2(_rfft_half(u), s=(K, K), norm="forward")
+    return np.roll(phys, K // 2, axis=(0, 1))
 
 
 # -- multiplier operators -------------------------------------------------
 
 def dealias(u: SpectralField) -> SpectralField:
     """Zero all modes outside the square dealias band."""
-    return _wrap(u.grid, np.where(u.grid.dealias_mask, u.coeffs, 0.0), True)
-
-
-def _radial_power(grid: GridSpec, p: float) -> np.ndarray:
-    """|k|^p with the zero mode mapped to 0."""
-    if p == 0.0:
-        out = np.ones_like(grid.kmag)
-        out[0, 0] = 0.0
-        return out
-    with np.errstate(divide="ignore"):
-        out = grid.kmag**p
-    out[0, 0] = 0.0
-    return out
+    return _new(u.grid, _resize(u.half, min(u.M, u.grid.dealias_index)), True)
 
 
 def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     """(-Delta)^s as the multiplier |k|^{2s}; inverse powers stay mean-free."""
-    return _wrap(u.grid, u.coeffs * _radial_power(u.grid, 2.0 * s), u.is_dealiased)
+    return _new(u.grid, u.half * u.grid.square(u.M).radial_power(2.0 * s), u.is_dealiased)
 
 
 def velocity_from_theta(theta: SpectralField) -> VelocityField:
-    """Perpendicular Riesz velocity v = (d2, -d1)(-Delta)^{-1/2} theta."""
+    """Perpendicular Riesz velocity v = (d2, -d1)(-Delta)^{-1/2} theta.
+
+    Divergence-free by construction, so the VelocityField check is skipped.
+    """
     g = theta.grid
-    inv = _radial_power(g, -1.0)
-    v1 = _wrap(g, 1j * g.ky * inv * theta.coeffs, theta.is_dealiased)
-    v2 = _wrap(g, -1j * g.kx * inv * theta.coeffs, theta.is_dealiased)
-    return VelocityField(v1, v2)
+    t = g.square(theta.M)
+    w = theta.half * t.radial_power(-1.0)
+    v = object.__new__(VelocityField)
+    object.__setattr__(v, "v1", _new(g, 1j * t.ky * w, theta.is_dealiased))
+    object.__setattr__(v, "v2", _new(g, -1j * t.kx[:, None] * w, theta.is_dealiased))
+    return v
 
 
 def low_pass_mask(grid: GridSpec, N: int) -> np.ndarray:
-    """Sharp radial cutoff |k| <= 2^N (boundary modes included)."""
-    mask = np.zeros((grid.K, grid.K), dtype=bool)
-    mask.ravel()[grid.level(N).idx] = True
-    mask[0, 0] = True
-    return mask
+    """Sharp radial cutoff |k| <= 2^N (boundary modes included), K x K in FFT order."""
+    grid.level(N)  # refuses cutoffs past the Nyquist wavenumber
+    return grid.k2 <= 4.0**N * (1.0 + 1e-12)
 
 
-def _from_level(grid: GridSpec, level: LevelTable, values: np.ndarray, dealiased: bool = True) -> SpectralField:
-    """The field holding ``values`` on the disk of a level and zero elsewhere."""
-    out = np.zeros(grid.K * grid.K, dtype=np.complex128)
-    out[level.idx] = values
-    return _wrap(grid, out.reshape(grid.K, grid.K), dealiased)
+def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> SpectralField:
+    """The real field with ``values`` on the half disk of a level (level.pos) and zero off the disk."""
+    M = level.M
+    sq = np.zeros((2 * M + 1, M + 1), dtype=np.complex128)
+    sq.ravel()[level.pos] = values
+    sq[:M, 0] = np.conj(sq[:M:-1, 0])  # m2 = 0: the m1 < 0 partners
+    return _new(grid, sq, True)
 
 
 def project_low(u: SpectralField, N: int) -> SpectralField:
     """Truncation P_N to wavenumbers |k| <= 2^N."""
     level = u.grid.level(N)
     dealiased = u.is_dealiased or 2.0**N <= u.grid.dealias_k * (1.0 + 1e-12)
-    return _from_level(u.grid, level, u.coeffs.ravel()[level.idx], dealiased)
+    sq = np.zeros((2 * level.M + 1, level.M + 1), dtype=np.complex128)
+    sq.ravel()[level.disk] = _resize(u.half, level.M).ravel()[level.disk]
+    return _new(u.grid, sq, dealiased)
 
 
 def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
     """Gaussian mollifier exp(eps^2 * Delta)."""
     if eps < 0:
         raise ValueError(f"mollification width must be nonnegative, got {eps}")
-    return _wrap(u.grid, u.coeffs * np.exp(-(eps**2) * u.grid.k2), u.is_dealiased)
+    return _new(u.grid, u.half * np.exp(-(eps**2) * u.grid.square(u.M).k2), u.is_dealiased)
 
 
 # -- the nonlinearity -----------------------------------------------------
@@ -262,13 +324,13 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # A quadratic product of factors with mode radii Ma and Mb, kept on the
 # modes |m_i| <= Mo, is an exact truncated convolution on any P x P grid
 # with P >= Ma + Mb + Mo + 1: an aliased copy m + P j of a kept mode would
-# need |m_i + P j_i| <= Ma + Mb. Each factor enters as the m2 >= 0 half of
-# its spectrum, a P x (P/2+1) array, and reaches the grid through one
-# irfft2; the product returns through one rfft2. The m2 < 0 half of the
-# result is filled by conjugate symmetry, so it is Hermitian by
-# construction. Radii beyond what can reach a kept mode are cut first, and
-# Mo never exceeds the dealias index, so the result is the dealiased
-# product whatever the factors' bands.
+# need |m_i + P j_i| <= Ma + Mb. Each factor enters as its half square, a
+# P x (P/2+1) array, and reaches the grid through one irfft2; the product
+# returns through one rfft2 as a half square. Its m2 = 0 column is made
+# Hermitian on its own, so the result is a real field by construction.
+# Radii beyond what can reach a kept mode are cut first, and Mo never
+# exceeds the dealias index, so the result is the dealiased product
+# whatever the factors' bands.
 
 
 def _product_size(ma: int, mb: int, mo: int) -> tuple[int, int, int, int]:
@@ -279,12 +341,12 @@ def _product_size(ma: int, mb: int, mo: int) -> tuple[int, int, int, int]:
     return ma, mb, mo, scipy.fft.next_fast_len(ma + mb + mo + 1, real=True)
 
 
-def _samples(c: np.ndarray, r: int, P: int, dk: float = 0.0, axis: int | None = None) -> np.ndarray:
-    """Values on the P x P grid of the modes |m_i| <= r of c, or of d_axis of them."""
-    K = c.shape[0]
+def _samples(sq: np.ndarray, r: int, P: int, dk: float = 0.0, axis: int | None = None) -> np.ndarray:
+    """Values on the P x P grid of the modes |m_i| <= r of the half square sq, or of d_axis of them."""
+    M = sq.shape[1] - 1
     h = np.zeros((P, P // 2 + 1), dtype=np.complex128)
-    h[: r + 1, : r + 1] = c[: r + 1, : r + 1]
-    h[P - r :, : r + 1] = c[K - r :, : r + 1]
+    h[: r + 1, : r + 1] = sq[M : M + r + 1, : r + 1]
+    h[P - r :, : r + 1] = sq[M - r : M, : r + 1]
     if axis == 0:
         h[: r + 1, : r + 1] *= 1j * dk * np.arange(r + 1)[:, None]
         h[P - r :, : r + 1] *= 1j * dk * np.arange(-r, 0)[:, None]
@@ -301,18 +363,17 @@ def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
 
 
 def _quadratic(grid: GridSpec, form: str, factors: tuple, radii: tuple[int, int], mo: int) -> np.ndarray:
-    """Half square of radius mo (see LevelTable) of a dealiased quadratic term.
+    """Half square, of radius at most mo, of a dealiased mean-free quadratic term.
 
     form "product": factors (u, w), the product u w.
     form "advective": factors (v1, v2, theta), v . grad(theta).
     form "divergence": factors (v1, v2, theta), div(v theta).
-    Factors are K x K coefficient arrays; radii are the mode radii of the
-    first factor(s) and of the last one.
+    Factors are half squares; radii are the mode radii of the first
+    factor(s) and of the last one.
     """
-    out = np.zeros((2 * mo + 1, mo + 1), dtype=np.complex128)
     ma, mb, m, P = _product_size(radii[0], radii[1], min(mo, grid.dealias_index))
     if P == 0:
-        return out
+        return np.zeros((1, 1), dtype=np.complex128)
     dk = grid.dk
     if form == "product":
         u, w = factors
@@ -329,29 +390,8 @@ def _quadratic(grid: GridSpec, form: str, factors: tuple, radii: tuple[int, int]
         sq += _half_square(_samples(v2, ma, P) * t, m) * (1j * dk * np.arange(m + 1))
     # the m2 = 0 column of a real field is Hermitian on its own
     sq[:m, 0] = np.conj(sq[:m:-1, 0])
-    out[mo - m : mo + m + 1, : m + 1] = sq
-    return out
-
-
-def _square_coeffs(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
-    """K x K coefficients of a half square, m2 < 0 filled by conjugate symmetry."""
-    K = grid.K
-    mo = sq.shape[1] - 1
-    out = np.zeros((K, K), dtype=np.complex128)
-    out[: mo + 1, : mo + 1] = sq[mo:]
-    out[K - mo :, : mo + 1] = sq[:mo]
-    if mo:
-        flip = np.conj(sq[::-1, :0:-1])  # row m1 + mo, column m2 + mo for m2 = -mo..-1
-        out[: mo + 1, K - mo :] = flip[mo:]
-        out[K - mo :, K - mo :] = flip[:mo]
-    return out
-
-
-def _level_values(level: LevelTable, sq: np.ndarray) -> np.ndarray:
-    """Disk values of a half square of radius level.M."""
-    vals = sq.ravel()[level.src]
-    np.conjugate(vals, out=vals, where=level.conj)
-    return vals
+    sq[m, 0] = 0.0
+    return sq
 
 
 def _check_advect_inputs(v: VelocityField, theta: SpectralField) -> None:
@@ -366,15 +406,16 @@ def _velocity_radius(v: VelocityField) -> int:
 
 
 def _advect_level(v: VelocityField, theta: SpectralField, level: LevelTable, theta_radius: int | None = None) -> np.ndarray:
-    """P_N (v . grad(theta)) as values on the disk of ``level``.
+    """P_N (v . grad(theta)) as values on the half disk of ``level``.
 
     theta_radius, when given, replaces the measured support radius of theta
     (the caller has checked theta lies in that band).
     """
     _check_advect_inputs(v, theta)
     rb = theta.max_mode_index() if theta_radius is None else theta_radius
-    factors = (v.v1.coeffs, v.v2.coeffs, theta.coeffs)
-    return _level_values(level, _quadratic(theta.grid, "advective", factors, (_velocity_radius(v), rb), level.M))
+    factors = (v.v1.half, v.v2.half, theta.half)
+    sq = _quadratic(theta.grid, "advective", factors, (_velocity_radius(v), rb), level.M)
+    return _resize(sq, level.M).ravel()[level.pos]
 
 
 def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> SpectralField:
@@ -388,9 +429,9 @@ def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> S
     if form not in ("advective", "divergence"):
         raise ValueError(f"unknown form {form!r}")
     g = theta.grid
-    factors = (v.v1.coeffs, v.v2.coeffs, theta.coeffs)
-    sq = _quadratic(g, form, factors, (_velocity_radius(v), theta.max_mode_index()), g.dealias_index)
-    return _wrap(g, _square_coeffs(g, sq), True)
+    factors = (v.v1.half, v.v2.half, theta.half)
+    radii = (_velocity_radius(v), theta.max_mode_index())
+    return _new(g, _quadratic(g, form, factors, radii, g.dealias_index), True)
 
 
 def rescale(u: SpectralField, a: float) -> SpectralField:
@@ -402,13 +443,15 @@ def rescale(u: SpectralField, a: float) -> SpectralField:
     if u.max_mode_index() > u.grid.K // 4:
         raise ValueError("field is not band-limited to half-Nyquist; dyadic rescale would alias")
     half = GridSpec(u.grid.K, u.grid.L / 2.0, u.grid.dealias_fraction)
-    return _wrap(half, (2.0**a) * u.coeffs, u.is_dealiased)
+    return _new(half, (2.0**a) * u.half, u.is_dealiased)
 
 
 def l2_inner(u: SpectralField, w: SpectralField) -> float:
     """L^2 pairing (2L)^2 * sum_k u(k) conj(w(k)), real for real fields."""
     u._require_same_grid(w)
-    return float(np.real(np.sum(u.coeffs * np.conj(w.coeffs))) * (2.0 * u.grid.L) ** 2)
+    M = min(u.M, w.M)
+    pair = (_resize(u.half, M) * np.conj(_resize(w.half, M))).real
+    return float(np.sum(u.grid.square(M).weight * pair) * (2.0 * u.grid.L) ** 2)
 
 
 def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
@@ -422,12 +465,19 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
         raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
-    sq = _quadratic(g, "product", (u.coeffs, w.coeffs), radii, g.dealias_index)
-    return _wrap(g, _square_coeffs(g, sq), True)
+    return _new(g, _quadratic(g, "product", (u.half, w.half), radii, g.dealias_index), True)
 
 
 def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:
-    """u(x - shift); spectrally a modulation by exp(-i k . shift)."""
-    g = u.grid
-    phase = np.exp(-1j * (g.kx * float(shift[0]) + g.ky * float(shift[1])))
-    return _wrap(g, u.coeffs * phase, u.is_dealiased)
+    """u(x - shift); spectrally a modulation by exp(-i k . shift).
+
+    On a Nyquist line only the cosine of the phase survives, since the sine
+    of a Nyquist mode vanishes on the grid.
+    """
+    g, M = u.grid, u.M
+    m = np.arange(-M, M + 1)
+    p1 = np.exp(-1j * (g.dk * m) * float(shift[0]))
+    p2 = np.exp(-1j * (g.dk * m[M:]) * float(shift[1]))
+    if M == g.K // 2:
+        p1[0], p2[M] = p1[0].real, p2[M].real
+    return _new(g, u.half * p1[:, None] * p2, u.is_dealiased)

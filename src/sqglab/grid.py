@@ -2,15 +2,18 @@
 
 The wavenumber lattice is k = (pi/L) * m with integer mode indices
 |m_i| <= K/2, stored in FFT order. Physical sample points are
-x_j = -L + 2L*j/K along each axis.
+x_j = -L + 2L*j/K along each axis. The tables of each half square (see
+SquareTable) and of each truncation level are built on first use and kept
+by the grid, so they live as long as it does and threads share them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridSpec", "LevelTable", "make_grid"]
+__all__ = ["GridSpec", "LevelTable", "SquareTable", "make_grid"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -30,15 +33,9 @@ class GridSpec:
     dealias_fraction : float
         Fraction of the Nyquist index kept by the dealias mask.
 
-    Derived arrays (filled in __post_init__):
-    modes : integer mode indices in FFT order.
-    kx, ky : wavenumber components on the 2D lattice.
-    k2 : |k|^2; kmag : |k|.
-    dealias_mask : True where max(|m1|,|m2|) <= M_d.
-
-    The operator table of each truncation level N (see ``level``) is built
-    on first use and kept by the instance, so it lives exactly as long as
-    the grid.
+    modes holds the integer mode indices in FFT order. The K x K arrays kx,
+    ky, k2 = |k|^2, kmag = |k| and dealias_mask (max(|m1|,|m2|) <= M_d) are
+    built on first use; the field operators read ``square`` tables instead.
     """
 
     K: int
@@ -46,12 +43,8 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     modes: np.ndarray = field(init=False, repr=False, compare=False)
-    kx: np.ndarray = field(init=False, repr=False, compare=False)
-    ky: np.ndarray = field(init=False, repr=False, compare=False)
-    k2: np.ndarray = field(init=False, repr=False, compare=False)
-    kmag: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
+    _squares: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.K, (int, np.integer)) or not _is_power_of_two(int(self.K)) or self.K < 16:
@@ -60,21 +53,19 @@ class GridSpec:
             raise ValueError(f"L must be positive, got {self.L}")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
-
         K = int(self.K)
         m = np.fft.fftfreq(K, d=1.0 / K).astype(np.int64)  # 0, 1, ..., K/2-1, -K/2, ..., -1
-        dk = np.pi / self.L
-        kx1d = dk * m
         object.__setattr__(self, "modes", m)
-        object.__setattr__(self, "kx", kx1d[:, None] * np.ones((1, K)))
-        object.__setattr__(self, "ky", np.ones((K, 1)) * kx1d[None, :])
-        k2 = self.kx**2 + self.ky**2
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmag", np.sqrt(k2))
-        md = self.dealias_index
-        mask = (np.abs(m)[:, None] <= md) & (np.abs(m)[None, :] <= md)
-        object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_squares", {})
+
+    kx = cached_property(lambda self: (self.dk * self.modes)[:, None] * np.ones((1, self.K)))
+    ky = cached_property(lambda self: np.ones((self.K, 1)) * (self.dk * self.modes)[None, :])
+    k2 = cached_property(lambda self: self.kx**2 + self.ky**2)
+    kmag = cached_property(lambda self: np.sqrt(self.k2))
+    dealias_mask = cached_property(
+        lambda self: np.maximum.outer(np.abs(self.modes), np.abs(self.modes)) <= self.dealias_index
+    )
 
     @property
     def dealias_index(self) -> int:
@@ -104,7 +95,7 @@ class GridSpec:
         return np.zeros((self.K, self.K), dtype=np.complex128)
 
     def level(self, N: int) -> "LevelTable":
-        """Operator table of the truncation level |k| <= 2^N, built once per grid."""
+        """Table of the truncation level |k| <= 2^N, built once per grid."""
         N = int(N)
         table = self._levels.get(N)
         if table is None:
@@ -112,52 +103,88 @@ class GridSpec:
             table = self._levels.setdefault(N, LevelTable(self, N))
         return table
 
+    def square(self, M: int) -> "SquareTable":
+        """Table of the half square of mode radius M, built once per grid."""
+        M = int(M)
+        table = self._squares.get(M)
+        if table is None:
+            table = self._squares.setdefault(M, SquareTable(self, M))
+        return table
+
+
+class SquareTable:
+    """Wavenumbers of the half square |m1| <= M, 0 <= m2 <= M of one grid.
+
+    A real field of mode radius M is stored as its modes with m2 >= 0, a
+    (2M+1) x (M+1) array with row m1 + M and column m2; a mode with m2 < 0
+    is the conjugate of its partner -m. At M = K/2 row -K/2 holds the
+    lattice row K/2, and row +K/2, which aliases it, stays zero.
+
+    kx, ky : row and column wavenumbers for odd multipliers (derivatives);
+        0 on a Nyquist line, where the sine part of a real field vanishes.
+    k2, kmag : |k|^2 and |k|.
+    weight : lattice modes a stored mode stands for: 2 where its partner is
+        not stored, 1 on the self-conjugate columns m2 = 0 and m2 = K/2.
+    """
+
+    def __init__(self, grid: GridSpec, M: int) -> None:
+        n = grid.K // 2
+        if not 0 <= M <= n:
+            raise ValueError(f"mode radius {M} outside the lattice for K={grid.K}")
+        m = np.arange(-M, M + 1)
+        k = grid.dk * m
+        self.M = M
+        self.kx = np.where(np.abs(m) == n, 0.0, k)
+        self.ky = self.kx[M:]
+        self.k2 = k[:, None] ** 2 + k[None, M:] ** 2
+        self.kmag = np.sqrt(self.k2)
+        self.weight = np.full(self.k2.shape, 2.0)
+        self.weight[:, [0, M] if M == n else 0] = 1.0
+        self._powers: dict[float, np.ndarray] = {}
+
+    def radial_power(self, p: float) -> np.ndarray:
+        """|k|^p with the zero mode mapped to 0 (read-only, kept for up to 32 exponents)."""
+        p = float(p)
+        w = self._powers.get(p)
+        if w is None:
+            with np.errstate(divide="ignore"):
+                w = self.kmag**p
+            w[self.M, 0] = 0.0
+            w.setflags(write=False)
+            if len(self._powers) < 32:
+                # setdefault is atomic: threads racing on a new exponent all get the stored array
+                w = self._powers.setdefault(p, w)
+        return w
+
 
 class LevelTable:
-    """Derived arrays of the lattice disk 0 < |k| <= 2^N on one grid.
+    """The lattice disk 0 < |k| <= 2^N of one grid, on its half square.
 
-    Attributes
-    ----------
     M : mode radius, the largest |m_i| in the disk.
-    idx : int32 flat indices of the disk modes in the K x K array, in
-        row-major order; the zero mode is excluded.
-    partner : int32 position of the mode -m within the disk vector.
-    src, conj : where each disk mode sits in a half square of the modes
-        |m1| <= M, 0 <= m2 <= M stored as a (2M+1) x (M+1) array with row
-        m1 + M and column m2. Modes with m2 < 0 read the conjugate of their
-        partner there (``conj`` is True).
+    disk : flat positions of the disk modes with m2 >= 0 in the half square.
+    pos : flat positions of the half disk, m2 > 0 or m2 = 0 < m1: one mode
+        of each conjugate pair, whose values give a real field on the disk
+        (below the Nyquist wavenumber, where no mode is its own partner).
     """
 
     def __init__(self, grid: GridSpec, N: int) -> None:
         if 2.0**N > grid.nyquist_k * (1.0 + 1e-12):
             raise ValueError(f"2^{N} exceeds the Nyquist wavenumber {grid.nyquist_k:g}; truncation is meaningless")
-        K = grid.K
-        disk = grid.k2 <= 4.0**N * (1.0 + 1e-12)
-        disk[0, 0] = False
-        idx = np.flatnonzero(disk)
-        m1 = grid.modes[idx // K]
-        m2 = grid.modes[idx % K]
-        M = int(max(np.abs(m1).max(), np.abs(m2).max())) if idx.size else 0
-        conj = m2 < 0
-        s1 = np.where(conj, -m1, m1)
-        s2 = np.where(conj, -m2, m2)
+        bound = 4.0**N * (1.0 + 1e-12)
+        m = np.arange(grid.K // 2 + 1)
+        M = int(m[(grid.dk * m) ** 2 <= bound].max())
         self.M = M
-        self.idx = idx.astype(np.int32)
-        self.partner = np.searchsorted(idx, ((-m1) % K) * K + (-m2) % K).astype(np.int32)
-        self.src = ((s1 + M) * (M + 1) + s2).astype(np.int32)
-        self.conj = conj
-        self._kmag = grid.kmag.ravel()[idx]
-        self._powers: dict[float, np.ndarray] = {}
+        self.square = grid.square(M)
+        inside = self.square.k2 <= bound
+        inside[M, 0] = False
+        inside[2 * M] &= M < grid.K // 2  # row +K/2 aliases row -K/2
+        self.disk = np.flatnonzero(inside)
+        inside[:M, 0] = False
+        self.pos = np.flatnonzero(inside)
 
     def radial_power(self, p: float) -> np.ndarray:
-        """|k|^p on the disk (read-only, cached per exponent)."""
-        p = float(p)
-        w = self._powers.get(p)
-        if w is None:
-            w = self._kmag**p
-            w.setflags(write=False)
-            w = self._powers.setdefault(p, w)
-        return w
+        """|k|^p on the half disk."""
+        return self.square.radial_power(p).ravel()[self.pos]
 
 
 def make_grid(K: int, L: float, dealias_fraction: float = 2.0 / 3.0) -> GridSpec:

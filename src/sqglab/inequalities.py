@@ -13,8 +13,7 @@ import numpy as np
 
 from .field import (
     SpectralField,
-    _conjugate_flip,
-    _wrap,
+    _new,
     advect,
     fractional_laplacian,
     l2_inner,
@@ -78,14 +77,18 @@ def sample_band_limited(grid: GridSpec, k_min: float, k_max: float, seed: int) -
         raise ValueError(f"need 0 < k_min < k_max, got ({k_min}, {k_max})")
     if k_max > grid.dealias_k * (1.0 + 1e-12):
         raise ValueError(f"k_max = {k_max:g} exceeds the dealias cutoff {grid.dealias_k:g}")
-    band = (grid.kmag > k_min) & (grid.kmag <= k_max * (1.0 + 1e-12))
+    K = grid.K
+    M = min(int(k_max / grid.dk) + 1, grid.dealias_index)  # the annulus lies in |m_i| <= M
+    kmag = grid.square(M).kmag
+    band = (kmag > k_min) & (kmag <= k_max * (1.0 + 1e-12))
     if not band.any():
         raise ValueError(f"annulus ({k_min:g}, {k_max:g}] contains no lattice points")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((grid.K, grid.K)) + 1j * rng.standard_normal((grid.K, grid.K))
-    c = np.where(band, z, 0.0)
-    c = 0.5 * (c + _conjugate_flip(c))
-    u = _wrap(grid, c, True)
+    z = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+    # the draw at m and at -m, on the half square of radius M
+    rows, cols = np.arange(-M, M + 1)[:, None], np.arange(M + 1)
+    c = np.where(band, 0.5 * (z[rows % K, cols] + np.conj(z[-rows % K, -cols % K])), 0.0)
+    u = _new(grid, c, True)
     return u * (1.0 / hs_norm(u, 0.0))
 
 

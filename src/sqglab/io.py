@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import SpectralField, _wrap, field_from_physical, to_physical
+from .field import SpectralField, dealias, field_from_physical, to_physical
 from .grid import GridSpec
 
 __all__ = ["write_field", "read_field", "MAGIC", "VERSION"]
@@ -53,12 +53,9 @@ def read_field(path: str | Path, dealias_fraction: float = 2.0 / 3.0) -> Spectra
         data = np.frombuffer(body, dtype="<c16")
         if data.size != K * K:
             raise ValueError(f"{path}: payload size {data.size} != {K * K}")
-        coeffs = np.fft.ifftshift(data.reshape(K, K))
-        f = _wrap(grid, coeffs.astype(np.complex128), False)
-        # re-derive the dealias flag rather than trusting the file
-        if f.max_mode_index() <= grid.dealias_index:
-            f = SpectralField(grid, f.coeffs, is_dealiased=True)
-        return f
+        # the constructor validates the payload; the dealias flag is re-derived, not trusted
+        f = SpectralField(grid, np.fft.ifftshift(data.reshape(K, K)))
+        return dealias(f) if f.max_mode_index() <= grid.dealias_index else f
     if tag == REPR_PHYSICAL:
         data = np.frombuffer(body, dtype="<f8")
         if data.size != K * K:

@@ -19,17 +19,14 @@ __all__ = [
 
 
 def hs_norm(u: SpectralField, s: float) -> float:
-    """sqrt((2L)^2 sum_{k != 0} |k|^{2s} |u(k)|^2); s=0 gives the L^2 norm."""
-    g = u.grid
-    a2 = np.abs(u.coeffs) ** 2
-    nz = a2 > 0.0
-    nz[0, 0] = False
-    if not nz.any():
-        return 0.0
-    with np.errstate(divide="ignore"):
-        w = g.k2[nz] ** s
-    total = float(np.sum(w * a2[nz]))
-    return float(np.sqrt(total) * 2.0 * g.L)
+    """sqrt((2L)^2 sum_{k != 0} |k|^{2s} |u(k)|^2); s=0 gives the L^2 norm.
+
+    The sum runs over the stored half square, each mode with m2 > 0 standing
+    for itself and its conjugate partner.
+    """
+    t = u.grid.square(u.M)
+    total = float(np.sum(t.weight * t.radial_power(2.0 * s) * np.abs(u.half) ** 2))
+    return float(np.sqrt(total) * 2.0 * u.grid.L)
 
 
 def intersection_norm(u: SpectralField, s: float, s2: float) -> float:

@@ -1,7 +1,8 @@
 """Constructive solver for (-Delta)^alpha theta + v.grad(theta) = f.
 
 The truncated linear problem is solved matrix-free with GMRES on the
-coercive operator A = I + (-Delta)^{-alpha} P_N (v . grad .); the outer
+coercive operator A = I + (-Delta)^{-alpha} P_N (v . grad .), as a real
+system in the real and imaginary parts of the half-disk modes; the outer
 iteration walks a dyadic truncation schedule and then refines at the top
 level until the projected nonlinear residual is below tolerance.
 """
@@ -17,10 +18,10 @@ from .field import (
     SpectralField,
     VelocityField,
     _advect_level,
-    _from_level,
+    _level_field,
     _product_size,
+    _resize,
     _velocity_radius,
-    _wrap,
     advect,
     fractional_laplacian,
     project_low,
@@ -95,9 +96,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStep:
-    """One outer step. matvecs counts Lax-Milgram operator applications and
-    transform_size is the points per axis of their products (both 0 for the
-    first step, which solves nothing)."""
+    """One outer step. matvecs counts Lax-Milgram operator applications,
+    transform_size is the points per axis of their products and
+    inner_residual is the relative residual of the final linear iterate
+    (all 0 for the first step, which solves nothing)."""
 
     n: int
     h_alpha: float
@@ -107,6 +109,7 @@ class SolveStep:
     residual: float
     matvecs: int = 0
     transform_size: int = 0
+    inner_residual: float = 0.0
 
 
 @dataclass
@@ -149,32 +152,31 @@ def default_schedule(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(1, n_max + 1))
 
 
+def _disk_values(u: SpectralField, level: LevelTable) -> np.ndarray:
+    """Values of u on the half disk of the level."""
+    return _resize(u.half, level.M).ravel()[level.pos]
+
+
 def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
-    """(-Delta)^{-alpha} P_N f as values on the disk of the level."""
-    return f.coeffs.ravel()[level.idx] * level.radial_power(-2.0 * alpha)
+    """(-Delta)^{-alpha} P_N f as values on the half disk of the level."""
+    return _disk_values(f, level) * level.radial_power(-2.0 * alpha)
 
 
 def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, alpha: float) -> SpectralField:
-    """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta))."""
+    """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta)) for theta in the range of P_N."""
     grid = theta.grid
     level = grid.level(N)
-    out = theta.coeffs.ravel().copy()
-    inside = out[level.idx]
-    out[level.idx] = 0.0  # out now holds what lies outside the range of P_N
-    # largest real or imaginary part, within a factor sqrt(2) of the largest |c|
-    parts, rest = inside.view(np.float64), out.view(np.float64)
-    off = max(float(rest.max(initial=0.0)), -float(rest.min(initial=0.0)))
-    scale = max(off, float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
-    if scale > 0 and off > 1e-12 * scale:
+    inside = project_low(theta, N)
+    off = np.max(np.abs((theta - inside).half))
+    if off > 1e-12 * max(off, np.max(np.abs(inside.half))):
         raise ValueError(f"field carries modes outside the range of P_{N}")
-    adv = _advect_level(v, theta, level, theta_radius=level.M)
-    out[level.idx] = inside + level.radial_power(-2.0 * alpha) * adv
-    return _wrap(grid, out.reshape(grid.K, grid.K), True)
+    adv = _advect_level(v, inside, level, theta_radius=level.M)
+    return _level_field(grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
 
 def _gmres_solve(matvec, b_vec: np.ndarray, x0: np.ndarray, cfg: SolverConfig) -> tuple[np.ndarray, int, bool]:
     dim = b_vec.size
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     restart = min(50, dim)
     maxiter = max(1, math.ceil(cfg.max_inner / restart))
     iters = 0
@@ -187,8 +189,7 @@ def _gmres_solve(matvec, b_vec: np.ndarray, x0: np.ndarray, cfg: SolverConfig) -
         op, b_vec, x0=x0, rtol=cfg.inner_tol, atol=0.0,
         restart=restart, maxiter=maxiter, callback=count, callback_type="pr_norm",
     )
-    converged = info == 0
-    return x, iters, converged
+    return x, iters, info == 0
 
 
 def _linear_solve_info(
@@ -206,26 +207,30 @@ def _linear_solve_info(
             f"{cfg.smallness_threshold:g}; coercivity is not guaranteed"
         )
 
+    # The unknowns are the real and imaginary parts of the half-disk modes
+    # (a complex array viewed as float64); their partners follow by
+    # conjugation, so every iterate is a real field and A is real-linear.
     level = grid.level(N)
-    idx = level.idx
-    b_vec = _low_data(f, level, cfg.alpha)
-    info = {"iterations": 0, "residual_rel": 0.0, "dim": int(idx.size), "matvecs": 0,
+
+    def field_of(x: np.ndarray) -> SpectralField:
+        return _level_field(grid, level, np.ascontiguousarray(x).view(np.complex128))
+
+    b_vec = _low_data(f, level, cfg.alpha).view(np.float64)
+    info = {"iterations": 0, "residual_rel": 0.0, "dim": b_vec.size, "matvecs": 0,
             "transform_size": _product_size(_velocity_radius(v), level.M, level.M)[3]}
-    if float(np.max(np.abs(b_vec), initial=0.0)) == 0.0:
-        return _wrap(grid, grid.zeros(), True), info
+    if not np.any(b_vec):
+        return field_of(b_vec), info
 
     def matvec(x: np.ndarray) -> np.ndarray:
         info["matvecs"] += 1
-        theta_x = _from_level(grid, level, x)
-        return apply_lax_milgram_operator(v, theta_x, N, cfg.alpha).coeffs.ravel()[idx]
+        return _disk_values(apply_lax_milgram_operator(v, field_of(x), N, cfg.alpha), level).view(np.float64)
 
-    x_start = b_vec if x0 is None else x0.coeffs.ravel()[idx]
+    x_start = b_vec if x0 is None else _disk_values(x0, level).view(np.float64)
     x, iters, converged = _gmres_solve(matvec, b_vec, x_start, cfg)
     rel = float(np.linalg.norm(b_vec - matvec(x)) / np.linalg.norm(b_vec))
     info["iterations"], info["residual_rel"] = iters, rel
 
-    # GMRES preserves Hermitian symmetry only up to rounding; re-symmetrize
-    theta = _from_level(grid, level, 0.5 * (x + np.conj(x[level.partner])))
+    theta = field_of(x)
     if not converged:
         raise ConvergenceError(
             f"linear solve did not reach inner_tol={cfg.inner_tol:g} within {cfg.max_inner} iterations "
@@ -255,7 +260,7 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
         adv = advect(v, theta)
     else:
         level = theta.grid.level(project_N)
-        adv = _from_level(theta.grid, level, _advect_level(v, theta, level))
+        adv = _level_field(theta.grid, level, _advect_level(v, theta, level))
         f = project_low(f, project_N)
     r = fractional_laplacian(theta, alpha) + adv - f
     return ResidualRecord(r_field=r, r_norm=hs_norm(r, -alpha))
@@ -280,7 +285,7 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     report = SolveReport(alpha=cfg.alpha)
 
     first = grid.level(schedule[0])
-    theta = _from_level(grid, first, _low_data(f, first, cfg.alpha))
+    theta = _level_field(grid, first, _low_data(f, first, cfg.alpha))
     res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
     report.steps.append(
         SolveStep(
@@ -327,6 +332,7 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                 residual=res,
                 matvecs=info["matvecs"],
                 transform_size=info["transform_size"],
+                inner_residual=info["residual_rel"],
             )
         )
         step_count += 1
@@ -373,7 +379,7 @@ def theta2(a: SpectralField, alpha: float, project_N: int | None = None) -> Spec
     t1 = picard_theta1(project_low(a, project_N), alpha)
     level = a.grid.level(project_N)
     adv = _advect_level(velocity_from_theta(t1), t1, level) * level.radial_power(-2.0 * alpha)
-    return t1 - _from_level(a.grid, level, adv)
+    return t1 - _level_field(a.grid, level, adv)
 
 
 def solve_pair_gap(f: SpectralField, g: SpectralField, cfg: SolverConfig) -> GapRecord:

@@ -16,6 +16,7 @@ import numpy as np
 from sqglab import (
     CounterexampleSpec,
     SolverConfig,
+    SpectralField,
     build_forces,
     build_phi,
     cancellation_probe,
@@ -45,7 +46,6 @@ from sqglab import (
     velocity_hs_norm,
 )
 from sqglab.experiments import builtin_force
-from sqglab.field import _wrap
 
 ALPHA = 0.4
 DELTA = 0.02
@@ -59,7 +59,7 @@ def random_ball_field(grid, rng, N):
     z = rng.standard_normal((grid.K, grid.K)) + 1j * rng.standard_normal((grid.K, grid.K))
     c = np.where(mask, z, 0.0)
     idx = (-np.arange(grid.K)) % grid.K
-    return _wrap(grid, 0.5 * (c + np.conj(c[np.ix_(idx, idx)])), True)
+    return SpectralField(grid, 0.5 * (c + np.conj(c[np.ix_(idx, idx)])), is_dealiased=True)
 
 
 def admissible_velocity(grid, rng, alpha, size):

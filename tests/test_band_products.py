@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sqglab import (
+    SpectralField,
     advect,
     apply_lax_milgram_operator,
     fractional_laplacian,
@@ -26,7 +27,6 @@ from sqglab import (
     theta2,
     velocity_from_theta,
 )
-from sqglab.field import _wrap
 
 ALPHA = 0.4
 
@@ -90,7 +90,7 @@ def ball_field(grid, rng, N):
     mask = low_pass_mask(grid, N).copy()
     mask[0, 0] = False
     c = np.where(mask, rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape), 0.0)
-    return _wrap(grid, 0.5 * (c + flip(c)), True)
+    return SpectralField(grid, 0.5 * (c + flip(c)), is_dealiased=True)
 
 
 def circle_modes(grid, N):
@@ -145,7 +145,7 @@ class TestAgainstFullLattice:
         proj = np.where(mask, ref_advect(v, theta), 0.0)
 
         op = apply_lax_milgram_operator(v, theta, n_theta, ALPHA).coeffs
-        ref_op = theta.coeffs + fractional_laplacian(_wrap(g, proj, True), -ALPHA).coeffs
+        ref_op = theta.coeffs + fractional_laplacian(SpectralField(g, proj, is_dealiased=True), -ALPHA).coeffs
         assert_matches(op, ref_op)
         assert_hermitian(op)
 
@@ -164,7 +164,7 @@ class TestAgainstFullLattice:
         t2 = theta2(theta, ALPHA, project_N=n_theta).coeffs
         t1 = picard_theta1(theta, ALPHA)
         adv = np.where(mask, ref_advect(velocity_from_theta(t1), t1), 0.0)
-        ref_t2 = t1.coeffs - fractional_laplacian(_wrap(g, adv, True), -ALPHA).coeffs
+        ref_t2 = t1.coeffs - fractional_laplacian(SpectralField(g, adv, is_dealiased=True), -ALPHA).coeffs
         assert_matches(t2, ref_t2)
         assert_hermitian(t2)
 
@@ -173,19 +173,21 @@ def test_zero_factor():
     """A vanishing factor gives the zero field without a transform."""
     g = make_grid(32, np.pi)
     theta = ball_field(g, np.random.default_rng(3), 2)
-    zero = _wrap(g, g.zeros(), True)
+    zero = SpectralField(g, g.zeros(), is_dealiased=True)
     assert not np.any(pointwise_product(theta, zero).coeffs)
     assert not np.any(advect(velocity_from_theta(zero), theta).coeffs)
 
 
 def test_level_tables_shared_between_threads():
-    """Threads racing on a new level all receive the one table the grid keeps."""
+    """Threads racing on a new level, half square or |k|^p all receive the one table the grid keeps."""
     g = make_grid(256, np.pi)
     barrier = threading.Barrier(8, timeout=10)
 
     def build(_):
         barrier.wait()
-        return [g.level(n) for n in (4, 5, 6)]
+        levels = [g.level(n) for n in (4, 5, 6)]
+        squares = [g.square(m) for m in (21, 42, 85)]
+        return levels + squares + [squares[1].radial_power(-0.8)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -195,5 +197,6 @@ def test_level_tables_shared_between_threads():
     finally:
         sys.setswitchinterval(old)
     for tables in results:
-        assert [t is s for t, s in zip(tables, results[0])] == [True, True, True]
+        assert [t is s for t, s in zip(tables, results[0])] == [True] * 7
     assert results[0][0] is g.level(4)
+    assert results[0][3] is g.square(21)

@@ -58,6 +58,14 @@ class TestSolve:
         assert report["converged"] is True
         assert all(step["matvecs"] >= step["inner_iters"] for step in report["steps"])
         assert report["steps"][-1]["transform_size"] > 0
+        assert report["steps"][0]["inner_residual"] == 0.0
+        assert all(0.0 <= step["inner_residual"] <= 1e-10 for step in report["steps"])
+        # a force whose solves iterate leaves a nonzero final residual below inner_tol
+        assert main(["solve", "--K", "64", "--force", "two_mode", "--outdir", str(tmp_path / "two")]) == 0
+        with open(tmp_path / "two" / "report.json") as fh:
+            steps = json.load(fh)["steps"]
+        assert all(0.0 < s["inner_residual"] <= 1e-10 for s in steps if s["inner_iters"] > 0)
+        assert any(s["inner_iters"] > 0 for s in steps)
         theta = read_field(out / "theta.sqgf")
         with open(out / "norms.json") as fh:
             norms = json.load(fh)
@@ -236,6 +244,19 @@ class TestNonuniform:
         assert "n=3" in capsys.readouterr().out
         header, rows = read_csv_rows(out / "nonuniform.csv")
         assert rows[0][header.index("full_gap")] == ""
+
+    def test_torus_leg_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        """Only an unresolvable carrier becomes a warning; other torus errors fail the run."""
+        import sqglab.counterexample as counterexample
+
+        def broken(u, grid):
+            raise ValueError("grid mode spacing is not an integer multiple of the patch spacing")
+
+        monkeypatch.setattr(counterexample, "to_torus", broken)
+        rc = main(["nonuniform", "--torus", "true", "--K", "256", "--L", "16pi",
+                   "--n_min", "3", "--n_max", "3", "--outdir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "integer multiple" in capsys.readouterr().err
 
     def test_bad_range(self, tmp_path, capsys):
         """n_max below n_min is a configuration error."""
@@ -445,6 +466,34 @@ class TestConfigResolution:
         rc = main(["nonuniform", "--config", str(cfg)])
         assert rc == 0
         assert read_manifest(tmp_path / "b")["config"]["L"] == 2.0 * math.pi
+
+    def test_string_bool_rejected(self, tmp_path, capsys):
+        """A JSON string is not a boolean, whatever it spells."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"torus": "false", "n_min": 3, "n_max": 3, "outdir": str(tmp_path / "o")}))
+        assert main(["nonuniform", "--config", str(cfg)]) == 1
+        assert "'torus' must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fractional_integer_rejected(self, tmp_path, capsys):
+        """An integer key refuses a fractional value instead of truncating it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 128.9, "outdir": str(tmp_path / "o")}))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "'K' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_solver_defaults_from_config_class(self, tmp_path):
+        """The resolved solver keys are the SolverConfig defaults."""
+        from dataclasses import fields
+
+        from sqglab import SolverConfig
+
+        rc = main(["solve", "--K", "32", "--outdir", str(tmp_path / "o")])
+        assert rc == 0
+        config = read_manifest(tmp_path / "o")["config"]
+        defaults = {f.name: f.default for f in fields(SolverConfig) if f.name not in ("alpha", "n_schedule")}
+        assert {k: config[k] for k in defaults} == defaults
 
     def test_subcommand_required(self, capsys):
         """Bare invocation is a usage error."""

@@ -112,6 +112,24 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             SpectralField(g, c)
 
+    def test_near_hermitian_input_made_exact(self):
+        """Data Hermitian to rounding are stored as an exactly Hermitian field.
+
+        The m1 < 0 half of each self-conjugate column follows from the m1 > 0
+        half, and a self-conjugate mode keeps its real part.
+        """
+        g = make_grid(16, np.pi)
+        c = g.zeros()
+        c[1, 0], c[-1, 0] = 0.3 + 0.2j, 0.3 - 0.2j + 1e-15
+        c[3, 8], c[-3, 8] = 0.1j, -0.1j * (1 + 1e-14)
+        c[8, 0] = 0.5 + 1e-15j
+        u = SpectralField(g, c)
+        idx = (-np.arange(16)) % 16
+        assert np.array_equal(u.coeffs, np.conj(u.coeffs[np.ix_(idx, idx)]))
+        np.testing.assert_allclose(u.coeffs, c, rtol=0, atol=1e-14)
+        assert u.mode(-1, 0) == 0.3 - 0.2j
+        assert u.mode(8, 0) == 0.5
+
     def test_physical_round_trip(self):
         """field_from_physical inverts to_physical to near machine precision."""
         g = make_grid(64, np.pi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqglab import field_from_modes, make_grid, read_field, to_physical, write_field
+from sqglab.cli import main
 from sqglab.io import MAGIC, VERSION
 
 HEADER = struct.Struct("<4sIIId8x")
@@ -55,6 +56,22 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.coeffs, u.coeffs)
         assert back.grid == g
 
+    def test_nyquist_field_exact(self, tmp_path):
+        """Fields reaching the Nyquist index keep every coefficient through the constructor and a spectral file."""
+        from sqglab import SpectralField, field_from_physical
+
+        g = make_grid(32, np.pi)
+        samples = np.random.default_rng(23).standard_normal((32, 32))
+        u = field_from_physical(g, samples - samples.mean())
+        assert u.max_mode_index() == g.K // 2
+        np.testing.assert_array_equal(SpectralField(g, u.coeffs).coeffs, u.coeffs)
+        p = tmp_path / "u.sqgf"
+        write_field(p, u)
+        back = read_field(p)
+        np.testing.assert_array_equal(back.coeffs, u.coeffs)
+        write_field(tmp_path / "v.sqgf", back)
+        assert (tmp_path / "v.sqgf").read_bytes() == p.read_bytes()
+
     def test_physical_close(self, tmp_path):
         """Physical round trips reproduce the field to near machine precision."""
         g = make_grid(64, 2 * np.pi)
@@ -87,8 +104,37 @@ class TestRoundTrip:
         assert back.grid.dealias_index == 8
 
 
+def spectral_file(path, coeffs, L=np.pi):
+    """An SQGF1 spectral file holding raw K x K coefficients in FFT order."""
+    K = coeffs.shape[0]
+    body = np.fft.fftshift(coeffs).astype("<c16").tobytes(order="C")
+    path.write_bytes(HEADER.pack(MAGIC, VERSION, K, 0, L) + body)
+
+
 class TestRejection:
     """Malformed files and arguments."""
+
+    def test_lone_mode_rejected(self, tmp_path, capsys):
+        """A mode without its conjugate partner is not a real field."""
+        c = np.zeros((16, 16), dtype=np.complex128)
+        c[7, 0] = 0.5
+        p = tmp_path / "u.sqgf"
+        spectral_file(p, c)
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_field(p)
+        assert main(["norms", str(p)]) == 1
+        assert "Hermitian" in capsys.readouterr().err
+
+    def test_nonzero_mean_rejected(self, tmp_path, capsys):
+        """A nonzero zero mode is refused, not silently dropped."""
+        c = field_from_modes(make_grid(16, np.pi), {(1, 0): 0.5}).coeffs.copy()
+        c[0, 0] = 0.25
+        p = tmp_path / "u.sqgf"
+        spectral_file(p, c)
+        with pytest.raises(ValueError, match="zero mode"):
+            read_field(p)
+        assert main(["norms", str(p)]) == 1
+        assert "zero mode" in capsys.readouterr().err
 
     def test_bad_magic(self, tmp_path):
         """Foreign files are refused by their magic."""

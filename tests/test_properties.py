@@ -6,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqglab import (
+    advect,
+    apply_lax_milgram_operator,
+    bilinear_B,
+    dealias,
     field_from_modes,
+    field_from_physical,
     fractional_laplacian,
     heat_smooth,
     hs_norm,
     l2_inner,
     make_grid,
+    picard_theta1,
     pointwise_product,
     project_low,
+    rescale,
+    residual,
+    theta2,
+    to_physical,
     translate,
     velocity_from_theta,
 )
@@ -101,3 +111,51 @@ def test_product_commutes(u, w):
     np.testing.assert_array_equal(
         pointwise_product(u, w).coeffs, pointwise_product(w, u).coeffs
     )
+
+
+def public_outputs(u, w):
+    """One result of every public operator that returns a field, built from u and w."""
+    v = velocity_from_theta(u)
+    low = project_low(u, 2)
+    wide = field_from_physical(GRID, to_physical(u) + to_physical(w))  # reaches the Nyquist lines
+    wide_v = velocity_from_theta(wide)
+    return {
+        "field_from_modes": u,
+        "add": u + w,
+        "sub": u - w,
+        "scale": -2.5 * u,
+        "neg": -u,
+        "dealias": dealias(wide),
+        "fractional_laplacian": fractional_laplacian(u, -0.4),
+        "velocity_v1": v.v1,
+        "velocity_v2": v.v2,
+        "project_low": low,
+        "heat_smooth": heat_smooth(u, 0.3),
+        "translate": translate(u, (0.7, -1.3)),
+        "rescale": rescale(u, -0.2),
+        "advect": advect(velocity_from_theta(w), u),
+        "advect_divergence": advect(velocity_from_theta(w), u, form="divergence"),
+        "pointwise_product": pointwise_product(u, w),
+        "field_from_physical": wide,
+        "translate_nyquist": translate(wide, (0.7, -1.3)),
+        "velocity_nyquist_v1": wide_v.v1,
+        "velocity_nyquist_v2": wide_v.v2,
+        "picard_theta1": picard_theta1(u, 0.4),
+        "bilinear_B": bilinear_B(u, w, 0.4),
+        "theta2": theta2(u, 0.4, project_N=2),
+        "apply_lax_milgram_operator": apply_lax_milgram_operator(velocity_from_theta(w), low, 2, 0.4),
+        "residual": residual(u, w, 0.4, project_N=2).r_field,
+    }
+
+
+@settings(max_examples=40)
+@given(fields, fields)
+def test_operators_hermitian_by_construction(u, w):
+    """Every operator's coefficients are exactly Hermitian and mean-free, read-only and built once."""
+    flip = (-np.arange(GRID.K)) % GRID.K
+    for name, out in public_outputs(u, w).items():
+        c = out.coeffs
+        assert c is out.coeffs, name
+        assert not c.flags.writeable, name
+        assert np.array_equal(c, np.conj(c[np.ix_(flip, flip)])), name
+        assert c[0, 0] == 0.0, name

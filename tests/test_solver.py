@@ -8,6 +8,7 @@ from sqglab import (
     ConvergenceError,
     SmallnessError,
     SolverConfig,
+    SpectralField,
     advect,
     apply_lax_milgram_operator,
     bilinear_B,
@@ -30,7 +31,6 @@ from sqglab import (
     velocity_from_theta,
     velocity_hs_norm,
 )
-from sqglab.field import _wrap
 
 ALPHA = 0.4
 
@@ -48,7 +48,7 @@ def ball_field(grid, rng, N):
     K = grid.K
     idx = (-np.arange(K)) % K
     c = 0.5 * (c + np.conj(c[np.ix_(idx, idx)]))
-    return _wrap(grid, c, True)
+    return SpectralField(grid, c, is_dealiased=True)
 
 
 def small_velocity(grid, rng, alpha, size=0.05):
@@ -208,6 +208,25 @@ class TestLinearSolve:
             b = fractional_laplacian(project_low(f, 2), -ALPHA).coeffs[mask]
             x = np.linalg.solve(A, b)
             np.testing.assert_allclose(theta.coeffs[mask], x, rtol=1e-9, atol=1e-13)
+
+    def test_output_exactly_hermitian(self):
+        """The solution is a real field bit for bit, with no symmetrising step.
+
+        GMRES runs on the real and imaginary parts of the half-disk modes, so
+        each partner is the exact conjugate and the mean is exactly zero.
+        """
+        g = make_grid(32, np.pi)
+        cfg = SolverConfig(alpha=ALPHA)
+        rng = np.random.default_rng(47)
+        flip = (-np.arange(g.K)) % g.K
+        for N in (1, 2, 3):
+            v = small_velocity(g, rng, ALPHA, size=0.09)
+            theta = linear_solve(v, ball_field(g, rng, N), N, cfg)
+            c = theta.coeffs
+            assert np.any(c != 0)
+            assert np.array_equal(c, np.conj(c[np.ix_(flip, flip)]))
+            assert c[0, 0] == 0.0
+            assert not np.any(c[~low_pass_mask(g, N)])
 
     def test_a_priori_bound(self):
         """||theta_N||_{H^alpha} <= ||f||_{H^{-alpha}} up to rounding."""
