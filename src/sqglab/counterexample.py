@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,7 +175,7 @@ def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, Patc
 
     amp_h = spec.delta * 2.0 ** (-(1.0 - 2.0 * a) * n)
     base = _separable_patch(prof, prof.phi, prof.phi, (2, 2), 0, amp_h)
-    h_field = PatchField(prof.h, (Patch(base.lo, base.values, 2.0 * a + 1.0),))
+    h_field = PatchField(prof.h, (Patch(base.lo, base.values, Fraction(2.0 * a) + 1),))  # exact, see Patch
 
     return g + h_field, g, h_field
 

@@ -65,9 +65,11 @@ def thread_count() -> int:
     if env is not None:
         try:
             n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SQG_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ConfigError(f"SQG_THREADS must be a positive integer, got {env!r}")
+        return n
     return max(1, os.cpu_count() or 1)
 
 

@@ -50,13 +50,12 @@ _HERM_TOL = 1e-12
 class SpectralField:
     """Zero-mean real field, stored as the half square of its modes.
 
-    SpectralField(grid, coeffs, is_dealiased=False) takes a K x K coefficient
-    array in FFT order, checks that it is Hermitian-symmetric with zero mean
-    (and inside the dealias band when is_dealiased is set), and keeps in
-    ``half`` (read-only) the half square of its support radius.
+    SpectralField(grid, coeffs) takes a K x K coefficient array in FFT
+    order, checks that it is Hermitian-symmetric with zero mean, and keeps
+    in ``half`` (read-only) the half square of its support radius.
     """
 
-    def __init__(self, grid: GridSpec, coeffs: np.ndarray, is_dealiased: bool = False) -> None:
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray) -> None:
         c = np.asarray(coeffs, dtype=np.complex128)
         K = grid.K
         if c.shape != (K, K):
@@ -72,12 +71,7 @@ class SpectralField:
             if abs(c[0, 0]) > _HERM_TOL * scale:
                 raise ValueError(f"zero mode must vanish (got {c[0, 0]:.3e}); fields are mean-free")
         sq = _close(grid, c[:, : K // 2 + 1].copy())
-        M = _support_radius(sq)
-        if is_dealiased and M > grid.dealias_index:
-            if float(np.max(np.abs(c[~grid.dealias_mask]))) > _HERM_TOL * scale:
-                raise ValueError("is_dealiased set but coefficients extend past the dealias band")
-            M = grid.dealias_index
-        _init(self, grid, _resize(sq, M).copy(), is_dealiased)
+        _init(self, grid, _resize(sq, _support_radius(sq)).copy())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SpectralField is immutable; cannot set {name!r}")
@@ -86,6 +80,11 @@ class SpectralField:
     def M(self) -> int:
         """Mode radius of the stored half square."""
         return self.half.shape[1] - 1
+
+    @property
+    def is_dealiased(self) -> bool:
+        """Whether every nonzero mode lies in the dealias band (no support scan if M is inside it)."""
+        return self.M <= self.grid.dealias_index or self.max_mode_index() <= self.grid.dealias_index
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -109,7 +108,7 @@ class SpectralField:
         self._require_same_grid(other)
         M = max(self.M, other.M)
         sq = op(_resize(self.half, M), _resize(other.half, M))
-        return _new(self.grid, sq, self.is_dealiased and other.is_dealiased)
+        return _new(self.grid, sq)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._combine(other, np.add)
@@ -119,12 +118,12 @@ class SpectralField:
 
     def __mul__(self, a: float) -> "SpectralField":
         # real scalars only; complex scaling would break realness
-        return _new(self.grid, float(a) * self.half, self.is_dealiased)
+        return _new(self.grid, float(a) * self.half)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return _new(self.grid, -self.half, self.is_dealiased)
+        return _new(self.grid, -self.half)
 
     def mode(self, m1: int, m2: int) -> complex:
         """Coefficient at integer mode (m1, m2)."""
@@ -149,18 +148,18 @@ def _support_radius(sq: np.ndarray) -> int:
     return int(max(np.abs(rows).max(), np.flatnonzero(nz.any(axis=0)).max()))
 
 
-def _init(f: SpectralField, grid: GridSpec, sq: np.ndarray, dealiased: bool) -> SpectralField:
+def _init(f: SpectralField, grid: GridSpec, sq: np.ndarray) -> SpectralField:
     sq.setflags(write=False)
-    f.__dict__.update(grid=grid, half=sq, is_dealiased=dealiased)
+    f.__dict__.update(grid=grid, half=sq)
     return f
 
 
-def _new(grid: GridSpec, sq: np.ndarray, dealiased: bool) -> SpectralField:
+def _new(grid: GridSpec, sq: np.ndarray) -> SpectralField:
     """Field taking over the half square sq (no copy; nothing else may write to it).
 
     sq has a zero mean and a Hermitian m2 = 0 column.
     """
-    return _init(object.__new__(SpectralField), grid, sq, dealiased)
+    return _init(object.__new__(SpectralField), grid, sq)
 
 
 def _close(grid: GridSpec, h: np.ndarray) -> np.ndarray:
@@ -228,7 +227,7 @@ class VelocityField:
 
 # -- constructors ---------------------------------------------------------
 
-def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex], dealiased: bool | None = None) -> SpectralField:
+def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> SpectralField:
     """Build a field from {(m1, m2): coefficient}; conjugate modes are filled in."""
     c = grid.zeros()
     K = grid.K
@@ -237,10 +236,7 @@ def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex], deal
             raise ValueError(f"mode {(m1, m2)} outside the lattice for K={K}")
         c[m1 % K, m2 % K] = val
         c[(-m1) % K, (-m2) % K] = np.conj(val)
-    if dealiased is not None:
-        return SpectralField(grid, c, is_dealiased=dealiased)
-    f = SpectralField(grid, c)
-    return dealias(f) if f.max_mode_index() <= grid.dealias_index else f
+    return SpectralField(grid, c)
 
 
 def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -252,7 +248,7 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     h = scipy.fft.rfft2(shifted, norm="forward")
     if abs(h[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
         raise ValueError(f"samples have nonzero mean {h[0, 0]:.3e}; subtract it first")
-    return _new(grid, _close(grid, h), False)
+    return _new(grid, _close(grid, h))
 
 
 def to_physical(u: SpectralField) -> np.ndarray:
@@ -266,12 +262,12 @@ def to_physical(u: SpectralField) -> np.ndarray:
 
 def dealias(u: SpectralField) -> SpectralField:
     """Zero all modes outside the square dealias band."""
-    return _new(u.grid, _resize(u.half, min(u.M, u.grid.dealias_index)), True)
+    return _new(u.grid, _resize(u.half, min(u.M, u.grid.dealias_index)))
 
 
 def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     """(-Delta)^s as the multiplier |k|^{2s}; inverse powers stay mean-free."""
-    return _new(u.grid, u.half * u.grid.square(u.M).radial_power(2.0 * s), u.is_dealiased)
+    return _new(u.grid, u.half * u.grid.square(u.M).radial_power(2.0 * s))
 
 
 def velocity_from_theta(theta: SpectralField) -> VelocityField:
@@ -283,15 +279,14 @@ def velocity_from_theta(theta: SpectralField) -> VelocityField:
     t = g.square(theta.M)
     w = theta.half * t.radial_power(-1.0)
     v = object.__new__(VelocityField)
-    object.__setattr__(v, "v1", _new(g, 1j * t.ky * w, theta.is_dealiased))
-    object.__setattr__(v, "v2", _new(g, -1j * t.kx[:, None] * w, theta.is_dealiased))
+    object.__setattr__(v, "v1", _new(g, 1j * t.ky * w))
+    object.__setattr__(v, "v2", _new(g, -1j * t.kx[:, None] * w))
     return v
 
 
 def low_pass_mask(grid: GridSpec, N: int) -> np.ndarray:
     """Sharp radial cutoff |k| <= 2^N (boundary modes included), K x K in FFT order."""
-    grid.level(N)  # refuses cutoffs past the Nyquist wavenumber
-    return grid.k2 <= 4.0**N * (1.0 + 1e-12)
+    return grid.k2 <= grid.level(N).bound  # the level refuses cutoffs past the Nyquist wavenumber
 
 
 def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> SpectralField:
@@ -300,23 +295,22 @@ def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> Spect
     sq = np.zeros((2 * M + 1, M + 1), dtype=np.complex128)
     sq.ravel()[level.pos] = values
     sq[:M, 0] = np.conj(sq[:M:-1, 0])  # m2 = 0: the m1 < 0 partners
-    return _new(grid, sq, True)
+    return _new(grid, sq)
 
 
 def project_low(u: SpectralField, N: int) -> SpectralField:
     """Truncation P_N to wavenumbers |k| <= 2^N."""
     level = u.grid.level(N)
-    dealiased = u.is_dealiased or 2.0**N <= u.grid.dealias_k * (1.0 + 1e-12)
     sq = np.zeros((2 * level.M + 1, level.M + 1), dtype=np.complex128)
     sq.ravel()[level.disk] = _resize(u.half, level.M).ravel()[level.disk]
-    return _new(u.grid, sq, dealiased)
+    return _new(u.grid, sq)
 
 
 def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
     """Gaussian mollifier exp(eps^2 * Delta)."""
     if eps < 0:
         raise ValueError(f"mollification width must be nonnegative, got {eps}")
-    return _new(u.grid, u.half * np.exp(-(eps**2) * u.grid.square(u.M).k2), u.is_dealiased)
+    return _new(u.grid, u.half * np.exp(-(eps**2) * u.grid.square(u.M).k2))
 
 
 # -- the nonlinearity -----------------------------------------------------
@@ -431,7 +425,7 @@ def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> S
     g = theta.grid
     factors = (v.v1.half, v.v2.half, theta.half)
     radii = (_velocity_radius(v), theta.max_mode_index())
-    return _new(g, _quadratic(g, form, factors, radii, g.dealias_index), True)
+    return _new(g, _quadratic(g, form, factors, radii, g.dealias_index))
 
 
 def rescale(u: SpectralField, a: float) -> SpectralField:
@@ -443,7 +437,7 @@ def rescale(u: SpectralField, a: float) -> SpectralField:
     if u.max_mode_index() > u.grid.K // 4:
         raise ValueError("field is not band-limited to half-Nyquist; dyadic rescale would alias")
     half = GridSpec(u.grid.K, u.grid.L / 2.0, u.grid.dealias_fraction)
-    return _new(half, (2.0**a) * u.half, u.is_dealiased)
+    return _new(half, (2.0**a) * u.half)
 
 
 def l2_inner(u: SpectralField, w: SpectralField) -> float:
@@ -465,7 +459,7 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
         raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
-    return _new(g, _quadratic(g, "product", (u.half, w.half), radii, g.dealias_index), True)
+    return _new(g, _quadratic(g, "product", (u.half, w.half), radii, g.dealias_index))
 
 
 def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:
@@ -480,4 +474,4 @@ def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:
     p2 = np.exp(-1j * (g.dk * m[M:]) * float(shift[1]))
     if M == g.K // 2:
         p1[0], p2[M] = p1[0].real, p2[M].real
-    return _new(g, u.half * p1[:, None] * p2, u.is_dealiased)
+    return _new(g, u.half * p1[:, None] * p2)

@@ -8,6 +8,7 @@ by the grid, so they live as long as it does and threads share them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,8 +52,8 @@ class GridSpec:
             raise ValueError(f"K must be a power of two >= 16, got {self.K}")
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
+        if not (0.0 < self.dealias_fraction <= 1.0 and self.dealias_index >= 1):
+            raise ValueError(f"dealias_fraction must lie in (0, 1] and keep a mode, got {self.dealias_fraction}")
         K = int(self.K)
         m = np.fft.fftfreq(K, d=1.0 / K).astype(np.int64)  # 0, 1, ..., K/2-1, -K/2, ..., -1
         object.__setattr__(self, "modes", m)
@@ -86,6 +87,11 @@ class GridSpec:
     def dealias_k(self) -> float:
         """Wavenumber magnitude of the dealias cutoff index."""
         return self.dealias_index * self.dk
+
+    @property
+    def dealias_level(self) -> int:
+        """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k."""
+        return math.floor(math.log2(self.dealias_k * (1.0 + 1e-12)))
 
     def x_axis(self) -> np.ndarray:
         """Physical sample coordinates -L + 2L*j/K, j = 0..K-1."""
@@ -160,6 +166,7 @@ class SquareTable:
 class LevelTable:
     """The lattice disk 0 < |k| <= 2^N of one grid, on its half square.
 
+    bound : the disk's cutoff on |k|^2, 4^N with a relative slack of 1e-12.
     M : mode radius, the largest |m_i| in the disk.
     disk : flat positions of the disk modes with m2 >= 0 in the half square.
     pos : flat positions of the half disk, m2 > 0 or m2 = 0 < m1: one mode
@@ -170,7 +177,7 @@ class LevelTable:
     def __init__(self, grid: GridSpec, N: int) -> None:
         if 2.0**N > grid.nyquist_k * (1.0 + 1e-12):
             raise ValueError(f"2^{N} exceeds the Nyquist wavenumber {grid.nyquist_k:g}; truncation is meaningless")
-        bound = 4.0**N * (1.0 + 1e-12)
+        self.bound = bound = 4.0**N * (1.0 + 1e-12)
         m = np.arange(grid.K // 2 + 1)
         M = int(m[(grid.dk * m) ** 2 <= bound].max())
         self.M = M

@@ -88,7 +88,7 @@ def sample_band_limited(grid: GridSpec, k_min: float, k_max: float, seed: int) -
     # the draw at m and at -m, on the half square of radius M
     rows, cols = np.arange(-M, M + 1)[:, None], np.arange(M + 1)
     c = np.where(band, 0.5 * (z[rows % K, cols] + np.conj(z[-rows % K, -cols % K])), 0.0)
-    u = _new(grid, c, True)
+    u = _new(grid, c)
     return u * (1.0 / hs_norm(u, 0.0))
 
 

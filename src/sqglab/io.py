@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import SpectralField, dealias, field_from_physical, to_physical
+from .field import SpectralField, field_from_physical, to_physical
 from .grid import GridSpec
 
 __all__ = ["write_field", "read_field", "MAGIC", "VERSION"]
@@ -53,9 +53,7 @@ def read_field(path: str | Path, dealias_fraction: float = 2.0 / 3.0) -> Spectra
         data = np.frombuffer(body, dtype="<c16")
         if data.size != K * K:
             raise ValueError(f"{path}: payload size {data.size} != {K * K}")
-        # the constructor validates the payload; the dealias flag is re-derived, not trusted
-        f = SpectralField(grid, np.fft.ifftshift(data.reshape(K, K)))
-        return dealias(f) if f.max_mode_index() <= grid.dealias_index else f
+        return SpectralField(grid, np.fft.ifftshift(data.reshape(K, K)))  # validates the payload
     if tag == REPR_PHYSICAL:
         data = np.frombuffer(body, dtype="<f8")
         if data.size != K * K:

@@ -2,9 +2,11 @@
 
 A Patch stores samples of a transform on a uniform frequency lattice of
 spacing h; the represented transform is |xi|^origin_power * values, the
-power factored out so radial multipliers stay exact near xi = 0. A
-PatchField is a finite sum of patches. Carrier frequencies enter only
-through patch offsets, so cost is independent of the carrier 2^n.
+power factored out so radial multipliers stay exact near xi = 0. The power
+is the exact rational sum of the float exponents applied, so powers that
+cancel give exactly 0. A PatchField is a finite sum of patches. Carrier
+frequencies enter only through patch offsets, so cost is independent of
+the carrier 2^n.
 
 Convention: stored values are (2 pi)^{-1} times the integral transform
 u_hat(xi) = int u(x) e^{-i xi.x} dx, so that
@@ -14,6 +16,7 @@ h^2/(2 pi) discrete convolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +56,7 @@ class Patch:
 
     lo: tuple[int, int]
     values: np.ndarray
-    origin_power: float = 0.0
+    origin_power: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
@@ -63,6 +66,7 @@ class Patch:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "lo", (int(self.lo[0]), int(self.lo[1])))
+        object.__setattr__(self, "origin_power", Fraction(self.origin_power))
 
     def hi(self) -> tuple[int, int]:
         return (self.lo[0] + self.values.shape[0] - 1, self.lo[1] + self.values.shape[1] - 1)
@@ -128,11 +132,11 @@ def _radial_on(patch: Patch, h: float, power: float) -> np.ndarray:
 def materialize(patch: Patch, h: float) -> np.ndarray:
     """Values with |xi|^origin_power folded in (requires origin_power >= 0)."""
     p = patch.origin_power
-    if p == 0.0:
+    if p == 0:
         return np.asarray(patch.values)
     if p < 0 and patch.contains_origin():
         raise ValueError("cannot materialize a negative origin power on a patch containing the origin")
-    return patch.values * _radial_on(patch, h, p)
+    return patch.values * _radial_on(patch, h, float(p))
 
 
 def apply_radial(u: PatchField, power: float) -> PatchField:
@@ -140,7 +144,7 @@ def apply_radial(u: PatchField, power: float) -> PatchField:
     out = []
     for p in u.patches:
         if p.contains_origin():
-            out.append(Patch(p.lo, p.values, p.origin_power + power))
+            out.append(Patch(p.lo, p.values, p.origin_power + Fraction(power)))
         else:
             out.append(Patch(p.lo, p.values * _radial_on(p, u.h, power), p.origin_power))
     return PatchField(u.h, tuple(out))
@@ -241,7 +245,7 @@ def coalesce(u: PatchField) -> PatchField:
             if q.origin_power == p_star:
                 vals[sl] += q.values
             else:
-                vals[sl] += q.values * _radial_on(q, u.h, q.origin_power - p_star)
+                vals[sl] += q.values * _radial_on(q, u.h, float(q.origin_power - p_star))
         out.append(_check_side(Patch((lo0, lo1), vals, p_star), u.h))
     return PatchField(u.h, tuple(out))
 
@@ -332,7 +336,7 @@ def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
 
 
 def _patch_norm_sq(patch: Patch, h: float, s: float) -> float:
-    q = 2.0 * s + 2.0 * patch.origin_power
+    q = 2.0 * s + 2.0 * float(patch.origin_power)
     w2 = np.abs(patch.values) ** 2
     x_ax, y_ax = patch.axes(h)
     r2 = x_ax[:, None] ** 2 + y_ax[None, :] ** 2
@@ -406,7 +410,7 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
         cols = (m1 * r - p.lo[1])[None, :]
         coeffs[np.ix_(m0 % K, m1 % K)] += scale * vals[rows, cols]
     coeffs[0, 0] = 0.0
-    return SpectralField(grid, coeffs, is_dealiased=True)
+    return SpectralField(grid, coeffs)
 
 
 # -- diagnostics ----------------------------------------------------------

@@ -521,11 +521,12 @@ class TestThreads:
         assert tables["1"] == tables["2"]
 
     def test_invalid_value(self, tmp_path, monkeypatch, capsys):
-        """A non-integer SQG_THREADS is a configuration error."""
-        monkeypatch.setenv("SQG_THREADS", "many")
-        rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(tmp_path / "o")])
-        assert rc == 1
-        assert "SQG_THREADS" in capsys.readouterr().err
+        """A SQG_THREADS that is not a positive integer is a configuration error, never coerced."""
+        for value in ("many", "0", "-3"):
+            monkeypatch.setenv("SQG_THREADS", value)
+            rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(tmp_path / "o")])
+            assert rc == 1
+            assert "SQG_THREADS" in capsys.readouterr().err
 
 
 class TestEntryPoint:

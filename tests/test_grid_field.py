@@ -49,6 +49,21 @@ class TestGridSpec:
         g = make_grid(256, np.pi)
         assert g.dealias_index == 85
 
+    def test_dealias_level(self):
+        """dealias_level is the largest N with 2^N <= dealias_k, boundary included."""
+        for K, L in ((16, np.pi), (64, np.pi), (256, np.pi / 3.0), (64, 16 * np.pi), (1024, 16 * np.pi)):
+            g = make_grid(K, L)
+            N = g.dealias_level
+            assert 2.0**N <= g.dealias_k * (1 + 1e-12) < 2.0 ** (N + 1), (K, L)
+        assert make_grid(64, 21.0 * np.pi / 16.0).dealias_level == 4  # dealias_k = 16 exactly
+        # one ulp longer: dealias_k = 16 - 4e-15, inside the rounding slack
+        assert make_grid(64, np.nextafter(21.0 * np.pi / 16.0, np.inf)).dealias_level == 4
+
+    def test_empty_dealias_band_rejected(self):
+        """A dealias fraction that keeps no mode is refused."""
+        with pytest.raises(ValueError, match="dealias_fraction"):
+            make_grid(16, np.pi, 0.1)
+
     def test_odd_resolution_rejected(self):
         """Resolutions that are not powers of two are refused."""
         with pytest.raises(ValueError):
@@ -375,6 +390,18 @@ class TestAdvection:
         v = velocity_from_theta(sine_x1(g))
         with pytest.raises(ValueError, match="dealias"):
             advect(v, hot)
+
+    def test_in_band_field_accepted(self):
+        """Coefficients inside the dealias band make a dealiased field without dealias()."""
+        g = make_grid(32, np.pi)
+        u = field_from_modes(g, {(2, 1): 0.5 - 0.25j, (1, -2): 0.3})
+        raw = SpectralField(g, u.coeffs)
+        assert raw.max_mode_index() == 2
+        cut = dealias(raw)
+        np.testing.assert_array_equal(
+            advect(velocity_from_theta(raw), raw).coeffs, advect(velocity_from_theta(cut), cut).coeffs
+        )
+        np.testing.assert_array_equal(pointwise_product(raw, raw).coeffs, pointwise_product(cut, cut).coeffs)
 
     def test_unknown_form_rejected(self):
         """Only the advective and divergence forms exist."""

@@ -117,6 +117,18 @@ class TestRadialOperators:
         with pytest.raises(ValueError, match="origin"):
             materialize(w.patches[0], H)
 
+    def test_cancelling_origin_powers_are_exact(self):
+        """Powers that cancel in exact arithmetic leave an origin power of exactly 0.
+
+        In floats, (2a + 1) - 2a - 1 is -1.1e-16 at a = 0.2 and 0.45, which
+        materialize refuses as a negative power on an origin box.
+        """
+        for a in (0.2, 0.45):
+            w = apply_radial(apply_radial(apply_radial(gauss_field(H), 2.0 * a), 1.0), -2.0 * a)
+            w = apply_radial(w, -1.0)
+            assert w.patches[0].origin_power == 0
+            np.testing.assert_array_equal(materialize(w.patches[0], H), gauss_field(H).patches[0].values)
+
     def test_positive_metadata_materializes(self):
         """Positive powers fold in, vanishing at the origin sample."""
         w = apply_radial(gauss_field(H), 1.0)

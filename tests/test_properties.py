@@ -151,9 +151,13 @@ def public_outputs(u, w):
 @settings(max_examples=40)
 @given(fields, fields)
 def test_operators_hermitian_by_construction(u, w):
-    """Every operator's coefficients are exactly Hermitian and mean-free, read-only and built once."""
+    """Every operator's coefficients are exactly Hermitian and mean-free, read-only and built once.
+
+    Each output's dealias flag is read off its support.
+    """
     flip = (-np.arange(GRID.K)) % GRID.K
     for name, out in public_outputs(u, w).items():
+        assert out.is_dealiased == (out.max_mode_index() <= out.grid.dealias_index), name
         c = out.coeffs
         assert c is out.coeffs, name
         assert not c.flags.writeable, name

@@ -48,7 +48,7 @@ def ball_field(grid, rng, N):
     K = grid.K
     idx = (-np.arange(K)) % K
     c = 0.5 * (c + np.conj(c[np.ix_(idx, idx)]))
-    return SpectralField(grid, c, is_dealiased=True)
+    return SpectralField(grid, c)
 
 
 def small_velocity(grid, rng, alpha, size=0.05):
