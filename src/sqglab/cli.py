@@ -21,6 +21,7 @@ from .experiments import (
     run_rlcheck,
     run_solve,
 )
+from .grid import DEFAULT_DEALIAS_FRACTION
 from .solver import ConfigError, ConvergenceError, SmallnessError, SolverConfig
 
 __all__ = ["main", "build_parser"]
@@ -110,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norms")
     p.add_argument("file", help="SQGF1 field file")
     p.add_argument("--s", default="0", help="comma-separated Sobolev indices")
-    p.add_argument("--dealias_fraction", type=float, default=2.0 / 3.0)
+    p.add_argument("--dealias_fraction", type=float, default=DEFAULT_DEALIAS_FRACTION)
     return parser
 
 

@@ -30,7 +30,7 @@ from .patches import (
     to_torus,
 )
 from .norms import hs_norm
-from .solver import SolverConfig, default_schedule, outer_iterate, theta2
+from .solver import SolverConfig, outer_iterate, theta2
 
 __all__ = [
     "CounterexampleSpec",
@@ -380,11 +380,10 @@ def nonuniform_experiment(
                 f_n, g_n, _ = build_forces(spec_n)
                 f_t = to_torus(f_n, grid)
                 g_t = to_torus(g_n, grid)
-                theta_f, _ = outer_iterate(f_t, cfg)
+                theta_f, report = outer_iterate(f_t, cfg)
                 theta_g, _ = outer_iterate(g_t, cfg)
                 row["full_gap"] = hs_norm(theta_f - theta_g, s_crit)
-                sched = cfg.n_schedule if cfg.n_schedule is not None else default_schedule(grid)
-                n_top = sched[-1]
+                n_top = report.steps[-1].n  # a converged solve ends on the schedule top
                 row["rem_f"] = hs_norm(theta_f - theta2(f_t, cfg.alpha, project_N=n_top), s_crit)
                 row["rem_g"] = hs_norm(theta_g - theta2(g_t, cfg.alpha, project_N=n_top), s_crit)
                 slack = row["full_gap"] + row["rem_f"] + row["rem_g"] + parts.d_crit

@@ -25,7 +25,7 @@ from .counterexample import (
     riemann_lebesgue_check,
 )
 from .field import SpectralField, field_from_modes, velocity_from_theta
-from .grid import GridSpec, make_grid
+from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec, make_grid
 from .inequalities import (
     cancellation_probe,
     commutator_operating_point,
@@ -114,7 +114,7 @@ def _prepare_outdir(config: dict) -> Path:
 
 
 def _grid_from(config: dict) -> GridSpec:
-    return make_grid(int(config["K"]), float(config["L"]), float(config.get("dealias_fraction", 2.0 / 3.0)))
+    return make_grid(int(config["K"]), float(config["L"]), float(config.get("dealias_fraction", DEFAULT_DEALIAS_FRACTION)))
 
 
 def _solver_from(config: dict) -> SolverConfig:
@@ -300,28 +300,22 @@ def run_inequality_scan(config: dict) -> int:
     comm_exps = config.get("commutator_exponents") or list(commutator_operating_point(alpha))
 
     artifacts: list[Path] = []
-
-    prod = run_product_probe(grid, tuple(prod_exps), samples, seed)
-    files = []
-    for tag, fld in zip(("f", "g"), prod.witness):
-        p = outdir / f"product_witness_{tag}.sqgf"
-        write_field(p, fld, representation="spectral")
-        artifacts.append(p)
-        files.append(p.name)
-    prod_path = outdir / "product_probe.json"
-    _write_json(prod_path, _probe_json(prod, files))
-    artifacts.append(prod_path)
-
-    comm = run_commutator_probe(grid, tuple(comm_exps), samples, seed + 10_000)
-    files = []
-    for tag, fld in zip(("f", "g"), comm.witness):
-        p = outdir / f"commutator_witness_{tag}.sqgf"
-        write_field(p, fld, representation="spectral")
-        artifacts.append(p)
-        files.append(p.name)
-    comm_path = outdir / "commutator_probe.json"
-    _write_json(comm_path, _probe_json(comm, files))
-    artifacts.append(comm_path)
+    worst = {}
+    for name, run_probe, exps, probe_seed in (
+        ("product", run_product_probe, prod_exps, seed),
+        ("commutator", run_commutator_probe, comm_exps, seed + 10_000),
+    ):
+        probe = run_probe(grid, tuple(exps), samples, probe_seed)
+        worst[name] = probe.worst_ratio
+        files = []
+        for tag, fld in zip(("f", "g"), probe.witness):
+            p = outdir / f"{name}_witness_{tag}.sqgf"
+            write_field(p, fld, representation="spectral")
+            artifacts.append(p)
+            files.append(p.name)
+        probe_path = outdir / f"{name}_probe.json"
+        _write_json(probe_path, _probe_json(probe, files))
+        artifacts.append(probe_path)
 
     # unconditional checks: mollifier interpolation and nonlinear cancellation
     rng = np.random.default_rng(seed + 20_000)
@@ -381,13 +375,13 @@ def run_inequality_scan(config: dict) -> int:
         print("unconditional inequality checks FAILED")
         return 1
     print(
-        f"worst ratios: product {prod.worst_ratio:.4g}, commutator {comm.worst_ratio:.4g}; "
+        f"worst ratios: product {worst['product']:.4g}, commutator {worst['commutator']:.4g}; "
         f"max cancellation pairing {cancel_max:.3e}"
     )
     return 0
 
 
-def run_norms(path: str, s_values: tuple[float, ...], dealias_fraction: float = 2.0 / 3.0) -> int:
+def run_norms(path: str, s_values: tuple[float, ...], dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> int:
     """Print homogeneous Sobolev norms of a stored field."""
     u = read_field(path, dealias_fraction=dealias_fraction)
     for s in s_values:

@@ -17,6 +17,9 @@ import numpy as np
 __all__ = ["GridSpec", "LevelTable", "SquareTable", "make_grid"]
 
 
+DEFAULT_DEALIAS_FRACTION = 2.0 / 3.0  # the 2/3 rule for quadratic products
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -41,7 +44,7 @@ class GridSpec:
 
     K: int
     L: float
-    dealias_fraction: float = 2.0 / 3.0
+    dealias_fraction: float = DEFAULT_DEALIAS_FRACTION
 
     modes: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
@@ -194,6 +197,6 @@ class LevelTable:
         return self.square.radial_power(p).ravel()[self.pos]
 
 
-def make_grid(K: int, L: float, dealias_fraction: float = 2.0 / 3.0) -> GridSpec:
+def make_grid(K: int, L: float, dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> GridSpec:
     """Validate and build a GridSpec."""
     return GridSpec(K=K, L=L, dealias_fraction=dealias_fraction)

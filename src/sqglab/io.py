@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import SpectralField, field_from_physical, to_physical
-from .grid import GridSpec
+from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec
 
 __all__ = ["write_field", "read_field", "MAGIC", "VERSION"]
 
@@ -38,7 +38,7 @@ def write_field(path: str | Path, u: SpectralField, representation: str = "spect
     Path(path).write_bytes(header + payload)
 
 
-def read_field(path: str | Path, dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
+def read_field(path: str | Path, dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> SpectralField:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")

@@ -82,13 +82,6 @@ class Patch:
         )
 
 
-def _check_side(patch: Patch, h: float) -> Patch:
-    side = (max(patch.values.shape) - 1) * h
-    if side > _MAX_SIDE * (1.0 + 1e-9):
-        raise ValueError(f"patch box side {side:g} exceeds the width-{_MAX_SIDE:g} support discipline")
-    return patch
-
-
 @dataclass(frozen=True)
 class PatchField:
     """Finite sum of patches sharing one sample spacing."""
@@ -101,7 +94,9 @@ class PatchField:
             raise ValueError(f"sample spacing must be positive, got {self.h}")
         object.__setattr__(self, "patches", tuple(self.patches))
         for p in self.patches:
-            _check_side(p, self.h)
+            side = (max(p.values.shape) - 1) * self.h
+            if side > _MAX_SIDE * (1.0 + 1e-9):
+                raise ValueError(f"patch box side {side:g} exceeds the width-{_MAX_SIDE:g} support discipline")
 
     def __add__(self, other: "PatchField") -> "PatchField":
         if abs(self.h - other.h) > 1e-15 * self.h:
@@ -117,15 +112,12 @@ class PatchField:
     __rmul__ = __mul__
 
 
-def _radial_on(patch: Patch, h: float, power: float) -> np.ndarray:
-    x, y = patch.axes(h)
+def _radial_weight(x: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
+    """|xi|^q on the grid x (x) y; at xi = 0 it is 1 when q = 0 and 0 otherwise."""
     r2 = x[:, None] ** 2 + y[None, :] ** 2
     with np.errstate(divide="ignore"):
-        w = r2 ** (power / 2.0)
-    if patch.contains_origin():
-        w[np.isinf(w)] = 0.0
-        if power > 0:
-            w[r2 == 0.0] = 0.0
+        w = r2 ** (q / 2.0)
+    w[r2 == 0.0] = float(q == 0)
     return w
 
 
@@ -136,7 +128,7 @@ def materialize(patch: Patch, h: float) -> np.ndarray:
         return np.asarray(patch.values)
     if p < 0 and patch.contains_origin():
         raise ValueError("cannot materialize a negative origin power on a patch containing the origin")
-    return patch.values * _radial_on(patch, h, float(p))
+    return patch.values * _radial_weight(*patch.axes(h), float(p))
 
 
 def apply_radial(u: PatchField, power: float) -> PatchField:
@@ -146,7 +138,7 @@ def apply_radial(u: PatchField, power: float) -> PatchField:
         if p.contains_origin():
             out.append(Patch(p.lo, p.values, p.origin_power + Fraction(power)))
         else:
-            out.append(Patch(p.lo, p.values * _radial_on(p, u.h, power), p.origin_power))
+            out.append(Patch(p.lo, p.values * _radial_weight(*p.axes(u.h), power), p.origin_power))
     return PatchField(u.h, tuple(out))
 
 
@@ -186,7 +178,7 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
             # belong; scrub below the noise floor so supports stay sharp
             floor = 5e-16 * float(np.max(np.abs(vals)))
             vals[np.abs(vals) < floor] = 0.0
-            out.append(_check_side(Patch((pa.lo[0] + pb.lo[0], pa.lo[1] + pb.lo[1]), vals), h))
+            out.append(Patch((pa.lo[0] + pb.lo[0], pa.lo[1] + pb.lo[1]), vals))
     return PatchField(h, tuple(out))
 
 
@@ -245,8 +237,8 @@ def coalesce(u: PatchField) -> PatchField:
             if q.origin_power == p_star:
                 vals[sl] += q.values
             else:
-                vals[sl] += q.values * _radial_on(q, u.h, float(q.origin_power - p_star))
-        out.append(_check_side(Patch((lo0, lo1), vals, p_star), u.h))
+                vals[sl] += q.values * _radial_weight(*q.axes(u.h), float(q.origin_power - p_star))
+        out.append(Patch((lo0, lo1), vals, p_star))
     return PatchField(u.h, tuple(out))
 
 
@@ -297,60 +289,36 @@ def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
     ky = min(5, len(y_ax[s1]) - 1)
     spline = RectBivariateSpline(x_ax[s0], y_ax[s1], w2[s0, s1], kx=kx, ky=ky)
 
+    # one tensor Gauss grid over the block, _GL_NODES nodes per cell and axis
     gx, gw = _leggauss(_GL_NODES)
-    # tensor Gauss panel on each block cell
-    cells_i = np.arange(a0, b0 + 1)
-    cells_j = np.arange(a1, b1 + 1)
-    block_exact = 0.0
     half = h / 2.0
-    for ci in cells_i:
-        cx = x_ax[ci]
-        px = cx + half * gx
-        for cj in cells_j:
-            cy = y_ax[cj]
-            py = cy + half * gx
-            if ci == i0 and cj == i1:
-                # singular cell: radial part in polar form, smooth remainder by panel GL
-                w0 = float(w2[i0, i1])
-                block_exact += w0 * _origin_cell_radial_integral(q, h)
-                vals = spline(px, py) - w0
-                r2 = px[:, None] ** 2 + py[None, :] ** 2
-                with np.errstate(divide="ignore"):
-                    rq = r2 ** (q / 2.0)
-                rq[r2 == 0.0] = 0.0
-                block_exact += half * half * float(np.einsum("i,j,ij->", gw, gw, rq * vals))
-            else:
-                vals = spline(px, py)
-                r2 = px[:, None] ** 2 + py[None, :] ** 2
-                rq = r2 ** (q / 2.0)
-                block_exact += half * half * float(np.einsum("i,j,ij->", gw, gw, rq * vals))
+    px = (x_ax[a0 : b0 + 1, None] + half * gx).ravel()
+    py = (y_ax[a1 : b1 + 1, None] + half * gx).ravel()
+    wx = np.tile(half * gw, b0 - a0 + 1)
+    wy = np.tile(half * gw, b1 - a1 + 1)
+    rq = _radial_weight(px, py, q)
+    block_exact = float(wx @ (rq * spline(px, py)) @ wy)
+    # on the origin cell the radial weight times w2(0) is integrated in
+    # polar form instead; the panel rule keeps only the smooth remainder
+    c0 = slice((i0 - a0) * _GL_NODES, (i0 - a0 + 1) * _GL_NODES)
+    c1 = slice((i1 - a1) * _GL_NODES, (i1 - a1 + 1) * _GL_NODES)
+    w0 = float(w2[i0, i1])
+    block_exact += w0 * (_origin_cell_radial_integral(q, h) - float(wx[c0] @ rq[c0, c1] @ wy[c1]))
 
-    sub = w2[a0 : b0 + 1, a1 : b1 + 1]
-    r2m = x_ax[a0 : b0 + 1][:, None] ** 2 + y_ax[a1 : b1 + 1][None, :] ** 2
-    with np.errstate(divide="ignore"):
-        rqm = r2m ** (q / 2.0)
-    rqm[np.isinf(rqm)] = 0.0
-    rqm[r2m == 0.0] = 0.0 if q != 0.0 else 1.0
-    block_mid = float(h * h * np.sum(rqm * sub))
+    rqm = _radial_weight(x_ax[a0 : b0 + 1], y_ax[a1 : b1 + 1], q)
+    block_mid = float(h * h * np.sum(rqm * w2[a0 : b0 + 1, a1 : b1 + 1]))
     return block_exact - block_mid
 
 
 def _patch_norm_sq(patch: Patch, h: float, s: float) -> float:
     q = 2.0 * s + 2.0 * float(patch.origin_power)
     w2 = np.abs(patch.values) ** 2
-    x_ax, y_ax = patch.axes(h)
-    r2 = x_ax[:, None] ** 2 + y_ax[None, :] ** 2
     touches = patch.contains_origin()
     if touches and q <= -2.0:
         at0 = w2[-patch.lo[0], -patch.lo[1]]
         if at0 > 1e-26 * float(w2.max(initial=0.0)):
             raise ValueError(f"|xi|^{q:g} is not integrable at the origin for this patch")
-    with np.errstate(divide="ignore"):
-        rq = r2 ** (q / 2.0)
-    if touches:
-        rq[np.isinf(rq)] = 0.0
-        rq[r2 == 0.0] = 0.0 if q != 0.0 else 1.0
-    total = float(h * h * np.sum(rq * w2))
+    total = float(h * h * np.sum(_radial_weight(*patch.axes(h), q) * w2))
     if touches and q != 0.0 and float(w2.max(initial=0.0)) > 0.0:
         total += _origin_block_correction(patch, h, q)
     return total

@@ -286,12 +286,13 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     first = grid.level(schedule[0])
     theta = _level_field(grid, first, _low_data(f, first, cfg.alpha))
     res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
+    h_alpha = hs_norm(theta, cfg.alpha)
     report.steps.append(
         SolveStep(
             n=schedule[0],
-            h_alpha=hs_norm(theta, cfg.alpha),
+            h_alpha=h_alpha,
             h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
-            diff_h_alpha=hs_norm(theta, cfg.alpha),
+            diff_h_alpha=h_alpha,
             inner_iters=0,
             residual=res,
         )

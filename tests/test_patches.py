@@ -1,13 +1,21 @@
 """Tests for the continuum Fourier patch backend."""
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma
 
 from sqglab import hs_norm, make_grid
+from sqglab.counterexample import CounterexampleSpec, build_forces, patch_bilinear_B
 from sqglab.patches import (
+    _BLOCK_RADIUS,
+    _GL_NODES,
     FrequencyOverflowError,
     Patch,
     PatchField,
+    _leggauss,
+    _origin_block_correction,
+    _origin_cell_radial_integral,
+    _patch_norm_sq,
     apply_radial,
     coalesce,
     convolve,
@@ -326,6 +334,110 @@ class TestNormQuadrature:
             r2 = x[:, None] ** 2 + y[None, :] ** 2
             direct += float(np.sum(r2**0.6 * np.abs(p.values) ** 2) * H * H)
         np.testing.assert_allclose(patch_hs_norm(u, 0.6), np.sqrt(direct), rtol=1e-12)
+
+
+def ref_origin_block_correction(patch, h, q):
+    """The origin-block correction integrated cell by cell.
+
+    A copy of the per-cell loop that the single tensor Gauss grid replaced:
+    one 24 x 24 Gauss panel per block cell, the origin cell split into its
+    polar radial integral and a panel rule for the smooth remainder.
+    """
+    w2 = np.abs(patch.values) ** 2
+    n0, n1 = w2.shape
+    i0 = -patch.lo[0]  # index of the xi_1 = 0 sample
+    i1 = -patch.lo[1]
+    B = _BLOCK_RADIUS
+    a0, b0 = max(0, i0 - B), min(n0 - 1, i0 + B)
+    a1, b1 = max(0, i1 - B), min(n1 - 1, i1 + B)
+    margin = 6
+    s0 = slice(max(0, a0 - margin), min(n0, b0 + margin + 1))
+    s1 = slice(max(0, a1 - margin), min(n1, b1 + margin + 1))
+    x_ax, y_ax = patch.axes(h)
+    kx = min(5, len(x_ax[s0]) - 1)
+    ky = min(5, len(y_ax[s1]) - 1)
+    spline = RectBivariateSpline(x_ax[s0], y_ax[s1], w2[s0, s1], kx=kx, ky=ky)
+
+    gx, gw = _leggauss(_GL_NODES)
+    # tensor Gauss panel on each block cell
+    cells_i = np.arange(a0, b0 + 1)
+    cells_j = np.arange(a1, b1 + 1)
+    block_exact = 0.0
+    half = h / 2.0
+    for ci in cells_i:
+        cx = x_ax[ci]
+        px = cx + half * gx
+        for cj in cells_j:
+            cy = y_ax[cj]
+            py = cy + half * gx
+            if ci == i0 and cj == i1:
+                # singular cell: radial part in polar form, smooth remainder by panel GL
+                w0 = float(w2[i0, i1])
+                block_exact += w0 * _origin_cell_radial_integral(q, h)
+                vals = spline(px, py) - w0
+                r2 = px[:, None] ** 2 + py[None, :] ** 2
+                with np.errstate(divide="ignore"):
+                    rq = r2 ** (q / 2.0)
+                rq[r2 == 0.0] = 0.0
+                block_exact += half * half * float(np.einsum("i,j,ij->", gw, gw, rq * vals))
+            else:
+                vals = spline(px, py)
+                r2 = px[:, None] ** 2 + py[None, :] ** 2
+                rq = r2 ** (q / 2.0)
+                block_exact += half * half * float(np.einsum("i,j,ij->", gw, gw, rq * vals))
+
+    sub = w2[a0 : b0 + 1, a1 : b1 + 1]
+    r2m = x_ax[a0 : b0 + 1][:, None] ** 2 + y_ax[a1 : b1 + 1][None, :] ** 2
+    with np.errstate(divide="ignore"):
+        rqm = r2m ** (q / 2.0)
+    rqm[np.isinf(rqm)] = 0.0
+    rqm[r2m == 0.0] = 0.0 if q != 0.0 else 1.0
+    block_mid = float(h * h * np.sum(rqm * sub))
+    return block_exact - block_mid
+
+
+def assert_matches_reference(patch, h, s):
+    """Tensor-grid and per-cell block corrections agree to 1e-15 of the patch norm^2."""
+    assert patch.contains_origin()
+    q = 2.0 * s + 2.0 * float(patch.origin_power)
+    got = _origin_block_correction(patch, h, q)
+    ref = ref_origin_block_correction(patch, h, q)
+    assert abs(got - ref) <= 1e-15 * _patch_norm_sq(patch, h, s)
+
+
+class TestOriginBlockReference:
+    """The tensor-grid origin quadrature against the per-cell reference."""
+
+    @pytest.mark.parametrize("s,power", [(-0.9, 0.0), (-0.4, 0.0), (0.3, 0.0), (1.1, 0.0), (-0.7, 1.0), (0.9, -0.3)])
+    def test_gaussian(self, s, power):
+        """Centered Gaussian boxes, radial weights singular and smooth."""
+        assert_matches_reference(gauss_field(H, power).patches[0], H, s)
+
+    @pytest.mark.parametrize("s", [-0.6, 0.4])
+    @pytest.mark.parametrize(
+        "lo,shape",
+        [((0, 0), (65, 65)), ((-64, -64), (65, 65)), ((0, -64), (65, 129)), ((-64, 0), (129, 65))],
+        ids=["lo-corner", "hi-corner", "lo-edge", "hi-edge"],
+    )
+    def test_clipped_block(self, lo, shape, s):
+        """With the origin on a box corner or edge the block is cut by the box."""
+        x = H * (lo[0] + np.arange(shape[0]))
+        y = H * (lo[1] + np.arange(shape[1]))
+        vals = np.exp(-(x[:, None] ** 2 + 2.0 * y[None, :] ** 2) + 0.3 * x[:, None])
+        assert_matches_reference(Patch(lo, vals), H, s)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.4, 0.45])
+    def test_bilinear_B(self, alpha):
+        """Coalesced B[h,h] in the critical norm; B[g,h] sits on the carrier boxes."""
+        _, g, h = build_forces(CounterexampleSpec(0.02, alpha, 3))
+        s_crit = 2.0 - 2.0 * alpha
+        hh = coalesce(patch_bilinear_B(h, h, alpha)).patches
+        assert any(p.contains_origin() for p in hh)
+        for p in hh:
+            if p.contains_origin():
+                assert_matches_reference(p, h.h, s_crit)
+        gh = coalesce(patch_bilinear_B(g, h, alpha)).patches
+        assert gh and not any(p.contains_origin() for p in gh)
 
 
 class TestToTorus:
