@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import MISSING, fields
 
+from .counterexample import CounterexampleSpec
 from .experiments import (
     run_continuity,
     run_inequality_scan,
@@ -34,47 +35,58 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _float(text) -> float:
+    """Parse a number of a flag or a JSON config; NaN and infinities are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _length(text: str) -> float:
     """Parse a length; accepts plain numbers and pi multiples like '16pi'."""
     s = str(text).strip().lower()
     if s.endswith("pi"):
-        head = s[:-2]
-        return (float(head) if head else 1.0) * math.pi
-    return float(s)
+        return _float(_float(s[:-2] or 1.0) * math.pi)
+    return _float(s)
+
+
+def _defaults(cls) -> dict:
+    """Schema entries (type, default) of the scalar fields of cls that have a default."""
+    scalar = {"float": _float, "int": int}
+    return {f.name: (scalar[f.type], f.default) for f in fields(cls) if f.type in scalar and f.default is not MISSING}
 
 
 # One schema per experiment: key -> (type, default), MISSING for keys
-# without a default. The solver's scalar fields, their types and defaults
-# come from SolverConfig (n_schedule is not a scalar and stays a library
-# argument); alpha has no default there, so each experiment sets one.
-_SOLVER = {
-    f.name: ({"float": float, "int": int}[f.type], f.default)
-    for f in fields(SolverConfig)
-    if f.type in ("float", "int")
-}
-_GRID = {"K": (int, 128), "L": (_length, math.pi), "dealias_fraction": (float, MISSING)}
+# without a default. The scalar solver settings and h_xi, with their types
+# and defaults, come from SolverConfig and CounterexampleSpec (n_schedule is
+# not a scalar and stays a library argument); alpha has no default there, so
+# each experiment sets one.
+_SOLVER = _defaults(SolverConfig)
+_SPEC = _defaults(CounterexampleSpec)
+_GRID = {"K": (int, 128), "L": (_length, math.pi), "dealias_fraction": (_float, MISSING)}
 
 _EXPERIMENTS = {
     "solve": (run_solve, {
-        **_GRID, **_SOLVER, "alpha": (float, 0.4), "force": (str, "single_mode"), "force_file": (str, MISSING),
-        "amplitude": (float, 1e-2), "outdir": (str, "out_solve"),
+        **_GRID, **_SOLVER, "alpha": (_float, 0.4), "force": (str, "single_mode"), "force_file": (str, MISSING),
+        "amplitude": (_float, 1e-2), "outdir": (str, "out_solve"),
     }),
     "continuity": (run_continuity, {
-        **_GRID, **_SOLVER, "alpha": (float, 0.4), "force": (str, "two_mode"), "amplitude": (float, 1e-2),
-        "perturbation": (str, "single_mode"), "perturbation_amplitude": (float, 1e-2), "j_min": (int, 1),
+        **_GRID, **_SOLVER, "alpha": (_float, 0.4), "force": (str, "two_mode"), "amplitude": (_float, 1e-2),
+        "perturbation": (str, "single_mode"), "perturbation_amplitude": (_float, 1e-2), "j_min": (int, 1),
         "j_max": (int, 6), "outdir": (str, "out_continuity"),
     }),
     "nonuniform": (run_nonuniform, {
-        **_GRID, **_SOLVER, "K": (int, 1024), "L": (_length, 16.0 * math.pi), "alpha": (float, 0.4),
-        "delta": (float, 0.02), "n_min": (int, 3), "n_max": (int, 10), "h_xi": (float, 1.0 / 32.0),
+        **_GRID, **_SOLVER, **_SPEC, "K": (int, 1024), "L": (_length, 16.0 * math.pi),
+        "alpha": (_float, 0.4), "delta": (_float, 0.02), "n_min": (int, 3), "n_max": (int, 10),
         "torus": (bool, False), "outdir": (str, "out_nonuniform"),
     }),
     "rlcheck": (run_rlcheck, {
-        "alpha": (float, 0.4), "n_min": (int, 1), "n_max": (int, 12), "h_xi": (float, 1.0 / 32.0),
+        **_SPEC, "alpha": (_float, 0.4), "n_min": (int, 1), "n_max": (int, 12),
         "outdir": (str, "out_rlcheck"),
     }),
     "ineq-scan": (run_inequality_scan, {
-        **_GRID, "alpha": (float, 0.4), "seed": (int, 42), "samples": (int, 200), "interp_samples": (int, 100),
+        **_GRID, "alpha": (_float, 0.4), "seed": (int, 42), "samples": (int, 200), "interp_samples": (int, 100),
         "cancel_samples": (int, 50), "outdir": (str, "out_ineq"),
     }),
 }
@@ -87,7 +99,7 @@ _JSON_ONLY_KEYS = {
 # JSON values each key type accepts: the value must already have the type,
 # except that an integer is a valid float and a length may be "16pi"
 _JSON_TYPES = {
-    float: ((int, float), "a number"),
+    _float: ((int, float), "a number"),
     int: (int, "an integer"),
     bool: (bool, "true or false"),
     str: (str, "a string"),
@@ -111,7 +123,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norms")
     p.add_argument("file", help="SQGF1 field file")
     p.add_argument("--s", default="0", help="comma-separated Sobolev indices")
-    p.add_argument("--dealias_fraction", type=float, default=DEFAULT_DEALIAS_FRACTION)
+    p.add_argument("--dealias_fraction", type=_float, default=DEFAULT_DEALIAS_FRACTION)
     return parser
 
 
@@ -131,10 +143,10 @@ def _resolve_config(name: str, args: argparse.Namespace) -> dict:
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_float=_float, parse_constant=_float)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, argparse.ArgumentTypeError) as exc:  # NaN and Infinity are not JSON
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -168,7 +180,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise ConfigError("a subcommand is required (solve, continuity, nonuniform, rlcheck, ineq-scan, norms)")
         if args.command == "norms":
-            s_values = tuple(float(s) for s in str(args.s).split(","))
+            s_values = tuple(_float(s) for s in str(args.s).split(","))
             return run_norms(args.file, s_values, dealias_fraction=args.dealias_fraction)
         return _EXPERIMENTS[args.command][0](_resolve_config(args.command, args))
     except SmallnessError as exc:
@@ -177,7 +189,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,18 +9,18 @@ onto a lattice for the full nonlinear solves.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .field import SpectralField
 from .grid import GridSpec
+from .io import _write_csv
 from .patches import (
     FrequencyOverflowError,
     Patch,
     PatchField,
+    _new_patch,
     apply_radial,
     coalesce,
     convolve,
@@ -153,7 +153,20 @@ def _separable_patch(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
     m = prof.m
     lo = (carrier_units - half_w[0] * m, -half_w[1] * m)
     vals = amp * np.multiply.outer(fx, fy) / (2.0 * np.pi)
-    return Patch(lo, vals)
+    return _new_patch(lo, vals)
+
+
+def _carrier_pair(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
+                  half_w: tuple[int, int], n: int, amp: complex) -> PatchField:
+    """amp fx(xi_1 - 2^n) fy(xi_2) plus its partner conj(amp) fx(xi_1 + 2^n) fy(xi_2).
+
+    fx and fy are transforms of real profiles, conj(f(-t)) = f(t), so the pair is a real field.
+    """
+    c = (2**n) * prof.m
+    return PatchField(prof.h, (
+        _separable_patch(prof, fx, fy, half_w, c, amp),
+        _separable_patch(prof, fx, fy, half_w, -c, np.conj(amp)),
+    ))
 
 
 def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, PatchField]:
@@ -165,17 +178,13 @@ def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, Patc
     prof = build_phi(spec)
     a = spec.alpha
     n = spec.n
-    m = prof.m
-    c = (2**n) * m
 
     amp_g = spec.delta * 2.0 ** (-(2.0 - 2.0 * a) * n)
-    plus = _separable_patch(prof, prof.phi, prof.phi, (2, 2), c, -0.5j * amp_g)
-    minus = _separable_patch(prof, prof.phi, prof.phi, (2, 2), -c, +0.5j * amp_g)
-    g = apply_radial(PatchField(prof.h, (plus, minus)), 2.0 * a)
+    g = apply_radial(_carrier_pair(prof, prof.phi, prof.phi, (2, 2), n, -0.5j * amp_g), 2.0 * a)
 
     amp_h = spec.delta * 2.0 ** (-(1.0 - 2.0 * a) * n)
-    base = _separable_patch(prof, prof.phi, prof.phi, (2, 2), 0, amp_h)
-    h_field = PatchField(prof.h, (Patch(base.lo, base.values, Fraction(2.0 * a) + 1),))  # exact, see Patch
+    base = PatchField(prof.h, (_separable_patch(prof, prof.phi, prof.phi, (2, 2), 0, amp_h),))
+    h_field = apply_radial(apply_radial(base, 2.0 * a), 1.0)  # origin power 2a + 1 exactly, see Patch
 
     return g + h_field, g, h_field
 
@@ -224,24 +233,11 @@ class SecondIterateParts:
     recon_rel: float
 
 
-def _closed_form_b11(spec: CounterexampleSpec, prof: PhiProfile) -> PatchField:
-    """delta^2 2^{-(2-4a)n} (-Delta)^{-a}[ phi^2(x_1) (phi phi')(x_2) cos(2^n x_1) ]."""
-    a, n, m = spec.alpha, spec.n, prof.m
-    amp = spec.delta**2 * 2.0 ** (-(2.0 - 4.0 * a) * n)
-    c = (2**n) * m
-    plus = _separable_patch(prof, prof.phi2, prof.phi_dphi, (4, 4), c, 0.5 * amp)
-    minus = _separable_patch(prof, prof.phi2, prof.phi_dphi, (4, 4), -c, 0.5 * amp)
-    return apply_radial(PatchField(prof.h, (plus, minus)), -2.0 * a)
-
-
-def _closed_form_b12(spec: CounterexampleSpec, prof: PhiProfile) -> PatchField:
-    """delta^2 2^{-(3-4a)n} (-Delta)^{-a}[ (phi phi')(x_1)(phi phi')(x_2) sin(2^n x_1) ]."""
-    a, n, m = spec.alpha, spec.n, prof.m
-    amp = spec.delta**2 * 2.0 ** (-(3.0 - 4.0 * a) * n)
-    c = (2**n) * m
-    plus = _separable_patch(prof, prof.phi_dphi, prof.phi_dphi, (4, 4), c, -0.5j * amp)
-    minus = _separable_patch(prof, prof.phi_dphi, prof.phi_dphi, (4, 4), -c, +0.5j * amp)
-    return apply_radial(PatchField(prof.h, (plus, minus)), -2.0 * a)
+def _closed_form(spec: CounterexampleSpec, prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
+                 rate: float, amp: complex) -> PatchField:
+    """delta^2 2^{-rate n} (-Delta)^{-a}[ fx(x_1) fy(x_2) (amp e^{i 2^n x_1} + conj(amp) e^{-i 2^n x_1}) ]."""
+    scale = spec.delta**2 * 2.0 ** (-rate * spec.n)
+    return apply_radial(_carrier_pair(prof, fx, fy, (4, 4), spec.n, amp * scale), -2.0 * spec.alpha)
 
 
 def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
@@ -268,8 +264,10 @@ def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
     b_hh = patch_bilinear_B(h, h, a)
     gap = b_gh + b_hg + b_hh
 
-    b11_field = _closed_form_b11(spec, prof)
-    b12_field = _closed_form_b12(spec, prof)
+    # b11 = delta^2 2^{-(2-4a)n} (-Delta)^{-a}[ phi^2(x_1) (phi phi')(x_2) cos(2^n x_1) ]
+    b11_field = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * a, 0.5)
+    # b12 = delta^2 2^{-(3-4a)n} (-Delta)^{-a}[ (phi phi')(x_1) (phi phi')(x_2) sin(2^n x_1) ]
+    b12_field = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * a, -0.5j)
     b11 = patch_hs_norm(b11_field, s_crit)
     b12 = patch_hs_norm(b12_field, s_crit)
     recon = patch_hs_norm(b_hg - b11_field, s_crit)
@@ -326,20 +324,7 @@ class NormTable:
     warnings: list[str]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(NORM_TABLE_COLUMNS)
-            for row in self.rows:
-                out = []
-                for col in NORM_TABLE_COLUMNS:
-                    val = row.get(col)
-                    if val is None:
-                        out.append("")
-                    elif col == "n":
-                        out.append(str(int(val)))
-                    else:
-                        out.append(repr(float(val)))
-                writer.writerow(out)
+        _write_csv(path, NORM_TABLE_COLUMNS, ([row.get(col) for col in NORM_TABLE_COLUMNS] for row in self.rows))
 
 
 def nonuniform_experiment(
@@ -362,19 +347,7 @@ def nonuniform_experiment(
     for n in n_values:
         spec_n = replace(spec, n=int(n))
         parts = decompose_second_iterate(spec_n)
-        row = {
-            "n": int(n),
-            "d_low": parts.d_low,
-            "d_crit": parts.d_crit,
-            "g2_gap": parts.g2_gap,
-            "b11": parts.b11,
-            "b12": parts.b12,
-            "b2": parts.b2,
-            "bgh": parts.bgh,
-            "full_gap": None,
-            "rem_f": None,
-            "rem_g": None,
-        }
+        row = {col: getattr(parts, col, None) for col in NORM_TABLE_COLUMNS}
         if grid is not None and cfg is not None:
             try:
                 f_n, g_n, _ = build_forces(spec_n)

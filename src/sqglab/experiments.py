@@ -34,7 +34,7 @@ from .inequalities import (
     run_product_probe,
     sample_band_limited,
 )
-from .io import read_field, write_field
+from .io import _write_csv, read_field, write_field
 from .norms import (
     hs_norm,
     interpolation_check,
@@ -119,16 +119,6 @@ def _grid_from(config: dict) -> GridSpec:
 
 def _solver_from(config: dict) -> SolverConfig:
     return SolverConfig(**{f.name: config[f.name] for f in fields(SolverConfig) if f.name in config})
-
-
-def _write_csv_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(float(v)) if isinstance(v, float) else str(v)) for v in row])
 
 
 # -- built-in forces ----------------------------------------------------------
@@ -217,7 +207,7 @@ def run_continuity(config: dict) -> int:
 
     rows = parallel_map(one, range(j_min, j_max + 1))
     csv_path = outdir / "continuity.csv"
-    _write_csv_rows(csv_path, ("j", "d_low", "d_crit", "gap_low", "gap_crit"), rows)
+    _write_csv(csv_path, ("j", "d_low", "d_crit", "gap_low", "gap_crit"), rows)
     _write_manifest(outdir, "continuity", config, [csv_path])
     return 0
 
@@ -249,7 +239,7 @@ def run_nonuniform(config: dict) -> int:
         for row in table.rows
     ]
     plot_path = outdir / "plot.csv"
-    _write_csv_rows(plot_path, ("n", "log2_d_crit", "log2_g2_gap"), plot_rows)
+    _write_csv(plot_path, ("n", "log2_d_crit", "log2_g2_gap"), plot_rows)
     _write_manifest(outdir, "nonuniform", config, [csv_path, plot_path], warnings=table.warnings)
     for w in table.warnings:
         print(f"warning: {w}")
@@ -269,7 +259,7 @@ def run_rlcheck(config: dict) -> int:
         rec = riemann_lebesgue_check(prof, n)
         rows.append((n, rec.value, rec.limit, rec.rel_dev))
     csv_path = outdir / "rlcheck.csv"
-    _write_csv_rows(csv_path, ("n", "value", "limit", "rel_dev"), rows)
+    _write_csv(csv_path, ("n", "value", "limit", "rel_dev"), rows)
     _write_manifest(outdir, "rlcheck", config, [csv_path])
     return 0
 

@@ -61,6 +61,8 @@ class SpectralField:
         if c.shape != (K, K):
             raise ValueError(f"coefficient array shape {c.shape} does not match grid K={K}")
         scale = float(np.max(np.abs(c)))
+        if not np.isfinite(scale):
+            raise ValueError(f"coefficients must be finite (largest modulus {scale})")
         if scale > 0:
             flip = (-np.arange(K)) % K
             asym = float(np.max(np.abs(c - np.conj(c[np.ix_(flip, flip)]))))
@@ -246,7 +248,10 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise ValueError(f"sample array shape {s.shape} does not match grid")
     shifted = np.roll(s, -(grid.K // 2), axis=(0, 1))  # to the [0, 2L) grid fft expects
     h = scipy.fft.rfft2(shifted, norm="forward")
-    if abs(h[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
+    scale = float(np.max(np.abs(h)))
+    if not np.isfinite(scale):
+        raise ValueError(f"samples must be finite (largest transform modulus {scale})")
+    if abs(h[0, 0]) > 1e-12 * max(1.0, scale):
         raise ValueError(f"samples have nonzero mean {h[0, 0]:.3e}; subtract it first")
     return _new(grid, _close(grid, h))
 

@@ -53,8 +53,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.K, (int, np.integer)) or not _is_power_of_two(int(self.K)) or self.K < 16:
             raise ValueError(f"K must be a power of two >= 16, got {self.K}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if not (0.0 < self.dealias_fraction <= 1.0 and self.dealias_index >= 1):
             raise ValueError(f"dealias_fraction must lie in (0, 1] and keep a mode, got {self.dealias_fraction}")
         K = int(self.K)
@@ -93,8 +93,9 @@ class GridSpec:
 
     @property
     def dealias_level(self) -> int:
-        """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k."""
-        return math.floor(math.log2(self.dealias_k * (1.0 + 1e-12)))
+        """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k, and strictly
+        below the Nyquist wavenumber, whose self-conjugate modes LevelTable.pos leaves out."""
+        return math.floor(math.log2(min(self.dealias_k * (1.0 + 1e-12), self.nyquist_k * (1.0 - 1e-12))))
 
     def x_axis(self) -> np.ndarray:
         """Physical sample coordinates -L + 2L*j/K, j = 0..K-1."""

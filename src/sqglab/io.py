@@ -8,6 +8,7 @@ row-major little-endian payload. Spectral payloads are complex interleaved
 """
 from __future__ import annotations
 
+import csv
 import struct
 from pathlib import Path
 
@@ -60,3 +61,12 @@ def read_field(path: str | Path, dealias_fraction: float = DEFAULT_DEALIAS_FRACT
             raise ValueError(f"{path}: payload size {data.size} != {K * K}")
         return field_from_physical(grid, data.reshape(K, K))
     raise ValueError(f"{path}: unknown representation tag {tag}")
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
+    """CSV of rows under header; floats by repr (exact round trip), None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else (repr(float(v)) if isinstance(v, float) else str(v)) for v in row])

@@ -59,10 +59,9 @@ class Patch:
     origin_power: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.array(self.values, dtype=np.complex128)  # a copy: the caller may still write to its array
         if v.ndim != 2:
             raise ValueError("patch values must be a 2D array")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "lo", (int(self.lo[0]), int(self.lo[1])))
@@ -80,6 +79,14 @@ class Patch:
             h * (self.lo[0] + np.arange(self.values.shape[0])),
             h * (self.lo[1] + np.arange(self.values.shape[1])),
         )
+
+
+def _new_patch(lo: tuple[int, int], values: np.ndarray, origin_power: Fraction = Fraction(0)) -> Patch:
+    """Patch taking over the 2D complex array values (no copy; nothing else may write to it)."""
+    values.setflags(write=False)
+    patch = object.__new__(Patch)
+    patch.__dict__.update(lo=lo, values=values, origin_power=origin_power)
+    return patch
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ class PatchField:
         return self + (-1.0) * other
 
     def __mul__(self, a: float) -> "PatchField":
-        return PatchField(self.h, tuple(Patch(p.lo, float(a) * p.values, p.origin_power) for p in self.patches))
+        return PatchField(self.h, tuple(_new_patch(p.lo, float(a) * p.values, p.origin_power) for p in self.patches))
 
     __rmul__ = __mul__
 
@@ -136,9 +143,9 @@ def apply_radial(u: PatchField, power: float) -> PatchField:
     out = []
     for p in u.patches:
         if p.contains_origin():
-            out.append(Patch(p.lo, p.values, p.origin_power + Fraction(power)))
+            out.append(_new_patch(p.lo, p.values, p.origin_power + Fraction(power)))
         else:
-            out.append(Patch(p.lo, p.values * _radial_weight(*p.axes(u.h), power), p.origin_power))
+            out.append(_new_patch(p.lo, p.values * _radial_weight(*p.axes(u.h), power), p.origin_power))
     return PatchField(u.h, tuple(out))
 
 
@@ -148,7 +155,7 @@ def mul_i_xi(u: PatchField, axis: int) -> PatchField:
     for p in u.patches:
         x, y = p.axes(u.h)
         w = x[:, None] if axis == 0 else y[None, :]
-        out.append(Patch(p.lo, 1j * w * p.values, p.origin_power))
+        out.append(_new_patch(p.lo, 1j * w * p.values, p.origin_power))
     return PatchField(u.h, tuple(out))
 
 
@@ -178,7 +185,7 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
             # belong; scrub below the noise floor so supports stay sharp
             floor = 5e-16 * float(np.max(np.abs(vals)))
             vals[np.abs(vals) < floor] = 0.0
-            out.append(Patch((pa.lo[0] + pb.lo[0], pa.lo[1] + pb.lo[1]), vals))
+            out.append(_new_patch((pa.lo[0] + pb.lo[0], pa.lo[1] + pb.lo[1]), vals))
     return PatchField(h, tuple(out))
 
 
@@ -203,7 +210,7 @@ def _trim(p: Patch) -> Patch | None:
     c0, c1 = int(cols[0]), int(cols[-1])
     if (r0, c0) == (0, 0) and (r1, c1) == (nz.shape[0] - 1, nz.shape[1] - 1):
         return p
-    return Patch((p.lo[0] + r0, p.lo[1] + c0), p.values[r0 : r1 + 1, c0 : c1 + 1], p.origin_power)
+    return _new_patch((p.lo[0] + r0, p.lo[1] + c0), p.values[r0 : r1 + 1, c0 : c1 + 1], p.origin_power)
 
 
 def coalesce(u: PatchField) -> PatchField:
@@ -238,7 +245,7 @@ def coalesce(u: PatchField) -> PatchField:
                 vals[sl] += q.values
             else:
                 vals[sl] += q.values * _radial_weight(*q.axes(u.h), float(q.origin_power - p_star))
-        out.append(Patch((lo0, lo1), vals, p_star))
+        out.append(_new_patch((lo0, lo1), vals, p_star))
     return PatchField(u.h, tuple(out))
 
 

@@ -198,9 +198,9 @@ def _linear_solve_info(
     if v.grid != grid:
         raise ValueError("velocity and force live on different grids")
     if N > grid.dealias_level:
-        raise ValueError(f"2^{N} exceeds the dealias wavenumber {grid.dealias_k:g}")
+        raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
     vnorm = velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
-    if vnorm > cfg.smallness_threshold:
+    if not vnorm <= cfg.smallness_threshold:  # a NaN norm is refused too
         raise SmallnessError(
             f"||v||_H^{2 - 2 * cfg.alpha:g} = {vnorm:.6g} at N={N} exceeds the smallness threshold "
             f"{cfg.smallness_threshold:g}; coercivity is not guaranteed"
@@ -277,7 +277,7 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     grid = f.grid
     schedule = cfg.n_schedule if cfg.n_schedule is not None else default_schedule(grid)
     if schedule[-1] > grid.dealias_level:
-        raise ConfigError(f"schedule top 2^{schedule[-1]} exceeds the dealias wavenumber {grid.dealias_k:g}")
+        raise ConfigError(f"schedule top 2^{schedule[-1]} exceeds the top dealias level 2^{grid.dealias_level}")
     n_top = schedule[-1]
     f_low = hs_norm(f, -cfg.alpha)
     target = cfg.outer_tol * f_low

@@ -484,16 +484,45 @@ class TestConfigResolution:
         assert not (tmp_path / "o").exists()
 
     def test_solver_defaults_from_config_class(self, tmp_path):
-        """The resolved solver keys are the SolverConfig defaults."""
+        """The resolved solver keys are the SolverConfig defaults, h_xi the CounterexampleSpec one."""
         from dataclasses import fields
 
-        from sqglab import SolverConfig
+        from sqglab import CounterexampleSpec, SolverConfig
 
         rc = main(["solve", "--K", "32", "--outdir", str(tmp_path / "o")])
         assert rc == 0
         config = read_manifest(tmp_path / "o")["config"]
         defaults = {f.name: f.default for f in fields(SolverConfig) if f.name not in ("alpha", "n_schedule")}
         assert {k: config[k] for k in defaults} == defaults
+        assert main(["rlcheck", "--n_max", "2", "--outdir", str(tmp_path / "r")]) == 0
+        assert read_manifest(tmp_path / "r")["config"]["h_xi"] == CounterexampleSpec.h_xi
+
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "--K", "32", "--amplitude", "nan"], "'nan'"),
+        (["continuity", "--K", "32", "--amplitude", "inf", "--j_max", "1"], "'inf'"),
+        (["nonuniform", "--delta", "inf"], "'inf'"),
+        (["solve", "--K", "32", "--L", "inf"], "'inf'"),
+        (["norms", "u.sqgf", "--s", "0,nan"], "'nan'"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, argv, named):
+        """NaN and infinite float or length flags exit 1 naming the value, before any work."""
+        assert main(argv + (["--outdir", str(tmp_path / "o")] if argv[0] != "norms" else [])) == 1
+        assert f"expected a finite number, got {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"amplitude": NaN}', "'NaN'"),
+        ('{"amplitude": -Infinity}', "'-Infinity'"),
+        ('{"amplitude": 1e400}', "'1e400'"),
+        ('{"L": "infpi"}', "'inf'"),
+    ])
+    def test_non_finite_json_rejected(self, tmp_path, capsys, text, named):
+        """json.load accepts NaN, Infinity and overflowing literals; the config reader does not."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["solve", "--K", "32", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+        assert f"expected a finite number, got {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_subcommand_required(self, capsys):
         """Bare invocation is a usage error."""

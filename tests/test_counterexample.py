@@ -15,6 +15,7 @@ from sqglab.counterexample import (
     nonuniform_experiment,
     phi_hat_at,
     riemann_lebesgue_check,
+    _closed_form,
     second_iterate_gap_field,
 )
 from sqglab.patches import hermitian_defect, patch_hs_norm, patch_intersection_norm
@@ -165,11 +166,14 @@ class TestForces:
         assert vals[i0, i0] == 0.0
 
     def test_forces_are_hermitian(self):
-        """All three forces represent real fields."""
-        f, g, h = build_forces(spec_at(3))
-        assert hermitian_defect(g) <= 1e-16
-        assert hermitian_defect(h) <= 1e-16
-        assert hermitian_defect(f) <= 1e-16
+        """The three forces and the closed-form b11 and b12 are real fields, exactly."""
+        for n in (3, 6):
+            spec = spec_at(n)
+            prof = build_phi(spec)
+            b11 = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * ALPHA, 0.5)
+            b12 = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * ALPHA, -0.5j)
+            for u in (*build_forces(spec), b11, b12):
+                assert hermitian_defect(u) == 0.0
 
     def test_f_splits_into_g_plus_h(self):
         """f carries exactly the patches of g and h."""

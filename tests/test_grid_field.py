@@ -50,7 +50,7 @@ class TestGridSpec:
         assert g.dealias_index == 85
 
     def test_dealias_level(self):
-        """dealias_level is the largest N with 2^N <= dealias_k, boundary included."""
+        """dealias_level is the largest N with 2^N <= dealias_k, boundary included, below the Nyquist line."""
         for K, L in ((16, np.pi), (64, np.pi), (256, np.pi / 3.0), (64, 16 * np.pi), (1024, 16 * np.pi)):
             g = make_grid(K, L)
             N = g.dealias_level
@@ -58,6 +58,8 @@ class TestGridSpec:
         assert make_grid(64, 21.0 * np.pi / 16.0).dealias_level == 4  # dealias_k = 16 exactly
         # one ulp longer: dealias_k = 16 - 4e-15, inside the rounding slack
         assert make_grid(64, np.nextafter(21.0 * np.pi / 16.0, np.inf)).dealias_level == 4
+        # fraction 1: dealias_k is the Nyquist wavenumber 16, whose self-conjugate modes no level solves
+        assert make_grid(32, np.pi, 1.0).dealias_level == 3
 
     def test_empty_dealias_band_rejected(self):
         """A dealias fraction that keeps no mode is refused."""

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sqglab import field_from_modes, make_grid, read_field, to_physical, write_field
+from sqglab import field_from_modes, field_from_physical, make_grid, read_field, to_physical, write_field
 from sqglab.cli import main
 from sqglab.io import MAGIC, VERSION
 
@@ -135,6 +135,37 @@ class TestRejection:
             read_field(p)
         assert main(["norms", str(p)]) == 1
         assert "zero mode" in capsys.readouterr().err
+
+    def test_nan_coefficients_rejected(self, tmp_path, capsys):
+        """NaN spectral coefficients are refused; NaN failed every comparison of the old checks."""
+        c = np.zeros((16, 16), dtype=np.complex128)
+        c[0, 1] = c[0, -1] = np.nan
+        p = tmp_path / "u.sqgf"
+        spectral_file(p, c)
+        with pytest.raises(ValueError, match="finite"):
+            read_field(p)
+        assert main(["norms", str(p)]) == 1
+        assert "coefficients must be finite (largest modulus nan)" in capsys.readouterr().err
+
+    def test_infinite_length_rejected(self, tmp_path, capsys):
+        """A header with L = inf is refused."""
+        c = field_from_modes(make_grid(16, np.pi), {(1, 0): 0.5}).coeffs
+        p = tmp_path / "u.sqgf"
+        spectral_file(p, c, L=np.inf)
+        assert main(["norms", str(p)]) == 1
+        assert "L must be positive and finite, got inf" in capsys.readouterr().err
+
+    def test_nan_samples_rejected(self, tmp_path, capsys):
+        """Physical samples holding a NaN are refused, in memory and on disk."""
+        g = make_grid(16, np.pi)
+        s = np.zeros((16, 16))
+        s[3, 4] = np.nan
+        with pytest.raises(ValueError, match="samples must be finite"):
+            field_from_physical(g, s)
+        p = tmp_path / "u.sqgf"
+        p.write_bytes(HEADER.pack(MAGIC, VERSION, 16, 1, np.pi) + s.astype("<f8").tobytes())
+        assert main(["norms", str(p)]) == 1
+        assert "samples must be finite" in capsys.readouterr().err
 
     def test_bad_magic(self, tmp_path):
         """Foreign files are refused by their magic."""

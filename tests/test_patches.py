@@ -94,6 +94,21 @@ class TestPatchGeometry:
         with pytest.raises(ValueError, match="spacing"):
             _ = a + b
 
+    def test_values_owned_and_read_only(self):
+        """Patch copies the caller's array; every patch, given or derived, is read-only."""
+        vals = np.ones((3, 3))
+        given = Patch((1, 1), vals)
+        vals[0, 0] = 5.0
+        assert given.values[0, 0] == 1.0
+        u = bump_pair(H, 400, 0.5j)
+        uu = convolve(u, u)
+        derived = (
+            3.0 * u, apply_radial(u, -0.8), apply_radial(gauss_field(H), -0.8), mul_i_xi(u, 0),
+            uu, coalesce(uu + uu), *build_forces(CounterexampleSpec(0.02, 0.4, 3)),
+        )
+        for field in (PatchField(H, (given,)), *derived):
+            assert all(not p.values.flags.writeable for p in field.patches)
+
     def test_linear_algebra(self):
         """Addition concatenates patches; scalars rescale values."""
         u = spike(H, (3, 0), 2.0) + spike(H, (0, 5), 1.0j)

@@ -247,6 +247,14 @@ class TestLinearSolve:
         with pytest.raises(SmallnessError, match="threshold"):
             linear_solve(v, f, 2, SolverConfig(alpha=ALPHA))
 
+    def test_nan_velocity_rejected(self):
+        """A NaN velocity norm fails the gate instead of passing every comparison."""
+        g = make_grid(32, np.pi)
+        v = velocity_from_theta(field_from_modes(g, {(1, 0): -0.5j}) * np.nan)
+        f = field_from_modes(g, {(1, 0): 0.5})
+        with pytest.raises(SmallnessError, match="nan"):
+            linear_solve(v, f, 2, SolverConfig(alpha=ALPHA))
+
     def test_cutoff_beyond_band_rejected(self):
         """2^N beyond the dealias wavenumber is refused."""
         g = make_grid(32, np.pi)
@@ -373,6 +381,15 @@ class TestOuterIterate:
         assert report.steps[0].n == 1
         assert report.steps[1].n == 3
         assert all(s.n == 3 for s in report.steps[1:])
+
+    def test_nyquist_force_converges(self):
+        """With dealias fraction 1 the schedule stops below the Nyquist line, so a force on it converges."""
+        g = make_grid(32, np.pi, 1.0)
+        amp = 1e-2
+        f = field_from_modes(g, {(1, 0): -0.5j * amp, (16, 0): 0.1 * amp})
+        _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
+        assert report.converged
+        assert [s.n for s in report.steps[:3]] == [1, 2, 3] and report.steps[-1].n == 3
 
     def test_schedule_beyond_band_rejected(self):
         """Schedules topping out past the dealias band are refused."""
