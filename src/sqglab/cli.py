@@ -170,7 +170,10 @@ def _json_value(key: str, typ, val):
     accepted, name = _JSON_TYPES[typ]
     if isinstance(val, bool) != (typ is bool) or not isinstance(val, accepted):
         raise ConfigError(f"config field {key!r} must be {name}, got {json.dumps(val)}")
-    return typ(val)
+    try:
+        return typ(val)
+    except (OverflowError, argparse.ArgumentTypeError) as exc:  # a non-finite length, an integer past the float range
+        raise ConfigError(f"config field {key!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,8 @@ as a (2M+1) x (M+1) array with row m1 + M and column m2 (see
 GridSpec.square). Its m2 = 0 column holds both signs of m1, the m1 < 0
 entries being the conjugates of the m1 > 0 ones, and every operator keeps
 it so: a field is Hermitian by construction. ``coeffs``, the K x K array in
-FFT order, is built on first use for I/O and tests; outside data enter
-through the validating constructor, field_from_modes or field_from_physical.
+FFT order, is built on first use for the SQGF writer and tests; K x K data
+enter only through the validating constructor.
 
 All operators are Fourier multipliers on the half square except the
 quadratic products (advection and the pointwise product), which go through
@@ -60,19 +60,8 @@ class SpectralField:
         K = grid.K
         if c.shape != (K, K):
             raise ValueError(f"coefficient array shape {c.shape} does not match grid K={K}")
-        scale = float(np.max(np.abs(c)))
-        if not np.isfinite(scale):
-            raise ValueError(f"coefficients must be finite (largest modulus {scale})")
-        if scale > 0:
-            flip = (-np.arange(K)) % K
-            asym = float(np.max(np.abs(c - np.conj(c[np.ix_(flip, flip)]))))
-            if asym > _HERM_TOL * scale:
-                raise ValueError(
-                    f"coefficients are not Hermitian-symmetric (asymmetry {asym:.3e} vs scale {scale:.3e})"
-                )
-            if abs(c[0, 0]) > _HERM_TOL * scale:
-                raise ValueError(f"zero mode must vanish (got {c[0, 0]:.3e}); fields are mean-free")
-        sq = _close(grid, c[:, : K // 2 + 1].copy())
+        _check_coefficients(c, c, np.roll(c[::-1, ::-1], 1, axis=(0, 1)), c[0, 0])  # c(-m) in FFT order
+        sq = _close(grid, np.pad(np.fft.fftshift(c[:, : K // 2 + 1], axes=0), ((0, 1), (0, 0))))
         _init(self, grid, _resize(sq, _support_radius(sq)).copy())
 
     def __setattr__(self, name, value):
@@ -128,9 +117,11 @@ class SpectralField:
         return _new(self.grid, -self.half)
 
     def mode(self, m1: int, m2: int) -> complex:
-        """Coefficient at integer mode (m1, m2)."""
-        K = self.grid.K
-        return complex(self.coeffs[m1 % K, m2 % K])
+        """Coefficient at integer mode (m1, m2), read off the half square."""
+        row, col = _slot(m1, m2, self.grid.K)
+        if col < 0:
+            return complex(np.conj(self.mode(-m1, -m2)))
+        return complex(self.half[row + self.M, col]) if max(abs(row), col) <= self.M and (row or col) else 0j
 
     def max_mode_index(self) -> int:
         """Largest |m_i| carrying a nonzero coefficient (0 for the zero field)."""
@@ -164,25 +155,44 @@ def _new(grid: GridSpec, sq: np.ndarray) -> SpectralField:
     return _init(object.__new__(SpectralField), grid, sq)
 
 
-def _close(grid: GridSpec, h: np.ndarray) -> np.ndarray:
-    """Half square of radius K/2 of the m2 >= 0 half spectrum h (K x (K/2+1), FFT row order).
+def _check_coefficients(c: np.ndarray, own: np.ndarray, mirror: np.ndarray, zero: complex) -> None:
+    """Refuse coefficients c unless finite, with own = conj(mirror) (entries of c and the values at their
+    partners -m) and a zero mode zero = 0, both to _HERM_TOL of the largest modulus."""
+    scale = float(np.max(np.abs(c)))
+    if not np.isfinite(scale):
+        raise ValueError(f"coefficients must be finite (largest modulus {scale})")
+    asym = float(np.max(np.abs(own - np.conj(mirror)))) if scale > 0 else 0.0
+    if asym > _HERM_TOL * scale:
+        raise ValueError(f"coefficients are not Hermitian-symmetric (asymmetry {asym:.3e} vs scale {scale:.3e})")
+    if abs(zero) > _HERM_TOL * scale:
+        raise ValueError(f"zero mode must vanish (got {zero:.3e}); fields are mean-free")
 
-    On the self-conjugate columns m2 = 0 and m2 = K/2 the m1 < 0 entries
-    become the conjugates of the m1 > 0 ones and the self-conjugate modes
-    their real parts; the zero mode is dropped. Entries that already hold
-    those values keep their bits, so exactly Hermitian data round-trip
-    byte for byte.
-    """
-    K = grid.K
+
+def _slot(m1: int, m2: int, K: int) -> tuple[int, int]:
+    """Lattice mode m as -K/2 <= m1 < K/2, -K/2 < m2 <= K/2: row K/2 is row -K/2, column -K/2 column K/2."""
     n = K // 2
-    for j in (0, n):
-        want, neg = np.conj(h[n - 1 : 0 : -1, j]), h[n + 1 :, j]
-        h[n + 1 :, j] = np.where(neg == want, neg, want)
-        own = h[[0, n], j]
-        h[[0, n], j] = np.where(own.imag == 0, own, own.real)
-    sq = np.zeros((K + 1, n + 1), dtype=np.complex128)
-    sq[:K] = np.fft.fftshift(h, axes=0)  # rows m1 = -K/2 .. K/2 - 1; row +K/2 aliases -K/2
-    sq[n, 0] = 0.0
+    return (m1 + n) % K - n, n - (n - m2) % K
+
+
+def _close(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
+    """Make the half square sq (row m1 + M, column m2) a real field, in place.
+
+    On the self-conjugate columns (m2 = 0, and m2 = K/2 at M = K/2) the
+    m1 < 0 entries become the conjugates of the m1 > 0 ones and the
+    self-conjugate modes (m1 = 0, and row -K/2 at M = K/2) their real parts;
+    the zero mode is dropped. Entries that already hold those values keep
+    their bits, so exactly Hermitian data round-trip byte for byte.
+    """
+    M = sq.shape[1] - 1
+    nyquist = M == grid.K // 2
+    top = M - nyquist  # largest m1 > 0 whose partner row is stored
+    for j in (0, M) if nyquist else (0,):
+        want, neg = np.conj(sq[M + top : M : -1, j]), sq[M - top : M, j]
+        sq[M - top : M, j] = np.where(neg == want, neg, want)
+        rows = [0, M] if nyquist else [M]
+        own = sq[rows, j]
+        sq[rows, j] = np.where(own.imag == 0, own, own.real)
+    sq[M, 0] = 0.0
     return sq
 
 
@@ -230,15 +240,21 @@ class VelocityField:
 # -- constructors ---------------------------------------------------------
 
 def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> SpectralField:
-    """Build a field from {(m1, m2): coefficient}; conjugate modes are filled in."""
-    c = grid.zeros()
-    K = grid.K
+    """Build a field from {(m1, m2): coefficient}, each entry also setting its partner -m to the
+    conjugate (a later entry wins); the values are checked as by the constructor."""
+    K, n = grid.K, grid.K // 2
+    M = min(max((max(abs(m1), abs(m2)) for m1, m2 in modes), default=0), n)
+    sq = np.zeros((2 * M + 1, M + 1), dtype=np.complex128)
     for (m1, m2), val in modes.items():
-        if max(abs(m1), abs(m2)) > K // 2:
+        if max(abs(m1), abs(m2)) > n:
             raise ValueError(f"mode {(m1, m2)} outside the lattice for K={K}")
-        c[m1 % K, m2 % K] = val
-        c[(-m1) % K, (-m2) % K] = np.conj(val)
-    return SpectralField(grid, c)
+        for (row, col), v in ((_slot(m1, m2, K), val), (_slot(-m1, -m2, K), np.conj(val))):
+            if col >= 0:
+                sq[row + M, col] = v
+    own = sq[[M, 0, 0, M], [0, 0, M, M]] if M == n else sq[M, :1]  # the modes m = -m; all others are paired
+    _check_coefficients(sq, own, own, sq[M, 0])
+    sq = _close(grid, sq)
+    return _new(grid, _resize(sq, _support_radius(sq)).copy())
 
 
 def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -253,7 +269,7 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         raise ValueError(f"samples must be finite (largest transform modulus {scale})")
     if abs(h[0, 0]) > 1e-12 * max(1.0, scale):
         raise ValueError(f"samples have nonzero mean {h[0, 0]:.3e}; subtract it first")
-    return _new(grid, _close(grid, h))
+    return _new(grid, _close(grid, np.pad(np.fft.fftshift(h, axes=0), ((0, 1), (0, 0)))))
 
 
 def to_physical(u: SpectralField) -> np.ndarray:
@@ -291,7 +307,8 @@ def velocity_from_theta(theta: SpectralField) -> VelocityField:
 
 def low_pass_mask(grid: GridSpec, N: int) -> np.ndarray:
     """Sharp radial cutoff |k| <= 2^N (boundary modes included), K x K in FFT order."""
-    return grid.k2 <= grid.level(N).bound  # the level refuses cutoffs past the Nyquist wavenumber
+    k = grid.dk * np.fft.fftfreq(grid.K, 1.0 / grid.K)
+    return k[:, None] ** 2 + k**2 <= grid.level(N).bound  # the level refuses cutoffs past the Nyquist wavenumber
 
 
 def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> SpectralField:

@@ -1,8 +1,8 @@
 """Spectral grid for the periodic square [-L, L)^2.
 
 The wavenumber lattice is k = (pi/L) * m with integer mode indices
-|m_i| <= K/2, stored in FFT order. Physical sample points are
-x_j = -L + 2L*j/K along each axis. The tables of each half square (see
+|m_i| <= K/2. Physical sample points are x_j = -L + 2L*j/K along each
+axis. The tables of each half square (see
 SquareTable) and of each truncation level are built on first use and kept
 by the grid, so they live as long as it does and threads share them.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,18 +34,13 @@ class GridSpec:
     L : float
         Half-period; the domain is [-L, L)^2.
     dealias_fraction : float
-        Fraction of the Nyquist index kept by the dealias mask.
-
-    modes holds the integer mode indices in FFT order. The K x K arrays kx,
-    ky, k2 = |k|^2, kmag = |k| and dealias_mask (max(|m1|,|m2|) <= M_d) are
-    built on first use; the field operators read ``square`` tables instead.
+        Fraction of the Nyquist index kept by the dealias band.
     """
 
     K: int
     L: float
     dealias_fraction: float = DEFAULT_DEALIAS_FRACTION
 
-    modes: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
     _squares: dict = field(init=False, repr=False, compare=False)
 
@@ -57,24 +51,13 @@ class GridSpec:
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if not (0.0 < self.dealias_fraction <= 1.0 and self.dealias_index >= 1):
             raise ValueError(f"dealias_fraction must lie in (0, 1] and keep a mode, got {self.dealias_fraction}")
-        K = int(self.K)
-        m = np.fft.fftfreq(K, d=1.0 / K).astype(np.int64)  # 0, 1, ..., K/2-1, -K/2, ..., -1
-        object.__setattr__(self, "modes", m)
         object.__setattr__(self, "_levels", {})
         object.__setattr__(self, "_squares", {})
 
-    kx = cached_property(lambda self: (self.dk * self.modes)[:, None] * np.ones((1, self.K)))
-    ky = cached_property(lambda self: np.ones((self.K, 1)) * (self.dk * self.modes)[None, :])
-    k2 = cached_property(lambda self: self.kx**2 + self.ky**2)
-    kmag = cached_property(lambda self: np.sqrt(self.k2))
-    dealias_mask = cached_property(
-        lambda self: np.maximum.outer(np.abs(self.modes), np.abs(self.modes)) <= self.dealias_index
-    )
-
     @property
     def dealias_index(self) -> int:
-        """M_d = floor(dealias_fraction * K/2)."""
-        return int(np.floor(self.dealias_fraction * self.K / 2))
+        """M_d = floor(dealias_fraction * K/2), below the Nyquist index K/2 (one lattice line with -K/2)."""
+        return min(int(np.floor(self.dealias_fraction * self.K / 2)), self.K // 2 - 1)
 
     @property
     def dk(self) -> float:
@@ -93,16 +76,12 @@ class GridSpec:
 
     @property
     def dealias_level(self) -> int:
-        """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k, and strictly
-        below the Nyquist wavenumber, whose self-conjugate modes LevelTable.pos leaves out."""
-        return math.floor(math.log2(min(self.dealias_k * (1.0 + 1e-12), self.nyquist_k * (1.0 - 1e-12))))
+        """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k."""
+        return math.floor(math.log2(self.dealias_k * (1.0 + 1e-12)))
 
     def x_axis(self) -> np.ndarray:
         """Physical sample coordinates -L + 2L*j/K, j = 0..K-1."""
         return -self.L + 2.0 * self.L * np.arange(self.K) / self.K
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.K, self.K), dtype=np.complex128)
 
     def level(self, N: int) -> "LevelTable":
         """Table of the truncation level |k| <= 2^N, built once per grid."""

@@ -40,27 +40,27 @@ def write_field(path: str | Path, u: SpectralField, representation: str = "spect
 
 
 def read_field(path: str | Path, dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> SpectralField:
+    """Read an SQGF1 file; every refusal is a ValueError that names the file."""
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, K, tag, L = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    grid = GridSpec(int(K), float(L), dealias_fraction)
-    body = raw[_HEADER.size :]
-    if tag == REPR_SPECTRAL:
-        data = np.frombuffer(body, dtype="<c16")
+    try:
+        if len(raw) < _HEADER.size:
+            raise ValueError("truncated header")
+        magic, version, K, tag, L = _HEADER.unpack_from(raw)
+        if magic != MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise ValueError(f"unsupported version {version}")
+        grid = GridSpec(int(K), float(L), dealias_fraction)
+        if tag not in (REPR_SPECTRAL, REPR_PHYSICAL):
+            raise ValueError(f"unknown representation tag {tag}")
+        data = np.frombuffer(raw[_HEADER.size :], dtype="<c16" if tag == REPR_SPECTRAL else "<f8")
         if data.size != K * K:
-            raise ValueError(f"{path}: payload size {data.size} != {K * K}")
-        return SpectralField(grid, np.fft.ifftshift(data.reshape(K, K)))  # validates the payload
-    if tag == REPR_PHYSICAL:
-        data = np.frombuffer(body, dtype="<f8")
-        if data.size != K * K:
-            raise ValueError(f"{path}: payload size {data.size} != {K * K}")
+            raise ValueError(f"payload size {data.size} != {K * K}")
+        if tag == REPR_SPECTRAL:
+            return SpectralField(grid, np.fft.ifftshift(data.reshape(K, K)))  # validates the payload
         return field_from_physical(grid, data.reshape(K, K))
-    raise ValueError(f"{path}: unknown representation tag {tag}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.signal import fftconvolve
 
-from .field import SpectralField
+from .field import SpectralField, _close, _new, _resize, _support_radius
 from .grid import GridSpec
 
 __all__ = [
@@ -352,40 +352,39 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
     sum is the rectangle-rule approximation of the continuum norm. Requires
     the lattice spacing pi/L to be an integer multiple of the patch spacing
     and all patch content to sit inside the dealias band.
+
+    u must be a real field: its samples with xi_2 < 0, the conjugates of
+    their partners, are not read (hermitian_defect measures the symmetry).
     """
     dk = grid.dk
     ratio = dk / u.h
     r = round(ratio)
     if abs(ratio - r) > 1e-9 or r < 1:
-        raise ValueError(
-            f"grid mode spacing pi/L = {dk:g} is not an integer multiple of the patch spacing {u.h:g}"
-        )
+        raise ValueError(f"grid mode spacing pi/L = {dk:g} is not an integer multiple of the patch spacing {u.h:g}")
     cutoff = grid.dealias_k
-    coeffs = grid.zeros()
-    K = grid.K
+    Md = grid.dealias_index
+    sq = np.zeros((2 * Md + 1, Md + 1), dtype=np.complex128)  # the band's half square
     scale = 2.0 * np.pi / (2.0 * grid.L) ** 2
     for p in u.patches:
         vals = materialize(p, u.h)
         nz = np.abs(vals) > 0.0
         if nz.any():
             x_ax, y_ax = p.axes(u.h)
-            max1 = float(np.max(np.abs(x_ax[nz.any(axis=1)])))
-            max2 = float(np.max(np.abs(y_ax[nz.any(axis=0)])))
-            if max(max1, max2) > cutoff * (1.0 + 1e-12):
-                raise FrequencyOverflowError(
-                    f"patch content reaches |xi| = {max(max1, max2):g}, beyond the dealias cutoff {cutoff:g}"
-                )
+            reach = max(np.abs(x_ax[nz.any(axis=1)]).max(), np.abs(y_ax[nz.any(axis=0)]).max())
+            if reach > cutoff * (1.0 + 1e-12):
+                raise FrequencyOverflowError(f"patch content reaches |xi| = {reach:g}, "
+                                             f"beyond the dealias cutoff {cutoff:g}")
         hi = p.hi()
-        # lattice indices j*r falling inside [lo, hi] along each axis
-        m0 = np.arange(int(np.ceil(p.lo[0] / r)), int(np.floor(hi[0] / r)) + 1)
-        m1 = np.arange(int(np.ceil(p.lo[1] / r)), int(np.floor(hi[1] / r)) + 1)
+        # lattice indices j*r inside [lo, hi] and the band's half square (content off the band is zero)
+        m0 = np.arange(max(int(np.ceil(p.lo[0] / r)), -Md), min(int(np.floor(hi[0] / r)), Md) + 1)
+        m1 = np.arange(max(int(np.ceil(p.lo[1] / r)), 0), min(int(np.floor(hi[1] / r)), Md) + 1)
         if m0.size == 0 or m1.size == 0:
             continue
         rows = (m0 * r - p.lo[0])[:, None]
         cols = (m1 * r - p.lo[1])[None, :]
-        coeffs[np.ix_(m0 % K, m1 % K)] += scale * vals[rows, cols]
-    coeffs[0, 0] = 0.0
-    return SpectralField(grid, coeffs)
+        sq[np.ix_(m0 + Md, m1)] += scale * vals[rows, cols]
+    sq = _close(grid, sq)
+    return _new(grid, _resize(sq, _support_radius(sq)).copy())
 
 
 # -- diagnostics ----------------------------------------------------------

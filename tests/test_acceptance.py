@@ -46,6 +46,7 @@ from sqglab import (
     velocity_hs_norm,
 )
 from sqglab.experiments import builtin_force
+from lattice_tables import Lattice
 
 ALPHA = 0.4
 DELTA = 0.02
@@ -112,8 +113,9 @@ class TestAcceptance:
         mask[0, 0] = False
         rows = np.argwhere(mask)
         dim = len(rows)
-        kvec = np.stack([grid.kx[mask], grid.ky[mask]], axis=1)
-        kmag2 = grid.k2[mask]
+        lat = Lattice(grid)
+        kvec = np.stack([lat.kx[mask], lat.ky[mask]], axis=1)
+        kmag2 = lat.k2[mask]
         for _ in range(10):
             v = admissible_velocity(grid, rng, ALPHA, float(rng.uniform(0.02, 0.08)))
             f = random_ball_field(grid, rng, 2)

@@ -524,6 +524,14 @@ class TestConfigResolution:
         assert f"expected a finite number, got {named}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_huge_json_integer_rejected(self, tmp_path, capsys):
+        """A JSON integer past the float range exits 1 naming its key, not with an OverflowError traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"amplitude": 1' + "0" * 400 + "}")
+        assert main(["solve", "--K", "32", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+        assert "config field 'amplitude'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_subcommand_required(self, capsys):
         """Bare invocation is a usage error."""
         rc = main([])

@@ -22,6 +22,7 @@ from sqglab import (
     translate,
     velocity_from_theta,
 )
+from lattice_tables import Lattice
 
 ALPHA = 0.4
 
@@ -45,9 +46,10 @@ class TestGridSpec:
         assert g.dealias_index == 5
 
     def test_dealias_index_large(self):
-        """K=256 with the 2/3 rule keeps modes up to 85."""
+        """K=256 with the 2/3 rule keeps modes up to 85; fraction 1 stops below the Nyquist index 128."""
         g = make_grid(256, np.pi)
         assert g.dealias_index == 85
+        assert make_grid(256, np.pi, 1.0).dealias_index == 127
 
     def test_dealias_level(self):
         """dealias_level is the largest N with 2^N <= dealias_k, boundary included, below the Nyquist line."""
@@ -58,7 +60,7 @@ class TestGridSpec:
         assert make_grid(64, 21.0 * np.pi / 16.0).dealias_level == 4  # dealias_k = 16 exactly
         # one ulp longer: dealias_k = 16 - 4e-15, inside the rounding slack
         assert make_grid(64, np.nextafter(21.0 * np.pi / 16.0, np.inf)).dealias_level == 4
-        # fraction 1: dealias_k is the Nyquist wavenumber 16, whose self-conjugate modes no level solves
+        # fraction 1: the band stops at index 15, below the Nyquist wavenumber 16
         assert make_grid(32, np.pi, 1.0).dealias_level == 3
 
     def test_empty_dealias_band_rejected(self):
@@ -95,14 +97,6 @@ class TestGridSpec:
         np.testing.assert_allclose(g.dk, 1.0 / 16.0)
         np.testing.assert_allclose(g.dealias_k, g.dealias_index / 16.0)
 
-    def test_dealias_mask_square(self):
-        """The dealias mask is the square |m_i| <= M_d."""
-        g = make_grid(16, np.pi)
-        md = g.dealias_index
-        m = np.abs(g.modes)
-        expected = (m[:, None] <= md) & (m[None, :] <= md)
-        assert np.array_equal(g.dealias_mask, expected)
-
 
 class TestFieldConstruction:
     """Hermitian symmetry, zero mean, and the physical round trip."""
@@ -116,7 +110,7 @@ class TestFieldConstruction:
     def test_nonhermitian_rejected(self):
         """Raw coefficient arrays must be Hermitian-symmetric."""
         g = make_grid(16, np.pi)
-        c = g.zeros()
+        c = Lattice(g).zeros()
         c[1, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError):
             SpectralField(g, c)
@@ -124,7 +118,7 @@ class TestFieldConstruction:
     def test_nonzero_mean_rejected(self):
         """A nonzero zero mode is refused."""
         g = make_grid(16, np.pi)
-        c = g.zeros()
+        c = Lattice(g).zeros()
         c[0, 0] = 1.0
         with pytest.raises(ValueError):
             SpectralField(g, c)
@@ -136,7 +130,7 @@ class TestFieldConstruction:
         half, and a self-conjugate mode keeps its real part.
         """
         g = make_grid(16, np.pi)
-        c = g.zeros()
+        c = Lattice(g).zeros()
         c[1, 0], c[-1, 0] = 0.3 + 0.2j, 0.3 - 0.2j + 1e-15
         c[3, 8], c[-3, 8] = 0.1j, -0.1j * (1 + 1e-14)
         c[8, 0] = 0.5 + 1e-15j
@@ -146,6 +140,19 @@ class TestFieldConstruction:
         np.testing.assert_allclose(u.coeffs, c, rtol=0, atol=1e-14)
         assert u.mode(-1, 0) == 0.3 - 0.2j
         assert u.mode(8, 0) == 0.5
+
+    @pytest.mark.parametrize("K", [16, 32])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_mode_reads_coeffs(self, K, fraction):
+        """mode() equals coeffs bit for bit on every mode, Nyquist lines included, without building coeffs."""
+        g = make_grid(K, np.pi, fraction)
+        samples = np.random.default_rng(K).standard_normal((K, K))
+        u = field_from_physical(g, samples - samples.mean())
+        fields = (u, -dealias(u), velocity_from_theta(dealias(u)).v1, field_from_modes(g, {(2, -1): 0.5j}))
+        for f in fields:
+            got = np.array([[f.mode(m1, m2) for m2 in range(K)] for m1 in range(K)])
+            assert "coeffs" not in f.__dict__
+            assert got.tobytes() == f.coeffs.tobytes()
 
     def test_physical_round_trip(self):
         """field_from_physical inverts to_physical to near machine precision."""
@@ -265,7 +272,8 @@ class TestVelocity:
         samples = rng.standard_normal((64, 64))
         samples -= samples.mean()
         v = velocity_from_theta(dealias(field_from_physical(g, samples)))
-        div = 1j * g.kx * v.v1.coeffs + 1j * g.ky * v.v2.coeffs
+        lat = Lattice(g)
+        div = 1j * lat.kx * v.v1.coeffs + 1j * lat.ky * v.v2.coeffs
         scale = max(np.max(np.abs(v.v1.coeffs)), np.max(np.abs(v.v2.coeffs)))
         assert np.max(np.abs(div)) <= 1e-13 * scale
 
@@ -325,7 +333,7 @@ class TestProjection:
         """low_pass_mask keeps exactly the lattice ball |k| <= 2^N."""
         g = make_grid(32, np.pi)
         mask = low_pass_mask(g, 2)
-        expected = g.k2 <= 16.0 * (1 + 1e-12)
+        expected = Lattice(g).k2 <= 16.0 * (1 + 1e-12)
         assert np.array_equal(mask, expected)
 
 
@@ -371,7 +379,8 @@ class TestAdvection:
         """<v . grad theta, theta> = 0 for band-limited fields."""
         g = make_grid(64, np.pi)
         rng = np.random.default_rng(17)
-        band = (np.abs(g.modes)[:, None] <= g.K // 4) & (np.abs(g.modes)[None, :] <= g.K // 4)
+        modes = Lattice(g).modes
+        band = (np.abs(modes)[:, None] <= g.K // 4) & (np.abs(modes)[None, :] <= g.K // 4)
         c = np.where(band, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)), 0.0)
         c = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))))
         c[0, 0] = 0.0
@@ -384,7 +393,7 @@ class TestAdvection:
     def test_requires_dealiased_inputs(self):
         """Aliased inputs are refused with a pointer to dealias()."""
         g = make_grid(32, np.pi)
-        c = g.zeros()
+        c = Lattice(g).zeros()
         m = g.K // 2 - 1
         c[m, 0] = 1.0
         c[-m % g.K, 0] = 1.0
@@ -494,6 +503,17 @@ class TestProducts:
         out = pointwise_product(a, b)
         X, Y = meshgrid(g)
         np.testing.assert_allclose(to_physical(out), np.cos(X) * np.cos(Y), atol=1e-14)
+
+    def test_full_band_product_keeps_parseval(self):
+        """At dealias fraction 1 a product stays below the Nyquist line, so Parseval and the physical round trip hold."""
+        g = make_grid(16, np.pi, 1.0)
+        u = field_from_modes(g, {(4, 1): 0.5, (3, 0): 0.2j})
+        p = pointwise_product(u, u)
+        assert p.max_mode_index() == g.K // 2 - 1
+        x = to_physical(p)
+        cell = (2 * g.L / g.K) ** 2
+        np.testing.assert_allclose(hs_norm(p, 0.0) ** 2, float(np.sum(x**2)) * cell, rtol=1e-12)
+        np.testing.assert_allclose(field_from_physical(g, x).coeffs, p.coeffs, rtol=0, atol=1e-15)
 
     def test_product_mean_is_dropped(self):
         """sin(x1)^2 keeps only its oscillatory part."""

@@ -120,10 +120,11 @@ class TestRejection:
         c[7, 0] = 0.5
         p = tmp_path / "u.sqgf"
         spectral_file(p, c)
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match="Hermitian") as exc:
             read_field(p)
+        assert str(exc.value).startswith(f"{p}: ")
         assert main(["norms", str(p)]) == 1
-        assert "Hermitian" in capsys.readouterr().err
+        assert f"{p}: coefficients are not Hermitian" in capsys.readouterr().err
 
     def test_nonzero_mean_rejected(self, tmp_path, capsys):
         """A nonzero zero mode is refused, not silently dropped."""
@@ -131,10 +132,11 @@ class TestRejection:
         c[0, 0] = 0.25
         p = tmp_path / "u.sqgf"
         spectral_file(p, c)
-        with pytest.raises(ValueError, match="zero mode"):
+        with pytest.raises(ValueError, match="zero mode") as exc:
             read_field(p)
+        assert str(exc.value).startswith(f"{p}: ")
         assert main(["norms", str(p)]) == 1
-        assert "zero mode" in capsys.readouterr().err
+        assert f"{p}: zero mode" in capsys.readouterr().err
 
     def test_nan_coefficients_rejected(self, tmp_path, capsys):
         """NaN spectral coefficients are refused; NaN failed every comparison of the old checks."""
@@ -142,10 +144,11 @@ class TestRejection:
         c[0, 1] = c[0, -1] = np.nan
         p = tmp_path / "u.sqgf"
         spectral_file(p, c)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as exc:
             read_field(p)
+        assert str(exc.value).startswith(f"{p}: ")
         assert main(["norms", str(p)]) == 1
-        assert "coefficients must be finite (largest modulus nan)" in capsys.readouterr().err
+        assert f"{p}: coefficients must be finite (largest modulus nan)" in capsys.readouterr().err
 
     def test_infinite_length_rejected(self, tmp_path, capsys):
         """A header with L = inf is refused."""
@@ -153,7 +156,7 @@ class TestRejection:
         p = tmp_path / "u.sqgf"
         spectral_file(p, c, L=np.inf)
         assert main(["norms", str(p)]) == 1
-        assert "L must be positive and finite, got inf" in capsys.readouterr().err
+        assert f"{p}: L must be positive and finite, got inf" in capsys.readouterr().err
 
     def test_nan_samples_rejected(self, tmp_path, capsys):
         """Physical samples holding a NaN are refused, in memory and on disk."""
@@ -165,7 +168,7 @@ class TestRejection:
         p = tmp_path / "u.sqgf"
         p.write_bytes(HEADER.pack(MAGIC, VERSION, 16, 1, np.pi) + s.astype("<f8").tobytes())
         assert main(["norms", str(p)]) == 1
-        assert "samples must be finite" in capsys.readouterr().err
+        assert f"{p}: samples must be finite" in capsys.readouterr().err
 
     def test_bad_magic(self, tmp_path):
         """Foreign files are refused by their magic."""

@@ -1,10 +1,12 @@
 """Tests for the continuum Fourier patch backend."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma
 
-from sqglab import hs_norm, make_grid
+from sqglab import SpectralField, hs_norm, make_grid
 from sqglab.counterexample import CounterexampleSpec, build_forces, patch_bilinear_B
 from sqglab.patches import (
     _BLOCK_RADIUS,
@@ -29,6 +31,7 @@ from sqglab.patches import (
     support_radius_bounds,
     to_torus,
 )
+from lattice_tables import Lattice
 
 H = 1.0 / 32.0
 
@@ -502,6 +505,60 @@ class TestToTorus:
         g = make_grid(64, 16 * np.pi)
         f = to_torus(gauss_field(H, half_width=1.0), g)
         assert f.mode(0, 0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.4])
+    @pytest.mark.parametrize("n, K", [(3, 512), (4, 1024)])
+    def test_forces_match_full_lattice_scatter(self, alpha, n, K):
+        """The carrier forces land on the band's half square bit for bit as through the K x K scatter."""
+        g = make_grid(K, 16 * np.pi)  # the n = 4 force reaches |xi| = 18, past K = 512's cutoff 10.6
+        for u in build_forces(CounterexampleSpec(0.02, alpha, n)):
+            assert_same_field(to_torus(u, g), ref_to_torus(u, g))
+
+    @pytest.mark.parametrize("amp", [1.0, 0.3 - 0.7j])
+    def test_bumps_match_full_lattice_scatter(self, amp):
+        """So do the smooth bump pairs."""
+        g = make_grid(512, 16 * np.pi)
+        for carrier in (64, 128, 288):
+            u = bump_pair(H, carrier, amp)
+            assert_same_field(to_torus(u, g), ref_to_torus(u, g))
+
+    def test_memory_stays_at_band_size(self):
+        """One K = 2048 sampling of the n = 7 force stays within the dealias band's 15 MiB half square and change."""
+        g = make_grid(2048, 2 * np.pi)
+        f, _, _ = build_forces(CounterexampleSpec(0.02, 0.4, 7))
+        tracemalloc.start()
+        try:
+            to_torus(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def ref_to_torus(u, grid):
+    """The former path: every sample scattered into K x K, then the validating constructor."""
+    r = round(grid.dk / u.h)
+    K = grid.K
+    coeffs = Lattice(grid).zeros()
+    scale = 2.0 * np.pi / (2.0 * grid.L) ** 2
+    for p in u.patches:
+        vals = materialize(p, u.h)
+        hi = p.hi()
+        m0 = np.arange(int(np.ceil(p.lo[0] / r)), int(np.floor(hi[0] / r)) + 1)
+        m1 = np.arange(int(np.ceil(p.lo[1] / r)), int(np.floor(hi[1] / r)) + 1)
+        if m0.size == 0 or m1.size == 0:
+            continue
+        rows = (m0 * r - p.lo[0])[:, None]
+        cols = (m1 * r - p.lo[1])[None, :]
+        coeffs[np.ix_(m0 % K, m1 % K)] += scale * vals[rows, cols]
+    coeffs[0, 0] = 0.0
+    return SpectralField(grid, coeffs)
+
+
+def assert_same_field(a, b):
+    assert a.half.shape == b.half.shape
+    assert a.half.tobytes() == b.half.tobytes()
+    assert np.any(a.half != 0)
 
 
 class TestDiagnostics:

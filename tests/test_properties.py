@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqglab import (
+    SpectralField,
     advect,
     apply_lax_milgram_operator,
     bilinear_B,
@@ -27,6 +28,7 @@ from sqglab import (
     translate,
     velocity_from_theta,
 )
+from lattice_tables import Lattice
 
 GRID = make_grid(32, np.pi)
 
@@ -100,7 +102,8 @@ def test_translation_isometry(u, shift, s):
 def test_velocity_divergence_free(u):
     """The induced velocity is exactly solenoidal on the lattice."""
     v = velocity_from_theta(u)
-    div = GRID.kx * v.v1.coeffs + GRID.ky * v.v2.coeffs
+    lat = Lattice(GRID)
+    div = lat.kx * v.v1.coeffs + lat.ky * v.v2.coeffs
     np.testing.assert_allclose(div, 0.0, atol=1e-14)
 
 
@@ -163,3 +166,70 @@ def test_operators_hermitian_by_construction(u, w):
         assert not c.flags.writeable, name
         assert np.array_equal(c, np.conj(c[np.ix_(flip, flip)])), name
         assert c[0, 0] == 0.0, name
+
+
+# -- field_from_modes against the K x K path it replaced ------------------
+
+GRID16 = make_grid(16, np.pi)
+NYQUIST_KEYS = [(8, 0), (-8, 0), (0, 8), (0, -8), (8, 8), (-8, -8), (8, -8), (3, 8), (-3, -8), (8, 3), (-8, 3), (0, 0)]
+any_keys = st.one_of(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), st.sampled_from(NYQUIST_KEYS))
+any_values = st.one_of(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0j, complex(0.5, 1e-13), complex(0.5, 1e-11), complex(0.0, -0.0)]),
+)
+
+
+@st.composite
+def mode_dicts(draw):
+    """Mode dictionaries on K = 16: some entries are followed by their partner -m, a few hold NaN or inf."""
+    modes = draw(st.dictionaries(any_keys, any_values, max_size=8))
+    for m1, m2 in draw(st.lists(st.sampled_from(sorted(modes)), max_size=3)) if modes else ():
+        modes[(-m1, -m2)] = draw(any_values)
+    if modes and draw(st.integers(0, 9)) == 7:
+        modes[draw(st.sampled_from(sorted(modes)))] = draw(st.sampled_from([complex("nan"), complex("inf")]))
+    return modes
+
+
+def ref_field_from_modes(grid, modes):
+    """The former path: every entry and its conjugate written into K x K, then the validating constructor."""
+    c = Lattice(grid).zeros()
+    K = grid.K
+    for (m1, m2), val in modes.items():
+        if max(abs(m1), abs(m2)) > K // 2:
+            raise ValueError(f"mode {(m1, m2)} outside the lattice for K={K}")
+        c[m1 % K, m2 % K] = val
+        c[(-m1) % K, (-m2) % K] = np.conj(val)
+    return SpectralField(grid, c)
+
+
+def outcome(build, *args):
+    """The half square a builder returns, or the message of its refusal."""
+    try:
+        return build(*args).half
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(mode_dicts())
+def test_field_from_modes_matches_full_lattice_path(modes):
+    """field_from_modes equals the K x K path bit for bit, and refuses exactly what it refused, with its message."""
+    new, ref = outcome(field_from_modes, GRID16, modes), outcome(ref_field_from_modes, GRID16, modes)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60)
+@given(mode_dicts())
+def test_mode_matches_coeffs_on_mode_dicts(modes):
+    """mode() returns coeffs' entry bit for bit on every lattice mode, Nyquist lines and wrapped indices included."""
+    try:
+        u = field_from_modes(GRID16, modes)
+    except ValueError:
+        return
+    K = GRID16.K
+    for m1 in range(-K, K):
+        for m2 in range(-K, K):
+            assert np.complex128(u.mode(m1, m2)).tobytes() == u.coeffs[m1 % K, m2 % K].tobytes(), (m1, m2)

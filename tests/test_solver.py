@@ -31,6 +31,7 @@ from sqglab import (
     velocity_from_theta,
     velocity_hs_norm,
 )
+from lattice_tables import Lattice
 
 ALPHA = 0.4
 
@@ -168,8 +169,9 @@ class TestLinearSolve:
         rows = np.argwhere(mask)
         dim = len(rows)
         A = np.zeros((dim, dim), dtype=np.complex128)
-        kvec = np.stack([g.kx[mask], g.ky[mask]], axis=1)
-        kmag2 = g.k2[mask]
+        lat = Lattice(g)
+        kvec = np.stack([lat.kx[mask], lat.ky[mask]], axis=1)
+        kmag2 = lat.k2[mask]
         v1c, v2c = v.v1.coeffs, v.v2.coeffs
         K = g.K
         for i in range(dim):
@@ -190,8 +192,9 @@ class TestLinearSolve:
         mask[0, 0] = False
         rows = np.argwhere(mask)
         dim = len(rows)
-        kvec = np.stack([g.kx[mask], g.ky[mask]], axis=1)
-        kmag2 = g.k2[mask]
+        lat = Lattice(g)
+        kvec = np.stack([lat.kx[mask], lat.ky[mask]], axis=1)
+        kmag2 = lat.k2[mask]
         for _ in range(3):
             v = small_velocity(g, rng, ALPHA, size=0.08)
             f = ball_field(g, rng, 2)
