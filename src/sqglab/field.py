@@ -17,7 +17,7 @@ dealias band.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -213,10 +213,16 @@ def _resize(sq: np.ndarray, M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Divergence-free pair (v1, v2) on a shared grid."""
+    """Divergence-free pair (v1, v2) on a shared grid.
+
+    The product kernel samples (v1, v2) on its P x P grid; the samples of
+    the last (radius, P) asked for are kept, so the matvecs of a linear
+    solve, which all use one velocity, transform it once.
+    """
 
     v1: SpectralField
     v2: SpectralField
+    _grid_samples: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.v1.grid != self.v2.grid:
@@ -235,6 +241,20 @@ class VelocityField:
     @property
     def is_dealiased(self) -> bool:
         return self.v1.is_dealiased and self.v2.is_dealiased
+
+    def _sampled(self, r: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+        """(v1, v2) on the P x P grid from their modes |m_i| <= r (read-only, kept for the last (r, P)).
+
+        Threads racing on one velocity compute identical arrays, so either write is right.
+        """
+        kept = self._grid_samples
+        if kept is None or kept[0] != (r, P):
+            s1, s2 = _samples(self.v1.half, r, P), _samples(self.v2.half, r, P)
+            s1.setflags(write=False)
+            s2.setflags(write=False)
+            kept = ((r, P), s1, s2)
+            object.__setattr__(self, "_grid_samples", kept)
+        return kept[1], kept[2]
 
 
 # -- constructors ---------------------------------------------------------
@@ -341,7 +361,8 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # modes |m_i| <= Mo, is an exact truncated convolution on any P x P grid
 # with P >= Ma + Mb + Mo + 1: an aliased copy m + P j of a kept mode would
 # need |m_i + P j_i| <= Ma + Mb. Each factor enters as its half square, a
-# P x (P/2+1) array, and reaches the grid through one irfft2; the product
+# P x (P/2+1) array, and reaches the grid through one irfft2 (a velocity
+# keeps its samples for the next product of the same size); each product
 # returns through one rfft2 as a half square. Its m2 = 0 column is made
 # Hermitian on its own, so the result is a real field by construction.
 # Radii beyond what can reach a kept mode are cut first, and Mo never
@@ -357,17 +378,12 @@ def _product_size(ma: int, mb: int, mo: int) -> tuple[int, int, int, int]:
     return ma, mb, mo, scipy.fft.next_fast_len(ma + mb + mo + 1, real=True)
 
 
-def _samples(sq: np.ndarray, r: int, P: int, dk: float = 0.0, axis: int | None = None) -> np.ndarray:
-    """Values on the P x P grid of the modes |m_i| <= r of the half square sq, or of d_axis of them."""
+def _samples(sq: np.ndarray, r: int, P: int) -> np.ndarray:
+    """Values on the P x P grid of the modes |m_i| <= r of the half square sq."""
     M = sq.shape[1] - 1
     h = np.zeros((P, P // 2 + 1), dtype=np.complex128)
     h[: r + 1, : r + 1] = sq[M : M + r + 1, : r + 1]
     h[P - r :, : r + 1] = sq[M - r : M, : r + 1]
-    if axis == 0:
-        h[: r + 1, : r + 1] *= 1j * dk * np.arange(r + 1)[:, None]
-        h[P - r :, : r + 1] *= 1j * dk * np.arange(-r, 0)[:, None]
-    elif axis == 1:
-        h[:, : r + 1] *= 1j * dk * np.arange(r + 1)
     return scipy.fft.irfft2(h, s=(P, P), norm="forward")
 
 
@@ -378,32 +394,27 @@ def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
     return np.concatenate((spec[P - mo :, : mo + 1], spec[: mo + 1, : mo + 1]))
 
 
-def _quadratic(grid: GridSpec, form: str, factors: tuple, radii: tuple[int, int], mo: int) -> np.ndarray:
+def _quadratic(
+    grid: GridSpec, a: np.ndarray | VelocityField, b: np.ndarray, radii: tuple[int, int], mo: int
+) -> np.ndarray:
     """Half square, of radius at most mo, of a dealiased mean-free quadratic term.
 
-    form "product": factors (u, w), the product u w.
-    form "advective": factors (v1, v2, theta), v . grad(theta).
-    form "divergence": factors (v1, v2, theta), div(v theta).
-    Factors are half squares; radii are the mode radii of the first
-    factor(s) and of the last one.
+    a a half square: the product a b. a a VelocityField: div(a b), which
+    is a . grad(b) since div a = 0; this divergence form takes one inverse
+    transform (of b) and two forward ones, as a's samples are kept on a.
+    b is a half square; radii are the mode radii of a and b.
     """
     ma, mb, m, P = _product_size(radii[0], radii[1], min(mo, grid.dealias_index))
     if P == 0:
         return np.zeros((1, 1), dtype=np.complex128)
-    dk = grid.dk
-    if form == "product":
-        u, w = factors
-        sq = _half_square(_samples(u, ma, P) * _samples(w, mb, P), m)
-    elif form == "advective":
-        v1, v2, theta = factors
-        x = _samples(v1, ma, P) * _samples(theta, mb, P, dk, axis=0)
-        x += _samples(v2, ma, P) * _samples(theta, mb, P, dk, axis=1)
-        sq = _half_square(x, m)
+    t = _samples(b, mb, P)
+    if isinstance(a, VelocityField):
+        v1, v2 = a._sampled(ma, P)
+        dk = grid.dk
+        sq = _half_square(v1 * t, m) * (1j * dk * np.arange(-m, m + 1)[:, None])
+        sq += _half_square(v2 * t, m) * (1j * dk * np.arange(m + 1))
     else:
-        v1, v2, theta = factors
-        t = _samples(theta, mb, P)
-        sq = _half_square(_samples(v1, ma, P) * t, m) * (1j * dk * np.arange(-m, m + 1)[:, None])
-        sq += _half_square(_samples(v2, ma, P) * t, m) * (1j * dk * np.arange(m + 1))
+        sq = _half_square(_samples(a, ma, P) * t, m)
     # the m2 = 0 column of a real field is Hermitian on its own
     sq[:m, 0] = np.conj(sq[:m:-1, 0])
     sq[m, 0] = 0.0
@@ -429,25 +440,20 @@ def _advect_level(v: VelocityField, theta: SpectralField, level: LevelTable, the
     """
     _check_advect_inputs(v, theta)
     rb = theta.max_mode_index() if theta_radius is None else theta_radius
-    factors = (v.v1.half, v.v2.half, theta.half)
-    sq = _quadratic(theta.grid, "advective", factors, (_velocity_radius(v), rb), level.M)
+    sq = _quadratic(theta.grid, v, theta.half, (_velocity_radius(v), rb), level.M)
     return _resize(sq, level.M).ravel()[level.pos]
 
 
-def advect(v: VelocityField, theta: SpectralField, form: str = "advective") -> SpectralField:
-    """Dealiased spectral representation of v . grad(theta).
+def advect(v: VelocityField, theta: SpectralField) -> SpectralField:
+    """Dealiased spectral representation of v . grad(theta), computed as div(v theta).
 
     Both inputs must be dealiased so the quadratic product is an exact
-    convolution after truncation (2/3 rule). form="divergence" computes
-    div(v theta) instead; the two agree since div v = 0.
+    convolution after truncation (2/3 rule).
     """
     _check_advect_inputs(v, theta)
-    if form not in ("advective", "divergence"):
-        raise ValueError(f"unknown form {form!r}")
     g = theta.grid
-    factors = (v.v1.half, v.v2.half, theta.half)
     radii = (_velocity_radius(v), theta.max_mode_index())
-    return _new(g, _quadratic(g, form, factors, radii, g.dealias_index))
+    return _new(g, _quadratic(g, v, theta.half, radii, g.dealias_index))
 
 
 def rescale(u: SpectralField, a: float) -> SpectralField:
@@ -481,7 +487,7 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
         raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
-    return _new(g, _quadratic(g, "product", (u.half, w.half), radii, g.dealias_index))
+    return _new(g, _quadratic(g, u.half, w.half, radii, g.dealias_index))
 
 
 def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:

@@ -15,6 +15,7 @@ import pytest
 
 from sqglab import (
     SpectralField,
+    VelocityField,
     advect,
     apply_lax_milgram_operator,
     fractional_laplacian,
@@ -65,7 +66,8 @@ def ref_spectral(x):
     return np.fft.fft2(x) / x.shape[0] ** 2
 
 
-def ref_advect(v, theta, form="advective"):
+def ref_advect(v, theta, form):
+    """v . grad(theta) in the advective form, or div(v theta) in the divergence form."""
     g = theta.grid
     lat = Lattice(g)
     v1, v2 = ref_physical(v.v1.coeffs), ref_physical(v.v2.coeffs)
@@ -126,9 +128,9 @@ class TestAgainstFullLattice:
 
     @pytest.mark.parametrize("form", ["advective", "divergence"])
     def test_advect(self, K, L, n_theta, n_v, form):
-        """Both forms match the reference and are exactly Hermitian."""
+        """advect matches the reference in either form and is exactly Hermitian."""
         _, theta, v = self.fields(K, L, n_theta, n_v)
-        out = advect(v, theta, form=form).coeffs
+        out = advect(v, theta).coeffs
         assert_matches(out, ref_advect(v, theta, form))
         assert_hermitian(out)
 
@@ -141,34 +143,34 @@ class TestAgainstFullLattice:
             assert_hermitian(out)
 
     def test_level_products(self, K, L, n_theta, n_v):
-        """The truncated products of the solver match P_N of the reference."""
+        """The truncated products of the solver match P_N of the reference in either form."""
         g, theta, v = self.fields(K, L, n_theta, n_v)
         mask = low_pass_mask(g, n_theta)
-        proj = np.where(mask, ref_advect(v, theta), 0.0)
-
-        op = apply_lax_milgram_operator(v, theta, n_theta, ALPHA).coeffs
-        ref_op = theta.coeffs + fractional_laplacian(SpectralField(g, proj), -ALPHA).coeffs
-        assert_matches(op, ref_op)
-        assert_hermitian(op)
-
         tv = velocity_from_theta(theta)
         top = max(n_theta, 2)
         f = project_low(theta, 1)
-        r = residual(theta, f, ALPHA, project_N=top).r_field.coeffs
-        ref_r = (
-            fractional_laplacian(theta, ALPHA).coeffs
-            + np.where(low_pass_mask(g, top), ref_advect(tv, theta), 0.0)
-            - f.coeffs
-        )
-        assert_matches(r, ref_r)
-        assert_hermitian(r)
-
-        t2 = theta2(theta, ALPHA, project_N=n_theta).coeffs
         t1 = picard_theta1(theta, ALPHA)
-        adv = np.where(mask, ref_advect(velocity_from_theta(t1), t1), 0.0)
-        ref_t2 = t1.coeffs - fractional_laplacian(SpectralField(g, adv), -ALPHA).coeffs
-        assert_matches(t2, ref_t2)
-        assert_hermitian(t2)
+        op = apply_lax_milgram_operator(v, theta, n_theta, ALPHA).coeffs
+        r = residual(theta, f, ALPHA, project_N=top).r_field.coeffs
+        t2 = theta2(theta, ALPHA, project_N=n_theta).coeffs
+        for out in (op, r, t2):
+            assert_hermitian(out)
+
+        for form in ("advective", "divergence"):
+            proj = np.where(mask, ref_advect(v, theta, form), 0.0)
+            ref_op = theta.coeffs + fractional_laplacian(SpectralField(g, proj), -ALPHA).coeffs
+            assert_matches(op, ref_op)
+
+            ref_r = (
+                fractional_laplacian(theta, ALPHA).coeffs
+                + np.where(low_pass_mask(g, top), ref_advect(tv, theta, form), 0.0)
+                - f.coeffs
+            )
+            assert_matches(r, ref_r)
+
+            adv = np.where(mask, ref_advect(velocity_from_theta(t1), t1, form), 0.0)
+            ref_t2 = t1.coeffs - fractional_laplacian(SpectralField(g, adv), -ALPHA).coeffs
+            assert_matches(t2, ref_t2)
 
 
 def test_zero_factor():
@@ -202,3 +204,52 @@ def test_level_tables_shared_between_threads():
         assert [t is s for t, s in zip(tables, results[0])] == [True] * 7
     assert results[0][0] is g.level(4)
     assert results[0][3] is g.square(21)
+
+
+def test_velocity_samples_kept_per_size():
+    """Repeated and interleaved sample sizes on one velocity give the bits of a fresh velocity."""
+    g = make_grid(128, np.pi)
+    rng = np.random.default_rng(5)
+    w = ball_field(g, rng, 4)
+    theta = ball_field(g, rng, 3)
+    for v in (velocity_from_theta(w), VelocityField(velocity_from_theta(w).v1, velocity_from_theta(w).v2)):
+        for r, P in ((16, 54), (16, 54), (10, 32), (16, 54), (16, 64), (10, 32)):
+            kept = v._sampled(r, P)
+            fresh = velocity_from_theta(w)._sampled(r, P)
+            assert [a.tobytes() for a in kept] == [b.tobytes() for b in fresh]
+            assert not any(a.flags.writeable for a in kept)
+            assert v._sampled(r, P)[0] is kept[0]  # the last size asked for is the one kept
+        same = VelocityField(v.v1, v.v2)
+        assert same == v and hash(same) == hash(v)  # the kept samples are not part of the value
+        for N in (3, 2, 3):
+            low = project_low(theta, N)
+            a = apply_lax_milgram_operator(v, low, N, ALPHA)
+            b = apply_lax_milgram_operator(velocity_from_theta(w), low, N, ALPHA)
+            assert a.half.tobytes() == b.half.tobytes()
+            assert advect(v, theta).half.tobytes() == advect(velocity_from_theta(w), theta).half.tobytes()
+
+
+def test_velocity_samples_shared_between_threads():
+    """Threads racing on one velocity's samples, at interleaved sizes, all read the bits of a fresh velocity."""
+    g = make_grid(256, np.pi)
+    w = ball_field(g, np.random.default_rng(11), 5)
+    v = velocity_from_theta(w)
+    sizes = ((32, 100), (21, 64), (32, 100))
+    want = {rp: [a.tobytes() for a in velocity_from_theta(w)._sampled(*rp)] for rp in sizes}
+    barrier = threading.Barrier(8, timeout=10)
+
+    def read(i):
+        barrier.wait()
+        order = sizes if i % 2 else sizes[::-1]
+        return [(rp, [a.tobytes() for a in v._sampled(*rp)]) for rp in order * 3]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            results = list(ex.map(read, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for reads in results:
+        for rp, got in reads:
+            assert got == want[rp]

@@ -5,8 +5,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,3 +581,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (out / "rlcheck.csv").exists()
+
+    def test_import_skips_scipy_signal(self):
+        """Importing the package and its experiments leaves scipy.signal (about 0.3 s of import) unloaded."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sqglab, sqglab.experiments, sys; print('scipy.signal' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

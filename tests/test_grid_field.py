@@ -356,25 +356,6 @@ class TestAdvection:
         X, Y = meshgrid(g)
         np.testing.assert_allclose(to_physical(out), -np.sin(X) * np.sin(Y), atol=1e-13)
 
-    def test_forms_agree(self):
-        """Advective and divergence forms coincide for band-limited data."""
-        g = make_grid(64, np.pi)
-        rng = np.random.default_rng(13)
-        c = {
-            (int(m1), int(m2)): complex(z)
-            for (m1, m2), z in zip(
-                rng.integers(-7, 8, size=(20, 2)),
-                rng.standard_normal(20) + 1j * rng.standard_normal(20),
-            )
-            if (m1, m2) != (0, 0)
-        }
-        theta = field_from_modes(g, c)
-        v = velocity_from_theta(field_from_modes(g, {(2, 1): 0.4j, (1, 3): 0.2}))
-        a = advect(v, theta, form="advective")
-        b = advect(v, theta, form="divergence")
-        scale = np.max(np.abs(a.coeffs))
-        np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12 * scale)
-
     def test_energy_pairing_vanishes(self):
         """<v . grad theta, theta> = 0 for band-limited fields."""
         g = make_grid(64, np.pi)
@@ -413,13 +394,6 @@ class TestAdvection:
             advect(velocity_from_theta(raw), raw).coeffs, advect(velocity_from_theta(cut), cut).coeffs
         )
         np.testing.assert_array_equal(pointwise_product(raw, raw).coeffs, pointwise_product(cut, cut).coeffs)
-
-    def test_unknown_form_rejected(self):
-        """Only the advective and divergence forms exist."""
-        g = make_grid(32, np.pi)
-        theta = sine_x1(g)
-        with pytest.raises(ValueError):
-            advect(velocity_from_theta(theta), theta, form="skew")
 
 
 class TestHeatSmooth:

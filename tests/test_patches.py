@@ -573,6 +573,32 @@ class TestDiagnostics:
         u = spike(H, (32, 0), 0.7)
         np.testing.assert_allclose(hermitian_defect(u), 0.7)
 
+    def test_defect_matches_pointwise_oracle(self):
+        """The defect equals, bit for bit, a sample-by-sample walk over overlapping, sparse patches."""
+
+        def oracle(u):
+            acc = {}
+            for p in u.patches:
+                for (i, j), v in np.ndenumerate(materialize(p, u.h)):
+                    if v != 0:
+                        key = (p.lo[0] + i, p.lo[1] + j)
+                        acc[key] = acc.get(key, 0j) + v
+            return max((abs(np.conj(v) - acc.get((-k[0], -k[1]), 0j)) for k, v in acc.items()), default=0.0)
+
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            patches = []
+            for _ in range(rng.integers(0, 5)):
+                shape = tuple(rng.integers(1, 6, 2))
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                v[rng.random(shape) < 0.3] = 0.0
+                lo = tuple(int(k) for k in rng.integers(-6, 4, 2))
+                patches.append(Patch(lo, v))
+                if rng.random() < 0.5:  # the mirror patch, so some sets are exactly Hermitian
+                    patches.append(Patch((1 - lo[0] - shape[0], 1 - lo[1] - shape[1]), np.conj(v[::-1, ::-1])))
+            u = PatchField(H, tuple(patches))
+            assert hermitian_defect(u) == oracle(u)
+
     def test_support_radius_bounds(self):
         """Radius bounds bracket the nonzero samples."""
         u = bump_pair(H, 64)

@@ -137,7 +137,6 @@ def public_outputs(u, w):
         "translate": translate(u, (0.7, -1.3)),
         "rescale": rescale(u, -0.2),
         "advect": advect(velocity_from_theta(w), u),
-        "advect_divergence": advect(velocity_from_theta(w), u, form="divergence"),
         "pointwise_product": pointwise_product(u, w),
         "field_from_physical": wide,
         "translate_nyquist": translate(wide, (0.7, -1.3)),

@@ -231,6 +231,36 @@ class TestLinearSolve:
             assert c[0, 0] == 0.0
             assert not np.any(c[~low_pass_mask(g, N)])
 
+    def test_inner_residual_is_fresh_residual(self, monkeypatch):
+        """inner_residual is the relative residual of a fresh operator application at the returned iterate,
+        and the product GMRES's stopping test already made is not repeated."""
+        import sqglab.solver as solver
+
+        calls = []
+        apply = solver.apply_lax_milgram_operator
+
+        def counted(v, theta, N, alpha):
+            calls.append(N)
+            return apply(v, theta, N, alpha)
+
+        monkeypatch.setattr(solver, "apply_lax_milgram_operator", counted)
+        g = make_grid(32, np.pi)
+        rng = np.random.default_rng(37)
+        v = small_velocity(g, rng, ALPHA)
+        f = ball_field(g, rng, 3)
+        level = g.level(3)
+        b = fractional_laplacian(project_low(f, 3), -ALPHA)
+        for x0 in (None, 0.5 * b):  # the default start b, and a warm start
+            calls.clear()
+            theta, info = solver._linear_solve_info(v, f, 3, SolverConfig(alpha=ALPHA), x0=x0)
+            # one restart cycle: b - A x0, one product per iteration, b - A x at the end
+            assert info["iterations"] < 50
+            assert info["matvecs"] == len(calls) == info["iterations"] + 2
+            b_vec = solver._disk_values(b, level).view(np.float64)
+            ax = solver._disk_values(apply(v, theta, 3, ALPHA), level).view(np.float64)
+            assert info["residual_rel"] == float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))
+            assert 0 < info["residual_rel"] <= 1e-10
+
     def test_a_priori_bound(self):
         """||theta_N||_{H^alpha} <= ||f||_{H^{-alpha}} up to rounding."""
         g = make_grid(32, np.pi)
