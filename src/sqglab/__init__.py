@@ -16,19 +16,16 @@ from .field import (
     fractional_laplacian,
     heat_smooth,
     l2_inner,
-    low_pass_mask,
     pointwise_product,
     project_low,
     rescale,
     to_physical,
-    translate,
     velocity_from_theta,
 )
 from .norms import (
     InterpolationRecord,
     hs_norm,
     interpolation_check,
-    intersection_norm,
     scan_bound,
     smoothing_limit_scan,
     velocity_hs_norm,
@@ -44,7 +41,6 @@ from .solver import (
     SolverConfig,
     apply_lax_milgram_operator,
     bilinear_B,
-    cauchy_constant,
     default_schedule,
     linear_solve,
     outer_iterate,
@@ -58,7 +54,6 @@ from .patches import (
     Patch,
     PatchField,
     patch_hs_norm,
-    patch_intersection_norm,
     to_torus,
 )
 from .counterexample import (
@@ -74,7 +69,6 @@ from .counterexample import (
     patch_bilinear_B,
     patch_theta1,
     riemann_lebesgue_check,
-    second_iterate_gap_field,
 )
 from .inequalities import (
     EstimateProbe,

@@ -91,9 +91,9 @@ _EXPERIMENTS = {
     }),
 }
 
-# list-valued keys settable only through the JSON config, never by flag
+# list-valued keys settable only through the JSON config, never by flag: key -> number of entries
 _JSON_ONLY_KEYS = {
-    "ineq-scan": ("product_exponents", "commutator_exponents"),
+    "ineq-scan": {"product_exponents": 4, "commutator_exponents": 6},
 }
 
 # JSON values each key type accepts: the value must already have the type,
@@ -139,7 +139,8 @@ def _parse_bool(text: str) -> bool:
 def _resolve_config(name: str, args: argparse.Namespace) -> dict:
     schema = _EXPERIMENTS[name][1]
     config = {key: default for key, (_, default) in schema.items() if default is not MISSING}
-    allowed = set(schema) | set(_JSON_ONLY_KEYS.get(name, ()))
+    lists = _JSON_ONLY_KEYS.get(name, {})
+    allowed = set(schema) | set(lists)
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -157,7 +158,7 @@ def _resolve_config(name: str, args: argparse.Namespace) -> dict:
                 continue
             if key not in allowed:
                 raise ConfigError(f"unknown config field {key!r} for experiment {name!r}")
-            config[key] = _json_value(key, schema[key][0], val) if key in schema else val
+            config[key] = _json_value(key, schema[key][0], val) if key in schema else _json_list(key, lists[key], val)
     for key in schema:
         val = getattr(args, key, None)
         if val is not None:
@@ -174,6 +175,13 @@ def _json_value(key: str, typ, val):
         return typ(val)
     except (OverflowError, argparse.ArgumentTypeError) as exc:  # a non-finite length, an integer past the float range
         raise ConfigError(f"config field {key!r}: {exc}") from exc
+
+
+def _json_list(key: str, length: int, val) -> list:
+    """A JSON-only list value: exactly ``length`` numbers, each checked as a float key's value."""
+    if not isinstance(val, list) or len(val) != length:
+        raise ConfigError(f"config field {key!r} must be a list of {length} numbers, got {json.dumps(val)}")
+    return [_json_value(key, _float, x) for x in val]
 
 
 def main(argv=None) -> int:

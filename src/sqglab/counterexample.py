@@ -39,7 +39,6 @@ __all__ = [
     "build_forces",
     "patch_theta1",
     "patch_bilinear_B",
-    "second_iterate_gap_field",
     "SecondIterateParts",
     "decompose_second_iterate",
     "RLRecord",
@@ -110,10 +109,6 @@ class PhiProfile:
         """Samples per unit frequency."""
         return round(1.0 / self.h)
 
-    def axis(self, half_width: int) -> np.ndarray:
-        m = self.m
-        return self.h * np.arange(-half_width * m, half_width * m + 1)
-
     def sample(self, array: np.ndarray, half_width: int, tau: float) -> complex:
         """Value of a stored transform at frequency tau (0 outside its box)."""
         m = self.m
@@ -124,12 +119,6 @@ class PhiProfile:
         if j < 0 or j >= array.size:
             return 0.0
         return complex(array[j])
-
-    def physical(self, array: np.ndarray, half_width: int, x: np.ndarray) -> np.ndarray:
-        """Inverse transform (h/2pi) sum v_j exp(i tau_j x) of a stored profile."""
-        tau = self.axis(half_width)
-        ph = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=np.float64), tau))
-        return (self.h / (2.0 * np.pi)) * np.real(ph @ array)
 
 
 def build_phi(spec: CounterexampleSpec) -> PhiProfile:
@@ -200,19 +189,6 @@ def patch_bilinear_B(a: PatchField, b: PatchField, alpha: float) -> PatchField:
     g1, g2 = gradient(patch_theta1(b, alpha))
     prod = convolve(v1, g1) + convolve(v2, g2)
     return apply_radial(coalesce(prod), -2.0 * alpha)
-
-
-def second_iterate_gap_field(spec: CounterexampleSpec) -> PatchField:
-    """theta_2[f_n] - theta_2[g_n] = -B[g,h] - B[h,g] - B[h,h].
-
-    theta_2[a] = -B[a,a] is the quadratic coefficient of the iteration, so
-    the gap carries no first-order part; f = g + h expands the difference
-    into the three bilinear cross terms.
-    """
-    _, g, h = build_forces(spec)
-    a = spec.alpha
-    gap = patch_bilinear_B(g, h, a) + patch_bilinear_B(h, g, a) + patch_bilinear_B(h, h, a)
-    return gap * (-1.0)
 
 
 # -- closed-form decomposition ----------------------------------------------

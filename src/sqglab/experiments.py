@@ -286,8 +286,12 @@ def run_inequality_scan(config: dict) -> int:
     samples = int(config["samples"])
     outdir = _prepare_outdir(config)
 
-    prod_exps = config.get("product_exponents") or list(product_operating_point(alpha))
-    comm_exps = config.get("commutator_exponents") or list(commutator_operating_point(alpha))
+    prod_exps = config.get("product_exponents")
+    if prod_exps is None:
+        prod_exps = product_operating_point(alpha)
+    comm_exps = config.get("commutator_exponents")
+    if comm_exps is None:
+        comm_exps = commutator_operating_point(alpha)
 
     artifacts: list[Path] = []
     worst = {}

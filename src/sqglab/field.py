@@ -35,13 +35,11 @@ __all__ = [
     "fractional_laplacian",
     "velocity_from_theta",
     "project_low",
-    "low_pass_mask",
     "advect",
     "heat_smooth",
     "rescale",
     "l2_inner",
     "pointwise_product",
-    "translate",
 ]
 
 _HERM_TOL = 1e-12
@@ -325,12 +323,6 @@ def velocity_from_theta(theta: SpectralField) -> VelocityField:
     return v
 
 
-def low_pass_mask(grid: GridSpec, N: int) -> np.ndarray:
-    """Sharp radial cutoff |k| <= 2^N (boundary modes included), K x K in FFT order."""
-    k = grid.dk * np.fft.fftfreq(grid.K, 1.0 / grid.K)
-    return k[:, None] ** 2 + k**2 <= grid.level(N).bound  # the level refuses cutoffs past the Nyquist wavenumber
-
-
 def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> SpectralField:
     """The real field with ``values`` on the half disk of a level (level.pos) and zero off the disk."""
     M = level.M
@@ -488,18 +480,3 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
     return _new(g, _quadratic(g, u.half, w.half, radii, g.dealias_index))
-
-
-def translate(u: SpectralField, shift: tuple[float, float]) -> SpectralField:
-    """u(x - shift); spectrally a modulation by exp(-i k . shift).
-
-    On a Nyquist line only the cosine of the phase survives, since the sine
-    of a Nyquist mode vanishes on the grid.
-    """
-    g, M = u.grid, u.M
-    m = np.arange(-M, M + 1)
-    p1 = np.exp(-1j * (g.dk * m) * float(shift[0]))
-    p2 = np.exp(-1j * (g.dk * m[M:]) * float(shift[1]))
-    if M == g.K // 2:
-        p1[0], p2[M] = p1[0].real, p2[M].real
-    return _new(g, u.half * p1[:, None] * p2)

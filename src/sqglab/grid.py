@@ -79,10 +79,6 @@ class GridSpec:
         """Largest N whose truncation P_N lies in the dealias band, 2^N <= dealias_k."""
         return math.floor(math.log2(self.dealias_k * (1.0 + 1e-12)))
 
-    def x_axis(self) -> np.ndarray:
-        """Physical sample coordinates -L + 2L*j/K, j = 0..K-1."""
-        return -self.L + 2.0 * self.L * np.arange(self.K) / self.K
-
     def level(self, N: int) -> "LevelTable":
         """Table of the truncation level |k| <= 2^N, built once per grid."""
         N = int(N)

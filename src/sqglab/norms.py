@@ -9,7 +9,6 @@ from .field import SpectralField, VelocityField, heat_smooth
 
 __all__ = [
     "hs_norm",
-    "intersection_norm",
     "velocity_hs_norm",
     "InterpolationRecord",
     "interpolation_check",
@@ -27,11 +26,6 @@ def hs_norm(u: SpectralField, s: float) -> float:
     t = u.grid.square(u.M)
     total = float(np.sum(t.weight * t.radial_power(2.0 * s) * np.abs(u.half) ** 2))
     return float(np.sqrt(total) * 2.0 * u.grid.L)
-
-
-def intersection_norm(u: SpectralField, s: float, s2: float) -> float:
-    """Sum convention for the intersection-space norm."""
-    return hs_norm(u, s) + hs_norm(u, s2)
 
 
 def velocity_hs_norm(v: VelocityField, s: float) -> float:

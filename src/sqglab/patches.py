@@ -37,10 +37,8 @@ __all__ = [
     "convolve",
     "coalesce",
     "patch_hs_norm",
-    "patch_intersection_norm",
     "to_torus",
     "hermitian_defect",
-    "support_radius_bounds",
 ]
 
 _MAX_SIDE = 8.0  # frequency-box side limit; all constructed objects fit in it
@@ -357,10 +355,6 @@ def patch_hs_norm(u: PatchField, s: float) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
-def patch_intersection_norm(u: PatchField, s: float, s2: float) -> float:
-    return patch_hs_norm(u, s) + patch_hs_norm(u, s2)
-
-
 # -- torus bridge ---------------------------------------------------------
 
 def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
@@ -429,18 +423,3 @@ def hermitian_defect(u: PatchField) -> float:
     mirror = np.where(keys[at] == W * W - 1 - keys, acc[at], 0.0)
     d = np.conj(acc) - mirror
     return float(np.max(np.hypot(d.real, d.imag)))  # the scalar complex abs, bit for bit
-
-
-def support_radius_bounds(u: PatchField) -> tuple[float, float]:
-    """(min, max) of |xi| over sampled points carrying nonzero values."""
-    rmin, rmax = np.inf, 0.0
-    for p in u.patches:
-        vals = materialize(p, u.h)
-        nz = np.abs(vals) > 0.0
-        if not nz.any():
-            continue
-        x_ax, y_ax = p.axes(u.h)
-        r = np.sqrt(x_ax[:, None] ** 2 + y_ax[None, :] ** 2)
-        rmin = min(rmin, float(r[nz].min()))
-        rmax = max(rmax, float(r[nz].max()))
-    return rmin, rmax

@@ -48,7 +48,6 @@ __all__ = [
     "theta2",
     "solve_pair_gap",
     "default_schedule",
-    "cauchy_constant",
 ]
 
 
@@ -341,16 +340,6 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     f_crit = hs_norm(f, 2.0 - 4.0 * cfg.alpha)
     report.c_star = (hs_norm(theta, 2.0 - 2.0 * cfg.alpha) / f_crit) if f_crit > 0 else None
     return theta, report
-
-
-def cauchy_constant(report: SolveReport, factor: float = 0.75) -> float:
-    """Smallest C with diff_{j+1} <= factor*diff_j + C*2^{-alpha*n_j/2} along the report."""
-    c = 0.0
-    a = report.alpha
-    for prev, cur in zip(report.steps, report.steps[1:]):
-        tail = 2.0 ** (-a * prev.n / 2.0)
-        c = max(c, (cur.diff_h_alpha - factor * prev.diff_h_alpha) / tail)
-    return c
 
 
 # -- Picard iterates ------------------------------------------------------

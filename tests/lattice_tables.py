@@ -1,10 +1,14 @@
-"""K x K lattice tables of a grid, in FFT order, for the full-lattice oracles.
+"""K x K lattice tables of a grid, in FFT order, and the other oracles the tests share.
 
 The library keeps only half-square and level tables (GridSpec.square and
 GridSpec.level). Tests that check it against references on the whole K x K
-lattice read the wavenumber arrays from here.
+lattice read the wavenumber arrays from here; the physical sample axis, the
+radial low-pass mask, translations and the Cauchy tail constant of a solve
+report live here too, since no run needs them.
 """
 import numpy as np
+
+from sqglab.field import _new
 
 
 class Lattice:
@@ -25,3 +29,39 @@ class Lattice:
     def zeros(self):
         """A fresh K x K complex coefficient array."""
         return np.zeros((self.K, self.K), dtype=np.complex128)
+
+
+def x_axis(grid):
+    """Physical sample coordinates -L + 2L*j/K, j = 0..K-1."""
+    return -grid.L + 2.0 * grid.L * np.arange(grid.K) / grid.K
+
+
+def low_pass_mask(grid, N):
+    """Sharp radial cutoff |k| <= 2^N (boundary modes included), K x K in FFT order."""
+    k = grid.dk * np.fft.fftfreq(grid.K, 1.0 / grid.K)
+    return k[:, None] ** 2 + k**2 <= grid.level(N).bound  # the level refuses cutoffs past the Nyquist wavenumber
+
+
+def translate(u, shift):
+    """u(x - shift); spectrally a modulation by exp(-i k . shift).
+
+    On a Nyquist line only the cosine of the phase survives, since the sine
+    of a Nyquist mode vanishes on the grid.
+    """
+    g, M = u.grid, u.M
+    m = np.arange(-M, M + 1)
+    p1 = np.exp(-1j * (g.dk * m) * float(shift[0]))
+    p2 = np.exp(-1j * (g.dk * m[M:]) * float(shift[1]))
+    if M == g.K // 2:
+        p1[0], p2[M] = p1[0].real, p2[M].real
+    return _new(g, u.half * p1[:, None] * p2)
+
+
+def cauchy_constant(report, factor=0.75):
+    """Smallest C with diff_{j+1} <= factor*diff_j + C*2^{-alpha*n_j/2} along the report."""
+    c = 0.0
+    a = report.alpha
+    for prev, cur in zip(report.steps, report.steps[1:]):
+        tail = 2.0 ** (-a * prev.n / 2.0)
+        c = max(c, (cur.diff_h_alpha - factor * prev.diff_h_alpha) / tail)
+    return c

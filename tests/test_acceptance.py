@@ -20,7 +20,6 @@ from sqglab import (
     build_forces,
     build_phi,
     cancellation_probe,
-    cauchy_constant,
     commutator_operating_point,
     decompose_second_iterate,
     default_schedule,
@@ -29,7 +28,6 @@ from sqglab import (
     hs_norm,
     interpolation_check,
     linear_solve,
-    low_pass_mask,
     make_grid,
     outer_iterate,
     product_operating_point,
@@ -46,7 +44,7 @@ from sqglab import (
     velocity_hs_norm,
 )
 from sqglab.experiments import builtin_force
-from lattice_tables import Lattice
+from lattice_tables import Lattice, cauchy_constant, low_pass_mask
 
 ALPHA = 0.4
 DELTA = 0.02
@@ -71,7 +69,7 @@ def admissible_velocity(grid, rng, alpha, size):
 
 
 class TestAcceptance:
-    """Ten pinned desk-scale checks."""
+    """Eleven pinned desk-scale checks."""
 
     def test_cancellation_identity(self):
         """50 band-limited fields pair to 1e-10 relative; under 5 s."""

@@ -19,7 +19,6 @@ from sqglab import (
     advect,
     apply_lax_milgram_operator,
     fractional_laplacian,
-    low_pass_mask,
     make_grid,
     picard_theta1,
     pointwise_product,
@@ -28,7 +27,7 @@ from sqglab import (
     theta2,
     velocity_from_theta,
 )
-from lattice_tables import Lattice
+from lattice_tables import Lattice, low_pass_mask
 
 ALPHA = 0.4
 

@@ -534,6 +534,22 @@ class TestConfigResolution:
         assert "config field 'amplitude'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("product_exponents", 5),
+        ("product_exponents", [0.4, True, True, 0.4]),
+        ("product_exponents", "abcd"),
+        ("product_exponents", {"a": 1}),
+        ("product_exponents", []),
+        ("commutator_exponents", [0.1, 0.2, 0.3, 0.4]),
+    ])
+    def test_malformed_exponent_list_rejected(self, tmp_path, capsys, key, value):
+        """An exponent list holds exactly 4 (product) or 6 (commutator) numbers; else exit 1 naming the key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "K": 32, "outdir": str(tmp_path / "o")}))
+        assert main(["ineq-scan", "--config", str(cfg)]) == 1
+        assert f"config field {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_subcommand_required(self, capsys):
         """Bare invocation is a usage error."""
         rc = main([])
@@ -569,7 +585,7 @@ class TestThreads:
 
 
 class TestEntryPoint:
-    """The installed module runs as a process."""
+    """The installed package: its process entry point and its import surface."""
 
     def test_module_invocation(self, tmp_path):
         """python -m sqglab.cli behaves like main()."""
@@ -593,3 +609,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_public_names_resolve(self):
+        """Every module __all__ entry resolves, and every name sqglab exports is in a module's __all__.
+
+        The perfbench tracer wraps functions by __all__, so a stale entry would silently drop a span.
+        """
+        import importlib
+        import pkgutil
+        import types
+
+        import sqglab
+
+        listed = set()
+        for info in pkgutil.iter_modules(sqglab.__path__):
+            mod = importlib.import_module(f"sqglab.{info.name}")
+            assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
+            listed.update(mod.__all__)
+        exported = {n for n, v in vars(sqglab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert exported - listed == set()

@@ -17,9 +17,8 @@ from sqglab import (
     run_commutator_probe,
     run_product_probe,
     sample_band_limited,
-    translate,
 )
-from lattice_tables import Lattice
+from lattice_tables import Lattice, translate
 
 GRID = make_grid(32, np.pi)
 

@@ -8,13 +8,13 @@ from sqglab import (
     fractional_laplacian,
     hs_norm,
     interpolation_check,
-    intersection_norm,
     make_grid,
     scan_bound,
     smoothing_limit_scan,
     velocity_from_theta,
     velocity_hs_norm,
 )
+from lattice_tables import x_axis
 
 PI_SQRT2 = np.pi * np.sqrt(2.0)
 
@@ -50,7 +50,7 @@ class TestHsNorm:
     def test_gaussian_matches_continuum(self):
         """A well-resolved Gaussian reproduces the radial H^1 integral."""
         g = make_grid(128, 8 * np.pi)
-        x = g.x_axis()
+        x = x_axis(g)
         X, Y = np.meshgrid(x, x, indexing="ij")
         samples = np.exp(-(X**2 + Y**2) / 2.0)
         samples -= samples.mean()
@@ -66,17 +66,6 @@ class TestHsNorm:
             np.testing.assert_allclose(
                 hs_norm(fractional_laplacian(u, t), s), hs_norm(u, s + 2 * t), rtol=1e-13
             )
-
-    def test_intersection_is_sum(self):
-        """The intersection norm adds the two component norms."""
-        g = make_grid(32, np.pi)
-        u = single_mode(g)
-        got = intersection_norm(u, -0.4, 2 - 4 * 0.4)
-        np.testing.assert_allclose(got, 2.0 * PI_SQRT2, rtol=1e-14)
-        w = field_from_modes(g, {(1, 0): -0.5j, (3, 0): 0.2j})
-        np.testing.assert_allclose(
-            intersection_norm(w, 0.1, 0.9), hs_norm(w, 0.1) + hs_norm(w, 0.9), rtol=1e-14
-        )
 
     def test_velocity_norm_matches_scalar(self):
         """The Riesz velocity has the same aggregate norm as its scalar."""

@@ -26,9 +26,7 @@ from sqglab.patches import (
     materialize,
     mul_i_xi,
     patch_hs_norm,
-    patch_intersection_norm,
     riesz_perp_velocity,
-    support_radius_bounds,
     to_torus,
 )
 from lattice_tables import Lattice
@@ -337,12 +335,6 @@ class TestNormQuadrature:
         with pytest.raises(ValueError, match="integrable"):
             patch_hs_norm(gauss_field(H), -1.0)
 
-    def test_intersection_is_sum(self):
-        """The intersection norm adds the two exponents' norms."""
-        u = gauss_field(H)
-        got = patch_intersection_norm(u, 0.2, 0.5)
-        np.testing.assert_allclose(got, patch_hs_norm(u, 0.2) + patch_hs_norm(u, 0.5), rtol=1e-14)
-
     def test_off_origin_box_needs_no_correction(self):
         """A carrier patch reduces to the plain weighted lattice sum."""
         u = bump_pair(H, 64)
@@ -562,7 +554,7 @@ def assert_same_field(a, b):
 
 
 class TestDiagnostics:
-    """Hermitian defect and support radii."""
+    """Hermitian defect."""
 
     def test_hermitian_pair_has_no_defect(self):
         """Conjugate-symmetric patch sets report zero defect."""
@@ -598,10 +590,3 @@ class TestDiagnostics:
                     patches.append(Patch((1 - lo[0] - shape[0], 1 - lo[1] - shape[1]), np.conj(v[::-1, ::-1])))
             u = PatchField(H, tuple(patches))
             assert hermitian_defect(u) == oracle(u)
-
-    def test_support_radius_bounds(self):
-        """Radius bounds bracket the nonzero samples."""
-        u = bump_pair(H, 64)
-        rmin, rmax = support_radius_bounds(u)
-        assert 1.0 <= rmin <= 2.0
-        assert rmax <= np.hypot(3.0, 1.0)

@@ -25,10 +25,9 @@ from sqglab import (
     residual,
     theta2,
     to_physical,
-    translate,
     velocity_from_theta,
 )
-from lattice_tables import Lattice
+from lattice_tables import Lattice, translate
 
 GRID = make_grid(32, np.pi)
 
