@@ -46,7 +46,6 @@ from .solver import (
     outer_iterate,
     picard_theta1,
     residual,
-    solve_pair_gap,
     theta2,
 )
 from .patches import (

@@ -52,16 +52,15 @@ def _length(text: str) -> float:
 
 
 def _defaults(cls) -> dict:
-    """Schema entries (type, default) of the scalar fields of cls that have a default."""
+    """Schema entries (type, default) of the fields of cls that have a default, each a float or an int."""
     scalar = {"float": _float, "int": int}
-    return {f.name: (scalar[f.type], f.default) for f in fields(cls) if f.type in scalar and f.default is not MISSING}
+    return {f.name: (scalar[f.type], f.default) for f in fields(cls) if f.default is not MISSING}
 
 
 # One schema per experiment: key -> (type, default), MISSING for keys
-# without a default. The scalar solver settings and h_xi, with their types
-# and defaults, come from SolverConfig and CounterexampleSpec (n_schedule is
-# not a scalar and stays a library argument); alpha has no default there, so
-# each experiment sets one.
+# without a default. The solver settings and h_xi, with their types and
+# defaults, come from SolverConfig and CounterexampleSpec; alpha has no
+# default there, so each experiment sets one.
 _SOLVER = _defaults(SolverConfig)
 _SPEC = _defaults(CounterexampleSpec)
 _GRID = {"K": (int, 128), "L": (_length, math.pi), "dealias_fraction": (_float, MISSING)}

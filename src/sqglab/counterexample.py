@@ -30,7 +30,7 @@ from .patches import (
     to_torus,
 )
 from .norms import hs_norm
-from .solver import SolverConfig, outer_iterate, theta2
+from .solver import GapRecord, SolverConfig, outer_iterate, theta2
 
 __all__ = [
     "CounterexampleSpec",
@@ -313,9 +313,9 @@ def nonuniform_experiment(
 
     Patch-side columns are always filled. When a grid and solver config are
     given, rows whose frequencies fit inside the dealias band also get the
-    solved gap ||theta[f] - theta[g]|| and the Picard remainders
-    ||theta[.] - theta_2[.]|| in the critical norm; rows that do not fit
-    keep empty cells and a warning is recorded.
+    solved gap ||theta[f] - theta[g]|| (the gap_crit of their GapRecord) and
+    the Picard remainders ||theta[.] - theta_2[.]|| in the critical norm;
+    rows that do not fit keep empty cells and a warning is recorded.
     """
     rows: list[dict] = []
     warnings: list[str] = []
@@ -331,7 +331,7 @@ def nonuniform_experiment(
                 g_t = to_torus(g_n, grid)
                 theta_f, report = outer_iterate(f_t, cfg)
                 theta_g, _ = outer_iterate(g_t, cfg)
-                row["full_gap"] = hs_norm(theta_f - theta_g, s_crit)
+                row["full_gap"] = GapRecord.between(f_t, g_t, theta_f, theta_g, cfg.alpha).gap_crit
                 n_top = report.steps[-1].n  # a converged solve ends on the schedule top
                 row["rem_f"] = hs_norm(theta_f - theta2(f_t, cfg.alpha, project_N=n_top), s_crit)
                 row["rem_g"] = hs_norm(theta_g - theta2(g_t, cfg.alpha, project_N=n_top), s_crit)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .norms import (
     smoothing_limit_scan,
     velocity_hs_norm,
 )
-from .solver import ConfigError, SolverConfig, outer_iterate
+from .solver import ConfigError, GapRecord, SolverConfig, outer_iterate
 
 __all__ = [
     "thread_count",
@@ -151,11 +151,11 @@ def run_solve(config: dict) -> int:
     """Solve one force to convergence; emit theta.sqgf, report.json, norms.json."""
     grid = _grid_from(config)
     cfg = _solver_from(config)
-    outdir = _prepare_outdir(config)
     f = _resolve_force(config, grid)
 
     theta, report = outer_iterate(f, cfg)
 
+    outdir = _prepare_outdir(config)
     theta_path = outdir / "theta.sqgf"
     write_field(theta_path, theta, representation="spectral")
     report_path = outdir / "report.json"
@@ -182,7 +182,6 @@ def run_continuity(config: dict) -> int:
     """Gap norms along f_j = f_inf + 2^{-j} g; emits continuity.csv."""
     grid = _grid_from(config)
     cfg = _solver_from(config)
-    outdir = _prepare_outdir(config)
     f_inf = builtin_force(str(config["force"]), grid, float(config["amplitude"]))
     g = builtin_force(str(config["perturbation"]), grid, float(config["perturbation_amplitude"]))
     j_min, j_max = int(config["j_min"]), int(config["j_max"])
@@ -190,24 +189,16 @@ def run_continuity(config: dict) -> int:
         raise ConfigError(f"need 0 <= j_min <= j_max, got ({j_min}, {j_max})")
 
     theta_inf, _ = outer_iterate(f_inf, cfg)
-    a = cfg.alpha
 
     def one(j: int):
         f_j = f_inf + (2.0**-j) * g
         theta_j, _ = outer_iterate(f_j, cfg)
-        df = f_j - f_inf
-        dt = theta_j - theta_inf
-        return (
-            j,
-            hs_norm(df, -a),
-            hs_norm(df, 2.0 - 4.0 * a),
-            hs_norm(dt, a),
-            hs_norm(dt, 2.0 - 2.0 * a),
-        )
+        return (j, *astuple(GapRecord.between(f_j, f_inf, theta_j, theta_inf, cfg.alpha)))
 
     rows = parallel_map(one, range(j_min, j_max + 1))
+    outdir = _prepare_outdir(config)
     csv_path = outdir / "continuity.csv"
-    _write_csv(csv_path, ("j", "d_low", "d_crit", "gap_low", "gap_crit"), rows)
+    _write_csv(csv_path, ("j", *(f.name for f in fields(GapRecord))), rows)
     _write_manifest(outdir, "continuity", config, [csv_path])
     return 0
 
@@ -228,10 +219,10 @@ def run_nonuniform(config: dict) -> int:
     if bool(config.get("torus", False)):
         grid = _grid_from(config)
         cfg = _solver_from(config)
-    outdir = _prepare_outdir(config)
 
     table = nonuniform_experiment(spec, tuple(range(n_min, n_max + 1)), grid=grid, cfg=cfg)
 
+    outdir = _prepare_outdir(config)
     csv_path = outdir / "nonuniform.csv"
     table.write_csv(csv_path)
     plot_rows = [
@@ -284,7 +275,6 @@ def run_inequality_scan(config: dict) -> int:
     alpha = float(config["alpha"])
     seed = int(config["seed"])
     samples = int(config["samples"])
-    outdir = _prepare_outdir(config)
 
     prod_exps = config.get("product_exponents")
     if prod_exps is None:
@@ -292,14 +282,15 @@ def run_inequality_scan(config: dict) -> int:
     comm_exps = config.get("commutator_exponents")
     if comm_exps is None:
         comm_exps = commutator_operating_point(alpha)
+    probes = (
+        ("product", run_product_probe(grid, tuple(prod_exps), samples, seed)),
+        ("commutator", run_commutator_probe(grid, tuple(comm_exps), samples, seed + 10_000)),
+    )
+    outdir = _prepare_outdir(config)
 
     artifacts: list[Path] = []
     worst = {}
-    for name, run_probe, exps, probe_seed in (
-        ("product", run_product_probe, prod_exps, seed),
-        ("commutator", run_commutator_probe, comm_exps, seed + 10_000),
-    ):
-        probe = run_probe(grid, tuple(exps), samples, probe_seed)
+    for name, probe in probes:
         worst[name] = probe.worst_ratio
         files = []
         for tag, fld in zip(("f", "g"), probe.witness):

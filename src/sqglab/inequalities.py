@@ -147,9 +147,11 @@ class EstimateProbe:
     ratios: tuple[float, ...]
 
 
-def _run_probe(kind, ratio_fn, grid, exponents, samples, seed, k_min, k_max) -> EstimateProbe:
+def _run_probe(kind, ratio_fn, grid, exponents, samples, seed) -> EstimateProbe:
+    """Worst ratio over sample pairs drawn on the band (1, dealias_k/2]."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    k_min, k_max = 1.0, grid.dealias_k / 2.0
     worst = -np.inf
     witness = None
     ratios = []
@@ -165,23 +167,19 @@ def _run_probe(kind, ratio_fn, grid, exponents, samples, seed, k_min, k_max) -> 
         exponents=tuple(float(s) for s in exponents),
         samples=samples,
         seed=seed,
-        k_min=float(k_min),
-        k_max=float(k_max),
+        k_min=k_min,
+        k_max=k_max,
         worst_ratio=float(worst),
         witness=witness,
         ratios=tuple(ratios),
     )
 
 
-def run_product_probe(grid, exponents, samples, seed, k_min=1.0, k_max=None) -> EstimateProbe:
+def run_product_probe(grid, exponents, samples, seed) -> EstimateProbe:
     _check_product_exponents(exponents)
-    if k_max is None:
-        k_max = grid.dealias_k / 2.0
-    return _run_probe("product", product_estimate_ratio, grid, exponents, samples, seed, k_min, k_max)
+    return _run_probe("product", product_estimate_ratio, grid, exponents, samples, seed)
 
 
-def run_commutator_probe(grid, exponents, samples, seed, k_min=1.0, k_max=None) -> EstimateProbe:
+def run_commutator_probe(grid, exponents, samples, seed) -> EstimateProbe:
     _check_commutator_exponents(exponents)
-    if k_max is None:
-        k_max = grid.dealias_k / 2.0
-    return _run_probe("commutator", commutator_estimate_ratio, grid, exponents, samples, seed, k_min, k_max)
+    return _run_probe("commutator", commutator_estimate_ratio, grid, exponents, samples, seed)

@@ -46,7 +46,6 @@ __all__ = [
     "picard_theta1",
     "bilinear_B",
     "theta2",
-    "solve_pair_gap",
     "default_schedule",
 ]
 
@@ -75,7 +74,6 @@ class SolverConfig:
     outer_tol: float = 1e-7
     max_inner: int = 400
     max_outer: int = 60
-    n_schedule: tuple[int, ...] | None = None
     smallness_threshold: float = 0.1
 
     def __post_init__(self) -> None:
@@ -86,11 +84,6 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ConfigError("iteration caps must be at least 1")
-        if self.n_schedule is not None:
-            sched = tuple(int(n) for n in self.n_schedule)
-            if not sched or any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 0:
-                raise ConfigError(f"n_schedule must be strictly increasing and nonnegative, got {self.n_schedule}")
-            object.__setattr__(self, "n_schedule", sched)
 
 
 @dataclass(frozen=True)
@@ -137,10 +130,26 @@ class ResidualRecord:
 
 @dataclass(frozen=True)
 class GapRecord:
+    """Force distance and solution gap of a solved pair in the low and critical norms."""
+
     d_low: float
     d_crit: float
     gap_low: float
     gap_crit: float
+
+    @classmethod
+    def between(
+        cls, f: SpectralField, g: SpectralField, theta_f: SpectralField, theta_g: SpectralField, alpha: float
+    ) -> GapRecord:
+        """The record of forces f, g with solutions theta_f, theta_g; swapping the pair leaves it unchanged."""
+        diff_f = f - g
+        diff_t = theta_f - theta_g
+        return cls(
+            d_low=hs_norm(diff_f, -alpha),
+            d_crit=hs_norm(diff_f, 2.0 - 4.0 * alpha),
+            gap_low=hs_norm(diff_t, alpha),
+            gap_crit=hs_norm(diff_t, 2.0 - 2.0 * alpha),
+        )
 
 
 def default_schedule(grid: GridSpec) -> tuple[int, ...]:
@@ -245,11 +254,9 @@ def _linear_solve_info(
     return theta, info
 
 
-def linear_solve(
-    v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig, x0: SpectralField | None = None
-) -> SpectralField:
+def linear_solve(v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig) -> SpectralField:
     """Solve the truncated linear problem (-Delta)^alpha theta + P_N(v.grad theta) = P_N f."""
-    theta, _ = _linear_solve_info(v, f, N, cfg, x0=x0)
+    theta, _ = _linear_solve_info(v, f, N, cfg)
     return theta
 
 
@@ -273,28 +280,26 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
     """Approximation sequence theta_1, theta_2, ... with top-level refinement.
 
-    theta_1 = (-Delta)^{-alpha} P_{N_1} f; each later step solves the linear
-    problem at the next truncation level with the previously induced
-    velocity; after the schedule is exhausted the top level is iterated to a
-    fixed point. Convergence is declared when the projected nonlinear
+    theta_1 = (-Delta)^{-alpha} P_1 f; each later step solves the linear
+    problem at the next level of default_schedule(grid) with the previously
+    induced velocity; after the top level 2^{N_top} is reached it is iterated
+    to a fixed point. Convergence is declared when the projected nonlinear
     residual drops below outer_tol * ||f||_{H^{-alpha}}.
     """
     grid = f.grid
-    schedule = cfg.n_schedule if cfg.n_schedule is not None else default_schedule(grid)
-    if schedule[-1] > grid.dealias_level:
-        raise ConfigError(f"schedule top 2^{schedule[-1]} exceeds the top dealias level 2^{grid.dealias_level}")
-    n_top = schedule[-1]
+    n_top = default_schedule(grid)[-1]
     f_low = hs_norm(f, -cfg.alpha)
     target = cfg.outer_tol * f_low
     report = SolveReport(alpha=cfg.alpha)
 
-    first = grid.level(schedule[0])
+    N = 1
+    first = grid.level(N)
     theta = _level_field(grid, first, _low_data(f, first, cfg.alpha))
     res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
     h_alpha = hs_norm(theta, cfg.alpha)
     report.steps.append(
         SolveStep(
-            n=schedule[0],
+            n=N,
             h_alpha=h_alpha,
             h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
             diff_h_alpha=h_alpha,
@@ -303,19 +308,14 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
         )
     )
 
-    remaining = list(schedule[1:])
-    step_count = 1
-    while True:
-        if not remaining and res <= target:
-            report.converged = True
-            break
-        if step_count >= cfg.max_outer:
+    while not (N == n_top and res <= target):
+        if len(report.steps) >= cfg.max_outer:
             raise ConvergenceError(
                 f"outer iteration cap {cfg.max_outer} hit with residual {res:.3e} (target {target:.3e})",
                 best=theta,
                 residual_rel=res / f_low if f_low > 0 else res,
             )
-        N = remaining.pop(0) if remaining else n_top
+        N = min(N + 1, n_top)
         v = velocity_from_theta(theta)
         new_theta, info = _linear_solve_info(v, f, N, cfg, x0=theta if N == n_top else None)
         diff = hs_norm(new_theta - theta, cfg.alpha)
@@ -334,8 +334,8 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                 inner_residual=info["residual_rel"],
             )
         )
-        step_count += 1
 
+    report.converged = True
     report.residual = res
     f_crit = hs_norm(f, 2.0 - 4.0 * cfg.alpha)
     report.c_star = (hs_norm(theta, 2.0 - 2.0 * cfg.alpha) / f_crit) if f_crit > 0 else None
@@ -369,17 +369,3 @@ def theta2(a: SpectralField, alpha: float, project_N: int | None = None) -> Spec
     level = a.grid.level(project_N)
     adv = _advect_level(velocity_from_theta(t1), t1, level) * level.radial_power(-2.0 * alpha)
     return t1 - _level_field(a.grid, level, adv)
-
-
-def solve_pair_gap(f: SpectralField, g: SpectralField, cfg: SolverConfig) -> GapRecord:
-    """Force distances and solution gaps in the low and critical norms."""
-    theta_f, _ = outer_iterate(f, cfg)
-    theta_g, _ = outer_iterate(g, cfg)
-    diff_f = f - g
-    diff_t = theta_f - theta_g
-    return GapRecord(
-        d_low=hs_norm(diff_f, -cfg.alpha),
-        d_crit=hs_norm(diff_f, 2.0 - 4.0 * cfg.alpha),
-        gap_low=hs_norm(diff_t, cfg.alpha),
-        gap_crit=hs_norm(diff_t, 2.0 - 2.0 * cfg.alpha),
-    )

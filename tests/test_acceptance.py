@@ -15,6 +15,7 @@ import numpy as np
 
 from sqglab import (
     CounterexampleSpec,
+    GapRecord,
     SolverConfig,
     SpectralField,
     build_forces,
@@ -292,11 +293,10 @@ class TestAcceptance:
                 )
             theta_f, _ = outer_iterate(f_t, cfg)
             theta_g, _ = outer_iterate(g_t, cfg)
-            diff_f = f_t - g_t
-            diff_t = theta_f - theta_g
-            d_crit[n] = hs_norm(diff_f, 2.0 - 4.0 * ALPHA)
-            nonlin[n] = hs_norm(diff_t - fractional_laplacian(diff_f, -ALPHA), s_crit)
-            low[n] = hs_norm(diff_t, ALPHA) / hs_norm(diff_f, -ALPHA)
+            rec = GapRecord.between(f_t, g_t, theta_f, theta_g, ALPHA)
+            d_crit[n] = rec.d_crit
+            nonlin[n] = hs_norm(theta_f - theta_g - fractional_laplacian(f_t - g_t, -ALPHA), s_crit)
+            low[n] = rec.gap_low / rec.d_low
             g2_gap = decompose_second_iterate(spec).g2_gap
             rel = abs(nonlin[n] - g2_gap) / g2_gap
             assert rel <= 0.02, (

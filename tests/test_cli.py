@@ -100,12 +100,14 @@ class TestSolve:
         rc = main(["solve", "--K", "64", "--force_file", str(path), "--outdir", str(tmp_path / "o")])
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_smallness_gate_exit(self, tmp_path, capsys):
-        """Forces past the threshold exit with code 2."""
+        """Forces past the threshold exit with code 2, before the output directory is made."""
         rc = main(["solve", "--K", "64", "--amplitude", "10.0", "--outdir", str(tmp_path / "o")])
         assert rc == 2
         assert "smallness gate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_iteration_cap_exit(self, tmp_path, capsys):
         """Hitting the outer cap exits with code 3."""
@@ -124,6 +126,7 @@ class TestSolve:
         )
         assert rc == 3
         assert "no convergence" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestContinuity:
@@ -173,6 +176,7 @@ class TestContinuity:
         rc = main(["continuity", "--j_min", "3", "--j_max", "1", "--outdir", str(tmp_path / "o")])
         assert rc == 1
         assert "j_min" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestNonuniform:
@@ -259,6 +263,7 @@ class TestNonuniform:
                    "--n_min", "3", "--n_max", "3", "--outdir", str(tmp_path / "run")])
         assert rc == 1
         assert "integer multiple" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_range(self, tmp_path, capsys):
         """n_max below n_min is a configuration error."""
@@ -494,7 +499,7 @@ class TestConfigResolution:
         rc = main(["solve", "--K", "32", "--outdir", str(tmp_path / "o")])
         assert rc == 0
         config = read_manifest(tmp_path / "o")["config"]
-        defaults = {f.name: f.default for f in fields(SolverConfig) if f.name not in ("alpha", "n_schedule")}
+        defaults = {f.name: f.default for f in fields(SolverConfig) if f.name != "alpha"}
         assert {k: config[k] for k in defaults} == defaults
         assert main(["rlcheck", "--n_max", "2", "--outdir", str(tmp_path / "r")]) == 0
         assert read_manifest(tmp_path / "r")["config"]["h_xi"] == CounterexampleSpec.h_xi
@@ -548,6 +553,20 @@ class TestConfigResolution:
         cfg.write_text(json.dumps({key: value, "K": 32, "outdir": str(tmp_path / "o")}))
         assert main(["ineq-scan", "--config", str(cfg)]) == 1
         assert f"config field {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["continuity", "--force", "nope"], {}, "'nope'"),
+        (["solve", "--force", "nope"], {}, "'nope'"),
+        (["ineq-scan"], {"product_exponents": [1.5, 0, 0, 1.5]}, "s1 < 1"),
+        (["continuity", "--dealias_fraction", "0.15"], {"K": 16}, "no room for P_1"),
+    ])
+    def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
+        """An unknown force, invalid probe exponents or a band with no level exit 1 and make no output directory."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 32, **config}))
+        assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_subcommand_required(self, capsys):

@@ -6,6 +6,7 @@ from scipy.fft import next_fast_len
 from sqglab import (
     ConfigError,
     ConvergenceError,
+    GapRecord,
     SmallnessError,
     SolverConfig,
     SpectralField,
@@ -23,7 +24,6 @@ from sqglab import (
     picard_theta1,
     project_low,
     residual,
-    solve_pair_gap,
     theta2,
     to_physical,
     velocity_from_theta,
@@ -68,13 +68,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(alpha=0.6)
         assert SolverConfig(alpha=0.5).alpha == 0.5
-
-    def test_schedule_must_increase(self):
-        """Truncation schedules must be strictly increasing."""
-        with pytest.raises(ConfigError):
-            SolverConfig(alpha=ALPHA, n_schedule=(2, 2))
-        with pytest.raises(ConfigError):
-            SolverConfig(alpha=ALPHA, n_schedule=())
 
     def test_positive_tolerances(self):
         """Tolerances and caps must be positive."""
@@ -295,13 +288,15 @@ class TestLinearSolve:
 
     def test_warm_start_agrees(self):
         """Warm and cold starts land on the same solution."""
+        import sqglab.solver as solver
+
         g = make_grid(32, np.pi)
         cfg = SolverConfig(alpha=ALPHA)
         rng = np.random.default_rng(43)
         v = small_velocity(g, rng, ALPHA)
         f = ball_field(g, rng, 2)
         cold = linear_solve(v, f, 2, cfg)
-        warm = linear_solve(v, f, 2, cfg, x0=cold)
+        warm, _ = solver._linear_solve_info(v, f, 2, cfg, x0=cold)  # the outer iteration's warm start
         scale = np.max(np.abs(cold.coeffs))
         np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-8 * scale)
 
@@ -403,16 +398,6 @@ class TestOuterIterate:
         assert err.value.best is not None
         assert err.value.residual_rel is not None and err.value.residual_rel > 0
 
-    def test_custom_schedule_respected(self):
-        """Explicit truncation levels appear verbatim in the report."""
-        g = make_grid(64, np.pi)
-        amp = 1e-2
-        f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
-        _, report = outer_iterate(f, SolverConfig(alpha=ALPHA, n_schedule=(1, 3)))
-        assert report.steps[0].n == 1
-        assert report.steps[1].n == 3
-        assert all(s.n == 3 for s in report.steps[1:])
-
     def test_nyquist_force_converges(self):
         """With dealias fraction 1 the schedule stops below the Nyquist line, so a force on it converges."""
         g = make_grid(32, np.pi, 1.0)
@@ -421,13 +406,6 @@ class TestOuterIterate:
         _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
         assert report.converged
         assert [s.n for s in report.steps[:3]] == [1, 2, 3] and report.steps[-1].n == 3
-
-    def test_schedule_beyond_band_rejected(self):
-        """Schedules topping out past the dealias band are refused."""
-        g = make_grid(64, np.pi)
-        f = field_from_modes(g, {(1, 0): -0.5j})
-        with pytest.raises(ConfigError):
-            outer_iterate(f, SolverConfig(alpha=ALPHA, n_schedule=(1, 8)))
 
     def test_step_counters(self, monkeypatch):
         """Each step counts its operator applications and the size of their transforms."""
@@ -520,26 +498,34 @@ class TestPicardIterates:
 
 
 class TestPairGap:
-    """Data-to-solution distances for force pairs."""
+    """Data-to-solution distances for solved force pairs."""
 
-    def test_identical_forces(self):
-        """f = g gives zero force distance and zero solution gap."""
+    def solved_pair(self, delta):
         g = make_grid(64, np.pi)
         amp = 1e-2
         f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
-        rec = solve_pair_gap(f, f, SolverConfig(alpha=ALPHA))
+        h = f + field_from_modes(g, {(2, 1): delta * amp})
+        cfg = SolverConfig(alpha=ALPHA)
+        return f, h, outer_iterate(f, cfg)[0], outer_iterate(h, cfg)[0]
+
+    def test_identical_forces(self):
+        """f = g gives zero force distance and zero solution gap."""
+        rec = GapRecord.between(*self.solved_pair(0.0), ALPHA)
         assert rec.d_low == 0.0 and rec.d_crit == 0.0
         assert rec.gap_low <= 1e-12 and rec.gap_crit <= 1e-12
 
     def test_small_perturbation_is_lipschitz(self):
         """Nearby small forces give solution gaps of the same size."""
-        g = make_grid(64, np.pi)
-        amp = 1e-2
-        f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
-        h = f + field_from_modes(g, {(2, 1): 1e-3 * amp})
-        rec = solve_pair_gap(f, h, SolverConfig(alpha=ALPHA))
+        rec = GapRecord.between(*self.solved_pair(1e-3), ALPHA)
         assert rec.gap_crit <= 1.1 * rec.d_crit
         assert rec.gap_low <= 1.1 * rec.d_low
+
+    def test_swapped_pair_is_identical(self):
+        """Swapping the pair gives a bit-identical record, so a caller's subtraction order is free."""
+        f, h, theta_f, theta_h = self.solved_pair(1e-3)
+        rec = GapRecord.between(f, h, theta_f, theta_h, ALPHA)
+        assert rec.gap_crit > 0.0
+        assert GapRecord.between(h, f, theta_h, theta_f, ALPHA) == rec
 
 
 class TestScalingCovariance:
