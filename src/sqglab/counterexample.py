@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SpectralField
 from .grid import GridSpec
 from .io import _write_csv
 from .patches import (

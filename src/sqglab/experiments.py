@@ -16,8 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields
 from pathlib import Path
 
-import numpy as np
-
 from .counterexample import (
     CounterexampleSpec,
     build_phi,
@@ -27,6 +25,7 @@ from .counterexample import (
 from .field import SpectralField, field_from_modes, velocity_from_theta
 from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec, make_grid
 from .inequalities import (
+    _stream,
     cancellation_probe,
     commutator_operating_point,
     product_operating_point,
@@ -282,16 +281,14 @@ def run_inequality_scan(config: dict) -> int:
     comm_exps = config.get("commutator_exponents")
     if comm_exps is None:
         comm_exps = commutator_operating_point(alpha)
-    probes = (
-        ("product", run_product_probe(grid, tuple(prod_exps), samples, seed)),
-        ("commutator", run_commutator_probe(grid, tuple(comm_exps), samples, seed + 10_000)),
-    )
+    probes = {
+        "product": run_product_probe(grid, tuple(prod_exps), samples, seed),
+        "commutator": run_commutator_probe(grid, tuple(comm_exps), samples, seed),
+    }
     outdir = _prepare_outdir(config)
 
     artifacts: list[Path] = []
-    worst = {}
-    for name, probe in probes:
-        worst[name] = probe.worst_ratio
+    for name, probe in probes.items():
         files = []
         for tag, fld in zip(("f", "g"), probe.witness):
             p = outdir / f"{name}_witness_{tag}.sqgf"
@@ -303,13 +300,13 @@ def run_inequality_scan(config: dict) -> int:
         artifacts.append(probe_path)
 
     # unconditional checks: mollifier interpolation and nonlinear cancellation
-    rng = np.random.default_rng(seed + 20_000)
     k_band = grid.dealias_k / 2.0
     interp_fail = 0
     scan_fail = 0
     n_interp = int(config["interp_samples"])
     for i in range(n_interp):
-        u = sample_band_limited(grid, 1.0, k_band, seed + 30_000 + i)
+        rng = _stream(seed, "interpolation", i)
+        u = sample_band_limited(grid, 1.0, k_band, rng)
         s = float(rng.uniform(-0.5, 1.5))
         sigma = float(rng.uniform(0.0, 2.0))
         eps = float(rng.uniform(0.01, 1.0))
@@ -326,7 +323,8 @@ def run_inequality_scan(config: dict) -> int:
     t_max = (eps0 * k_band) ** 2
     sigma_monotone = 2.0 * t_max / math.expm1(t_max)
     for i in range(max(1, n_interp // 10)):
-        u = sample_band_limited(grid, 1.0, k_band, seed + 40_000 + i)
+        rng = _stream(seed, "smoothing_scan", i)
+        u = sample_band_limited(grid, 1.0, k_band, rng)
         s = float(rng.uniform(-0.5, 1.5))
         sigma = float(rng.uniform(0.0, 2.0))
         vals = smoothing_limit_scan(u, s, sigma, eps_seq)
@@ -340,7 +338,7 @@ def run_inequality_scan(config: dict) -> int:
     cancel_max = 0.0
     quarter = (grid.K // 4) * grid.dk
     for i in range(n_cancel):
-        theta = sample_band_limited(grid, 1.0, quarter, seed + 50_000 + i)
+        theta = sample_band_limited(grid, 1.0, quarter, _stream(seed, "cancellation", i))
         v = velocity_from_theta(theta)
         scale = hs_norm(theta, 0.0) ** 2 * velocity_hs_norm(v, 0.0) / (2.0 * grid.L)
         cancel_max = max(cancel_max, cancellation_probe(theta) / scale)
@@ -360,7 +358,7 @@ def run_inequality_scan(config: dict) -> int:
         print("unconditional inequality checks FAILED")
         return 1
     print(
-        f"worst ratios: product {worst['product']:.4g}, commutator {worst['commutator']:.4g}; "
+        f"worst ratios: product {probes['product'].worst_ratio:.4g}, commutator {probes['commutator'].worst_ratio:.4g}; "
         f"max cancellation pairing {cancel_max:.3e}"
     )
     return 0

@@ -5,10 +5,11 @@ c(-m) = conj(c(m)), so its modes with m2 >= 0 determine it. A SpectralField
 of mode radius M stores just those: the half square |m1| <= M, 0 <= m2 <= M
 as a (2M+1) x (M+1) array with row m1 + M and column m2 (see
 GridSpec.square). Its m2 = 0 column holds both signs of m1, the m1 < 0
-entries being the conjugates of the m1 > 0 ones, and every operator keeps
-it so: a field is Hermitian by construction. ``coeffs``, the K x K array in
-FFT order, is built on first use for the SQGF writer and tests; K x K data
-enter only through the validating constructor.
+entries being the conjugates of the m1 > 0 ones. ``_close`` is the one
+writer of those partners, and every operator keeps them: a field is
+Hermitian by construction. ``coeffs``, the K x K array in FFT order, is
+built on first use for the SQGF writer and tests; K x K data enter only
+through the validating constructor.
 
 All operators are Fourier multipliers on the half square except the
 quadratic products (advection and the pointwise product), which go through
@@ -325,11 +326,9 @@ def velocity_from_theta(theta: SpectralField) -> VelocityField:
 
 def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> SpectralField:
     """The real field with ``values`` on the half disk of a level (level.pos) and zero off the disk."""
-    M = level.M
-    sq = np.zeros((2 * M + 1, M + 1), dtype=np.complex128)
+    sq = np.zeros((2 * level.M + 1, level.M + 1), dtype=np.complex128)
     sq.ravel()[level.pos] = values
-    sq[:M, 0] = np.conj(sq[:M:-1, 0])  # m2 = 0: the m1 < 0 partners
-    return _new(grid, sq)
+    return _new(grid, _close(grid, sq))
 
 
 def project_low(u: SpectralField, N: int) -> SpectralField:
@@ -355,8 +354,8 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # need |m_i + P j_i| <= Ma + Mb. Each factor enters as its half square, a
 # P x (P/2+1) array, and reaches the grid through one irfft2 (a velocity
 # keeps its samples for the next product of the same size); each product
-# returns through one rfft2 as a half square. Its m2 = 0 column is made
-# Hermitian on its own, so the result is a real field by construction.
+# returns through one rfft2 as a half square, which _close completes, so
+# the result is a real field by construction.
 # Radii beyond what can reach a kept mode are cut first, and Mo never
 # exceeds the dealias index, so the result is the dealiased product
 # whatever the factors' bands.
@@ -407,10 +406,7 @@ def _quadratic(
         sq += _half_square(v2 * t, m) * (1j * dk * np.arange(m + 1))
     else:
         sq = _half_square(_samples(a, ma, P) * t, m)
-    # the m2 = 0 column of a real field is Hermitian on its own
-    sq[:m, 0] = np.conj(sq[:m:-1, 0])
-    sq[m, 0] = 0.0
-    return sq
+    return _close(grid, sq)
 
 
 def _check_advect_inputs(v: VelocityField, theta: SpectralField) -> None:

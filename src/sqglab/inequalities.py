@@ -13,6 +13,7 @@ import numpy as np
 
 from .field import (
     SpectralField,
+    _close,
     _new,
     advect,
     fractional_laplacian,
@@ -71,25 +72,29 @@ def commutator_operating_point(alpha: float) -> tuple[float, ...]:
     return (2.0 - 3.0 * alpha, 1.0 - alpha, 2.0 - 2.0 * alpha, 1.0 - 2.0 * alpha, 2.0 - 2.0 * alpha, 1.0 - 2.0 * alpha)
 
 
-def sample_band_limited(grid: GridSpec, k_min: float, k_max: float, seed: int) -> SpectralField:
-    """Random real field with unit L^2 norm supported on k_min < |k| <= k_max."""
+def sample_band_limited(grid: GridSpec, k_min: float, k_max: float, seed: int | np.random.Generator) -> SpectralField:
+    """Random real field with unit L^2 norm supported on k_min < |k| <= k_max: independent standard
+    complex Gaussians on the annulus's half square, closed by _close (seed: an integer or a generator)."""
     if not 0.0 < k_min < k_max:
         raise ValueError(f"need 0 < k_min < k_max, got ({k_min}, {k_max})")
     if k_max > grid.dealias_k * (1.0 + 1e-12):
         raise ValueError(f"k_max = {k_max:g} exceeds the dealias cutoff {grid.dealias_k:g}")
-    K = grid.K
     M = min(int(k_max / grid.dk) + 1, grid.dealias_index)  # the annulus lies in |m_i| <= M
     kmag = grid.square(M).kmag
     band = (kmag > k_min) & (kmag <= k_max * (1.0 + 1e-12))
     if not band.any():
         raise ValueError(f"annulus ({k_min:g}, {k_max:g}] contains no lattice points")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-    # the draw at m and at -m, on the half square of radius M
-    rows, cols = np.arange(-M, M + 1)[:, None], np.arange(M + 1)
-    c = np.where(band, 0.5 * (z[rows % K, cols] + np.conj(z[-rows % K, -cols % K])), 0.0)
-    u = _new(grid, c)
+    z = rng.standard_normal(band.shape) + 1j * rng.standard_normal(band.shape)
+    u = _new(grid, _close(grid, np.where(band, z, 0.0)))
     return u * (1.0 / hs_norm(u, 0.0))
+
+
+def _stream(seed: int, purpose: str, i: int) -> np.random.Generator:
+    """Generator of draw i for ``purpose`` in a scan at ``seed``, keyed (seed, purpose, i) by a numpy spawn
+    key: no two draws of one run, nor of runs at two seeds, share a stream, and no draw depends on later ones."""
+    key = ("product", "commutator", "interpolation", "smoothing_scan", "cancellation").index(purpose)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i)))
 
 
 def product_estimate_ratio(f: SpectralField, g: SpectralField, exponents) -> float:
@@ -156,8 +161,9 @@ def _run_probe(kind, ratio_fn, grid, exponents, samples, seed) -> EstimateProbe:
     witness = None
     ratios = []
     for i in range(samples):
-        f = sample_band_limited(grid, k_min, k_max, seed + 2 * i)
-        g = sample_band_limited(grid, k_min, k_max, seed + 2 * i + 1)
+        rng = _stream(seed, kind, i)
+        f = sample_band_limited(grid, k_min, k_max, rng)
+        g = sample_band_limited(grid, k_min, k_max, rng)
         r = ratio_fn(f, g, exponents)
         ratios.append(r)
         if r > worst:

@@ -24,7 +24,6 @@ from sqglab import (
     commutator_operating_point,
     decompose_second_iterate,
     default_schedule,
-    field_from_modes,
     fractional_laplacian,
     hs_norm,
     interpolation_check,

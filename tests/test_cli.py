@@ -74,12 +74,19 @@ class TestSolve:
         np.testing.assert_allclose(hs_norm(theta, 0.0), norms["l2"], rtol=1e-13)
 
     def test_byte_identical_reruns(self, tmp_path):
-        """Identical configs reproduce every artifact bit for bit."""
+        """Identical configs reproduce every artifact bit for bit, for solve and for a small ineq-scan."""
         rc_a = main(["solve", "--K", "64", "--outdir", str(tmp_path / "a")])
         rc_b = main(["solve", "--K", "64", "--outdir", str(tmp_path / "b")])
         assert rc_a == 0 and rc_b == 0
         for name in ("theta.sqgf", "report.json", "norms.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        scan = ["ineq-scan", "--K", "32", "--samples", "5", "--interp_samples", "10", "--cancel_samples", "3"]
+        assert main([*scan, "--outdir", str(tmp_path / "scan_a")]) == 0
+        assert main([*scan, "--outdir", str(tmp_path / "scan_b")]) == 0
+        names = read_manifest(tmp_path / "scan_a")["artifacts"]
+        assert {"product_witness_f.sqgf", "commutator_probe.json", "lemma_checks.json"} <= set(names)
+        for name in names:
+            assert (tmp_path / "scan_a" / name).read_bytes() == (tmp_path / "scan_b" / name).read_bytes()
 
     def test_force_file_input(self, tmp_path):
         """A stored field drives the solve in place of a built-in force."""
@@ -337,31 +344,51 @@ class TestIneqScan:
             assert sha256(out / name) == digest
 
     def test_smoothing_scan_near_sigma_two(self, tmp_path):
-        """Seed 31 draws sigma = 1.9988, above the monotone limit 1.9776.
+        """Seed 25 draws sigma = 1.9966 in scan 3, above the monotone limit 1.9776.
 
         Its scan values rise as eps halves, which is correct there, and stay
         under the uniform bound; the run passes and counts no failure.
         """
         grid = make_grid(128, np.pi)
         k_band = grid.dealias_k / 2.0
-        rng = np.random.default_rng(31 + 20_000)
-        rng.uniform(size=3 * 100)  # the 100 interpolation samples draw (s, sigma, eps) first
-        for _ in range(5):
-            s = float(rng.uniform(-0.5, 1.5))
-            sigma = float(rng.uniform(0.0, 2.0))
-        assert abs(sigma - 1.9988451) < 1e-6
+        # draw 3 of purpose 3 (the smoothing scan): its field, then (s, sigma)
+        rng = np.random.default_rng(np.random.SeedSequence(25, spawn_key=(3, 3)))
+        u = sample_band_limited(grid, 1.0, k_band, rng)
+        s = float(rng.uniform(-0.5, 1.5))
+        sigma = float(rng.uniform(0.0, 2.0))
+        assert abs(sigma - 1.9965892) < 1e-6
         t_max = 0.15**2
         assert sigma > 2.0 * t_max / math.expm1(t_max) > 1.9775
-        u = sample_band_limited(grid, 1.0, k_band, 31 + 40_000 + 4)
         vals = smoothing_limit_scan(u, s, sigma, tuple(0.15 / k_band * 0.5**j for j in range(7)))
         assert vals[1] > vals[0] * (1.0 + 1e-10)
         assert max(vals) <= scan_bound(u, s, sigma)
 
         out = tmp_path / "run"
-        args = ["--K", "128", "--seed", "31", "--samples", "1", "--interp_samples", "100", "--cancel_samples", "1"]
+        args = ["--K", "128", "--seed", "25", "--samples", "1", "--interp_samples", "100", "--cancel_samples", "1"]
         assert main(["ineq-scan", *args, "--outdir", str(out)]) == 0
         with open(out / "lemma_checks.json") as fh:
             assert json.load(fh)["smoothing_scan"]["failures"] == 0
+
+    def test_draw_keys_are_distinct(self, tmp_path, monkeypatch):
+        """No random draw of a run shares its key with another draw, nor with a run at another seed."""
+        default_rng = np.random.default_rng
+        keys = {}
+
+        def record(seed=None):
+            if isinstance(seed, np.random.SeedSequence):
+                keys[run].append((seed.entropy, *seed.spawn_key))
+            elif not isinstance(seed, np.random.Generator):  # a generator passed on is no new draw
+                keys[run].append((seed,))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", record)
+        for run in ("0", "2"):
+            keys[run] = []
+            args = ["--K", "32", "--seed", run, "--samples", "5", "--interp_samples", "10", "--cancel_samples", "3"]
+            assert main(["ineq-scan", *args, "--outdir", str(tmp_path / run)]) == 0
+        for run_keys in keys.values():
+            assert run_keys and len(set(run_keys)) == len(run_keys)
+        assert not set(keys["0"]) & set(keys["2"])
 
     def test_rising_scan_is_caught(self, tmp_path, monkeypatch):
         """A scan that rises as eps shrinks fails the run while sigma is below the limit."""

@@ -1,6 +1,8 @@
 """Tests for the randomized product and commutator estimate probes."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ class TestSampler:
         assert np.all(u.coeffs[outside] == 0)
         assert np.any(u.coeffs != 0)
 
+    def test_draw_stays_on_the_band(self):
+        """A draw at K = 2048 allocates nothing of size K x K: its traced peak stays under 1 MiB."""
+        grid = make_grid(2048, np.pi)
+        tracemalloc.start()
+        try:
+            sample_band_limited(grid, 1.0, 5.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_band_validation(self):
         """Degenerate or unresolvable bands are rejected."""
         with pytest.raises(ValueError, match="k_min < k_max"):
@@ -250,10 +263,11 @@ class TestProbeRuns:
         assert probe.k_max == GRID.dealias_k / 2.0
 
     def test_probe_deterministic(self):
-        """Equal seeds give equal sweeps."""
+        """Equal seeds give equal sweeps, and draw i does not depend on the sample count."""
         a = run_product_probe(GRID, product_operating_point(0.3), samples=5, seed=1)
         b = run_product_probe(GRID, product_operating_point(0.3), samples=5, seed=1)
         assert a.ratios == b.ratios
+        assert run_product_probe(GRID, product_operating_point(0.3), samples=8, seed=1).ratios[:5] == a.ratios
 
     def test_ratios_bounded(self):
         """Worst ratios stay moderate at the solver operating point."""

@@ -6,7 +6,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma
 
-from sqglab import SpectralField, hs_norm, make_grid
+from sqglab import SpectralField, bilinear_B, hs_norm, make_grid
 from sqglab.counterexample import CounterexampleSpec, build_forces, patch_bilinear_B
 from sqglab.patches import (
     _BLOCK_RADIUS,
@@ -525,6 +525,24 @@ class TestToTorus:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_patch_bilinear_B_matches_torus(self):
+        """Sampled onto a K = 1024, L = 16 pi torus, the patch B[g, h] and B[h, g] of the n = 3 forces
+        agree with the torus bilinear_B of the sampled forces.
+
+        Measured relative H^{2-2a} differences 5.7e-7 (g, h) and 4.3e-7 (h, g): the bound 1e-6 sits 1.75x
+        and 2.3x above them. B[h, h] cannot be sampled: its origin patch carries a negative power.
+        """
+        alpha = 0.4
+        _, g, h = build_forces(CounterexampleSpec(0.02, alpha, 3))
+        grid = make_grid(1024, 16 * np.pi)
+        s_crit = 2.0 - 2.0 * alpha
+        for a, b in ((g, h), (h, g)):
+            torus = bilinear_B(to_torus(a, grid), to_torus(b, grid), alpha)
+            diff = hs_norm(to_torus(patch_bilinear_B(a, b, alpha), grid) - torus, s_crit)
+            assert diff <= 1e-6 * hs_norm(torus, s_crit)
+        with pytest.raises(ValueError, match="negative origin power"):
+            to_torus(patch_bilinear_B(h, h, alpha), grid)
 
 
 def ref_to_torus(u, grid):
