@@ -62,13 +62,10 @@ def thread_count() -> int:
     """Worker cap for parameter sweeps; SQG_THREADS overrides the CPU count."""
     env = os.environ.get("SQG_THREADS")
     if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
+        # ASCII digits only: int() would also take signs, spaces, underscores and other scripts' digits
+        if not (env.isascii() and env.isdigit()) or int(env) < 1:
             raise ConfigError(f"SQG_THREADS must be a positive integer, got {env!r}")
-        return n
+        return int(env)
     return max(1, os.cpu_count() or 1)
 
 

@@ -173,10 +173,12 @@ def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, a
     """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta)) for theta in the range of P_N."""
     grid = theta.grid
     level = grid.level(N)
-    inside = project_low(theta, N)
-    off = np.max(np.abs((theta - inside).half))
-    if off > 1e-12 * max(off, np.max(np.abs(inside.half))):
-        raise ValueError(f"field carries modes outside the range of P_{N}")
+    inside = theta
+    if theta.M != level.M or theta.half.ravel()[level.off].any():  # not already its own projection
+        inside = project_low(theta, N)
+        off = np.max(np.abs((theta - inside).half))
+        if off > 1e-12 * max(off, np.max(np.abs(inside.half))):
+            raise ValueError(f"field carries modes outside the range of P_{N}")
     adv = _advect_level(v, inside, level, theta_radius=level.M)
     return _level_field(grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
@@ -200,7 +202,8 @@ def _gmres_solve(matvec, b_vec: np.ndarray, x0: np.ndarray, cfg: SolverConfig) -
 
 
 def _linear_solve_info(
-    v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig, x0: SpectralField | None = None
+    v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig,
+    x0: SpectralField | None = None, adv0: np.ndarray | None = None,
 ) -> tuple[SpectralField, dict]:
     grid = f.grid
     if v.grid != grid:
@@ -228,18 +231,23 @@ def _linear_solve_info(
     if not np.any(b_vec):
         return field_of(b_vec), info
 
-    last: list[np.ndarray] = []  # the latest (input, output) pair, copies GMRES cannot write to
+    last: list[np.ndarray] = []  # the latest (input, output) pair, answering an equal input; GMRES cannot write to it
 
     def matvec(x: np.ndarray) -> np.ndarray:
+        if last and np.array_equal(x, last[0]):
+            return last[1].copy()
         info["matvecs"] += 1
         out = _disk_values(apply_lax_milgram_operator(v, field_of(x), N, cfg.alpha), level).view(np.float64)
         last[:] = (x.copy(), out.copy())
         return out
 
     x_start = b_vec if x0 is None else _disk_values(x0, level).view(np.float64)
+    if adv0 is not None:  # x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
+        ax0 = x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0
+        last[:] = (x_start, ax0.view(np.float64))
     x, iters, converged = _gmres_solve(matvec, b_vec, x_start, cfg)
-    # GMRES's own stopping test applied A to the iterate it returns; reuse that product
-    ax = last[1] if last and np.array_equal(x, last[0]) else matvec(x)
+    # GMRES's own stopping test applied A to the iterate it returns, so this reuses that product
+    ax = matvec(x)
     rel = float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))
     info["iterations"], info["residual_rel"] = iters, rel
 
@@ -266,15 +274,21 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
     With project_N the nonlinearity and force are truncated to P_N, matching
     the equation the outer iteration actually solves.
     """
+    return ResidualRecord(*_residual(theta, f, alpha, project_N)[:2])
+
+
+def _residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int | None) -> tuple:
+    """r, ||r||_{H^{-alpha}}, v(theta) and, with project_N, P_N(v . grad(theta)) on the level's half disk."""
     v = velocity_from_theta(theta)
     if project_N is None:
-        adv = advect(v, theta)
+        values, adv = None, advect(v, theta)
     else:
         level = theta.grid.level(project_N)
-        adv = _level_field(theta.grid, level, _advect_level(v, theta, level))
+        values = _advect_level(v, theta, level)
+        adv = _level_field(theta.grid, level, values)
         f = project_low(f, project_N)
     r = fractional_laplacian(theta, alpha) + adv - f
-    return ResidualRecord(r_field=r, r_norm=hs_norm(r, -alpha))
+    return r, hs_norm(r, -alpha), v, values
 
 
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
@@ -293,9 +307,9 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     report = SolveReport(alpha=cfg.alpha)
 
     N = 1
-    first = grid.level(N)
+    first, top = grid.level(N), grid.level(n_top)
     theta = _level_field(grid, first, _low_data(f, first, cfg.alpha))
-    res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
+    res, v, adv = _residual(theta, f, cfg.alpha, n_top)[1:]
     h_alpha = hs_norm(theta, cfg.alpha)
     report.steps.append(
         SolveStep(
@@ -316,11 +330,12 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                 residual_rel=res / f_low if f_low > 0 else res,
             )
         N = min(N + 1, n_top)
-        v = velocity_from_theta(theta)
-        new_theta, info = _linear_solve_info(v, f, N, cfg, x0=theta if N == n_top else None)
+        # v is the residual's velocity; its product is this solve's only if theta fills the top disk (same P)
+        seeded = N == n_top and theta.max_mode_index() == top.M
+        new_theta, info = _linear_solve_info(v, f, N, cfg, theta if N == n_top else None, adv if seeded else None)
         diff = hs_norm(new_theta - theta, cfg.alpha)
-        theta = new_theta
-        res = residual(theta, f, cfg.alpha, project_N=n_top).r_norm
+        theta, v, adv = new_theta, None, None  # drop the old velocity before the next one is sampled
+        res, v, adv = _residual(theta, f, cfg.alpha, n_top)[1:]
         report.steps.append(
             SolveStep(
                 n=N,

@@ -623,7 +623,7 @@ class TestThreads:
 
     def test_invalid_value(self, tmp_path, monkeypatch, capsys):
         """A SQG_THREADS that is not a positive integer is a configuration error, never coerced."""
-        for value in ("many", "0", "-3"):
+        for value in ("many", "0", "-3", "1_0", " 2 ", "+2", "\u0662"):  # the last is Arabic-Indic two
             monkeypatch.setenv("SQG_THREADS", value)
             rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(tmp_path / "o")])
             assert rc == 1

@@ -1,4 +1,6 @@
 """Tests for the Lax-Milgram linear solves and the outer iteration."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -9,6 +11,7 @@ from sqglab import (
     GapRecord,
     SmallnessError,
     SolverConfig,
+    SolveStep,
     SpectralField,
     advect,
     apply_lax_milgram_operator,
@@ -29,6 +32,7 @@ from sqglab import (
     velocity_from_theta,
     velocity_hs_norm,
 )
+from sqglab.field import _level_field
 from lattice_tables import Lattice, cauchy_constant, low_pass_mask, x_axis
 
 ALPHA = 0.4
@@ -56,6 +60,46 @@ def small_velocity(grid, rng, alpha, size=0.05):
     v = velocity_from_theta(w)
     cur = velocity_hs_norm(v, 2 - 2 * alpha)
     return velocity_from_theta(w * (size / cur))
+
+
+def disk_filling_force(grid):
+    """A random force on the ball |k| <= 16 whose top-level iterates fill the top disk at K=64, L=pi."""
+    f = ball_field(grid, np.random.default_rng(7), 4)
+    return f * (3e-2 / hs_norm(f, 0.0))
+
+
+def unseeded_outer_loop(f, cfg):
+    """outer_iterate without the hand-off: every solve samples its own velocity and GMRES applies A to
+    its x0. Returns theta, the steps and, per step, the x0 that outer_iterate seeds from the previous
+    residual's product (None where it does not)."""
+    import sqglab.solver as solver
+
+    grid = f.grid
+    a = cfg.alpha
+    n_top = default_schedule(grid)[-1]
+    target = cfg.outer_tol * hs_norm(f, -a)
+    first = grid.level(1)
+    theta = _level_field(grid, first, solver._low_data(f, first, a))
+    res = residual(theta, f, a, project_N=n_top).r_norm
+    h = hs_norm(theta, a)
+    steps = [SolveStep(n=1, h_alpha=h, h_crit=hs_norm(theta, 2.0 - 2.0 * a), diff_h_alpha=h, inner_iters=0,
+                       residual=res)]
+    seeds = [None]
+    N = 1
+    while not (N == n_top and res <= target):
+        N = min(N + 1, n_top)
+        x0 = theta if N == n_top else None
+        new, info = solver._linear_solve_info(velocity_from_theta(theta), f, N, cfg, x0=x0)
+        seeds.append(x0 if x0 is not None and x0.max_mode_index() == grid.level(n_top).M else None)
+        diff = hs_norm(new - theta, a)
+        theta = new
+        res = residual(theta, f, a, project_N=n_top).r_norm
+        steps.append(SolveStep(
+            n=N, h_alpha=hs_norm(theta, a), h_crit=hs_norm(theta, 2.0 - 2.0 * a), diff_h_alpha=diff,
+            inner_iters=info["iterations"], residual=res, matvecs=info["matvecs"],
+            transform_size=info["transform_size"], inner_residual=info["residual_rel"],
+        ))
+    return theta, steps, seeds
 
 
 class TestConfig:
@@ -112,6 +156,32 @@ class TestLaxMilgramOperator:
             out = apply_lax_milgram_operator(v, theta, 2, ALPHA)
             quad = l2_inner(out, theta)
             assert quad >= 0.5 * hs_norm(theta, 0.0) ** 2
+
+    def test_in_range_theta_gives_the_bits_of_its_projection(self, monkeypatch):
+        """A theta in the range of P_N gives the bits of the call on project_low(theta, N).
+
+        A level field, as GMRES builds, is its own projection and is not projected again; a field of
+        smaller radius, or one with 1e-13-relative content off the disk, is projected first.
+        """
+        import sqglab.solver as solver
+
+        projected = []
+        project = solver.project_low
+        monkeypatch.setattr(solver, "project_low", lambda u, N: projected.append(N) or project(u, N))
+        g = make_grid(32, np.pi)
+        rng = np.random.default_rng(31)
+        v = small_velocity(g, rng, ALPHA, size=0.09)
+        level = g.level(2)
+        krylov = _level_field(g, level, rng.standard_normal(level.pos.size) + 1j * rng.standard_normal(level.pos.size))
+        corner = field_from_modes(g, {(4, 4): 1e-13 * np.max(np.abs(krylov.half))})  # |k| = 4 sqrt(2) > 2^2
+        for theta, projections in ((krylov, 0), (field_from_modes(g, {(1, 0): -0.5j, (2, 1): 0.2}), 1),
+                                   (krylov + corner, 1)):
+            want = apply_lax_milgram_operator(v, project_low(theta, 2), 2, ALPHA)
+            projected.clear()
+            out = apply_lax_milgram_operator(v, theta, 2, ALPHA)
+            assert len(projected) == projections
+            assert out.half.tobytes() == want.half.tobytes()
+        assert out.half.tobytes() == apply_lax_milgram_operator(v, krylov, 2, ALPHA).half.tobytes()
 
     def test_out_of_range_theta_rejected(self):
         """theta must already live in the range of P_N."""
@@ -408,7 +478,12 @@ class TestOuterIterate:
         assert [s.n for s in report.steps[:3]] == [1, 2, 3] and report.steps[-1].n == 3
 
     def test_step_counters(self, monkeypatch):
-        """Each step counts its operator applications and the size of their transforms."""
+        """Each step counts its operator applications and the size of their transforms.
+
+        A solve makes one application at its start, one per GMRES iteration and one for GMRES's final
+        residual; a seeded step, which starts from the previous residual's product, makes one fewer.
+        The two-mode iterates never fill the top disk, so none of its steps is seeded.
+        """
         import sqglab.solver as solver
 
         calls = []
@@ -421,15 +496,54 @@ class TestOuterIterate:
         monkeypatch.setattr(solver, "apply_lax_milgram_operator", counted)
         g = make_grid(64, np.pi)
         amp = 1e-2
-        f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
-        _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
-        first, rest = report.steps[0], report.steps[1:]
-        assert (first.matvecs, first.transform_size) == (0, 0)
-        assert sum(s.matvecs for s in rest) == len(calls)
-        for s in rest:
-            assert s.matvecs >= s.inner_iters + 1
-            M = g.level(s.n).M
-            assert 2 * M + 1 < s.transform_size <= next_fast_len(3 * M + 1, real=True) < g.K
+        two_mode = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
+        for f, seeded in ((two_mode, 0), (disk_filling_force(g), 2)):
+            calls.clear()
+            _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
+            first, rest = report.steps[0], report.steps[1:]
+            assert (first.matvecs, first.transform_size) == (0, 0)
+            assert sum(s.matvecs for s in rest) == len(calls)
+            assert [s.matvecs - s.inner_iters for s in rest] == [2] * (len(rest) - seeded) + [1] * seeded
+            for s in rest:
+                M = g.level(s.n).M
+                assert 2 * M + 1 < s.transform_size <= next_fast_len(3 * M + 1, real=True) < g.K
+
+    def test_handoff_matches_the_unseeded_loop(self, monkeypatch):
+        """Handing each residual's velocity and product to the next solve changes no bit of theta or of
+        any step but matvecs, and a seeded step never applies the operator to its x0."""
+        import sqglab.solver as solver
+
+        inputs = []
+        apply = solver.apply_lax_milgram_operator
+
+        def recorded(v, theta, N, alpha):
+            inputs.append((theta.M, theta.half.tobytes()))
+            return apply(v, theta, N, alpha)
+
+        monkeypatch.setattr(solver, "apply_lax_milgram_operator", recorded)
+        g = make_grid(64, np.pi)
+        f = disk_filling_force(g)
+        cfg = SolverConfig(alpha=ALPHA)
+        theta, report = outer_iterate(f, cfg)
+        applied = inputs[:]
+        inputs.clear()
+        want, steps, seeds = unseeded_outer_loop(f, cfg)
+        assert (theta.M, theta.half.tobytes()) == (want.M, want.half.tobytes())
+        assert len(report.steps) == len(steps)
+        new_start = old_start = 0
+        for s, o, x0 in zip(report.steps, steps, seeds):
+            assert repr(replace(s, matvecs=0)) == repr(replace(o, matvecs=0))
+            new_inputs = applied[new_start : new_start + s.matvecs]
+            old_inputs = inputs[old_start : old_start + o.matvecs]
+            new_start, old_start = new_start + s.matvecs, old_start + o.matvecs
+            if x0 is None:
+                assert s.matvecs == o.matvecs
+            else:
+                assert (s.matvecs, o.matvecs) == (s.inner_iters + 1, s.inner_iters + 2)
+                assert old_inputs[0] == (x0.M, x0.half.tobytes())  # the oracle's step starts with A x0
+                assert (x0.M, x0.half.tobytes()) not in new_inputs
+        assert (new_start, old_start) == (len(applied), len(inputs))
+        assert sum(x0 is not None for x0 in seeds) == 2
 
     def test_report_serializes(self):
         """The report renders to plain JSON-ready types."""
