@@ -109,12 +109,15 @@ class PhiProfile:
         return round(1.0 / self.h)
 
     def sample(self, array: np.ndarray, half_width: int, tau: float) -> complex:
-        """Value of a stored transform at frequency tau (0 outside its box)."""
+        """Value of a stored transform at frequency tau (0 outside its box); an integer tau is exact at any size."""
         m = self.m
-        idx = tau / self.h + half_width * m
-        j = round(idx)
-        if abs(idx - j) > 1e-9:
-            raise ValueError(f"tau = {tau} is not on the sample lattice")
+        if isinstance(tau, int):
+            j = (tau + half_width) * m
+        else:
+            idx = tau / self.h + half_width * m
+            j = round(idx)
+            if abs(idx - j) > 1e-9:
+                raise ValueError(f"tau = {tau} is not on the sample lattice")
         if j < 0 or j >= array.size:
             return 0.0
         return complex(array[j])
@@ -149,7 +152,11 @@ def _carrier_pair(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
     """amp fx(xi_1 - 2^n) fy(xi_2) plus its partner conj(amp) fx(xi_1 + 2^n) fy(xi_2).
 
     fx and fy are transforms of real profiles, conj(f(-t)) = f(t), so the pair is a real field.
+    Patch corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit.
     """
+    top = (np.iinfo(np.int64).max // prof.m - 8).bit_length() - 1
+    if n > top:
+        raise ValueError(f"carrier level n={n} is past the largest level {top} of the int64 patch lattice")
     c = (2**n) * prof.m
     return PatchField(prof.h, (
         _separable_patch(prof, fx, fy, half_w, c, amp),
@@ -280,7 +287,7 @@ def riemann_lebesgue_check(prof: PhiProfile, n: int) -> RLRecord:
     if n < 1:
         raise ValueError(f"carrier level n must be >= 1, got {n}")
     at0 = prof.sample(prof.phi4, 8, 0.0).real
-    osc = prof.sample(prof.phi4, 8, float(2 ** (n + 1))).real
+    osc = prof.sample(prof.phi4, 8, 2 ** (n + 1)).real
     value = float(np.sqrt(0.5 * (at0 - osc)))
     limit = float(np.sqrt(0.5 * at0))
     return RLRecord(value=value, limit=limit, rel_dev=abs(value - limit) / limit)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .counterexample import (
@@ -155,7 +155,7 @@ def run_solve(config: dict) -> int:
     theta_path = outdir / "theta.sqgf"
     write_field(theta_path, theta, representation="spectral")
     report_path = outdir / "report.json"
-    _write_json(report_path, report.to_json_dict())
+    _write_json(report_path, asdict(report))
     a = cfg.alpha
     norms_path = outdir / "norms.json"
     _write_json(
@@ -238,13 +238,13 @@ def run_rlcheck(config: dict) -> int:
     n_min, n_max = int(config["n_min"]), int(config["n_max"])
     if n_min < 1 or n_max < n_min:
         raise ConfigError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
-    spec = CounterexampleSpec(delta=1.0, alpha=float(config["alpha"]), n=max(n_min, 1), h_xi=float(config["h_xi"]))
+    spec = CounterexampleSpec(delta=1.0, alpha=float(config["alpha"]), n=n_min, h_xi=float(config["h_xi"]))
     prof = build_phi(spec)
-    outdir = _prepare_outdir(config)
     rows = []
     for n in range(n_min, n_max + 1):
         rec = riemann_lebesgue_check(prof, n)
         rows.append((n, rec.value, rec.limit, rec.rel_dev))
+    outdir = _prepare_outdir(config)
     csv_path = outdir / "rlcheck.csv"
     _write_csv(csv_path, ("n", "value", "limit", "rel_dev"), rows)
     _write_manifest(outdir, "rlcheck", config, [csv_path])
@@ -271,6 +271,9 @@ def run_inequality_scan(config: dict) -> int:
     alpha = float(config["alpha"])
     seed = int(config["seed"])
     samples = int(config["samples"])
+    n_interp, n_cancel = int(config["interp_samples"]), int(config["cancel_samples"])
+    if min(n_interp, n_cancel) < 0:
+        raise ConfigError(f"sample counts must be >= 0, got interp_samples={n_interp}, cancel_samples={n_cancel}")
 
     prod_exps = config.get("product_exponents")
     if prod_exps is None:
@@ -300,7 +303,6 @@ def run_inequality_scan(config: dict) -> int:
     k_band = grid.dealias_k / 2.0
     interp_fail = 0
     scan_fail = 0
-    n_interp = int(config["interp_samples"])
     for i in range(n_interp):
         rng = _stream(seed, "interpolation", i)
         u = sample_band_limited(grid, 1.0, k_band, rng)
@@ -331,7 +333,6 @@ def run_inequality_scan(config: dict) -> int:
         if sigma <= sigma_monotone and any(b > a * (1.0 + 1e-10) for a, b in zip(vals, vals[1:])):
             scan_fail += 1
 
-    n_cancel = int(config["cancel_samples"])
     cancel_max = 0.0
     quarter = (grid.K // 4) * grid.dk
     for i in range(n_cancel):

@@ -331,12 +331,15 @@ def _level_field(grid: GridSpec, level: LevelTable, values: np.ndarray) -> Spect
     return _new(grid, _close(grid, sq))
 
 
+def _disk_values(u: SpectralField, level: LevelTable) -> np.ndarray:
+    """Values of u on the half disk of a level, the inverse of _level_field on fields inside the disk."""
+    return _resize(u.half, level.M).ravel()[level.pos]
+
+
 def project_low(u: SpectralField, N: int) -> SpectralField:
     """Truncation P_N to wavenumbers |k| <= 2^N."""
     level = u.grid.level(N)
-    sq = np.zeros((2 * level.M + 1, level.M + 1), dtype=np.complex128)
-    sq.ravel()[level.disk] = _resize(u.half, level.M).ravel()[level.disk]
-    return _new(u.grid, sq)
+    return _level_field(u.grid, level, _disk_values(u, level))
 
 
 def heat_smooth(u: SpectralField, eps: float) -> SpectralField:

@@ -147,8 +147,7 @@ class LevelTable:
 
     bound : the disk's cutoff on |k|^2, 4^N with a relative slack of 1e-12.
     M : mode radius, the largest |m_i| in the disk.
-    disk : flat positions of the disk modes with m2 >= 0 in the half square.
-    off : flat positions of the other entries of the half square.
+    off : flat positions of the entries of the half square off the disk.
     pos : flat positions of the half disk, m2 > 0 or m2 = 0 < m1: one mode
         of each conjugate pair, whose values give a real field on the disk
         (below the Nyquist wavenumber, where no mode is its own partner).
@@ -165,7 +164,6 @@ class LevelTable:
         inside = self.square.k2 <= bound
         inside[M, 0] = False
         inside[2 * M] &= M < grid.K // 2  # row +K/2 aliases row -K/2
-        self.disk = np.flatnonzero(inside)
         self.off = np.flatnonzero(~inside)
         inside[:M, 0] = False
         self.pos = np.flatnonzero(inside)

@@ -9,7 +9,8 @@ level until the projected nonlinear residual is below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -18,11 +19,12 @@ from .field import (
     SpectralField,
     VelocityField,
     _advect_level,
+    _disk_values,
     _level_field,
     _product_size,
-    _resize,
     _velocity_radius,
     advect,
+    field_from_modes,
     fractional_laplacian,
     project_low,
     velocity_from_theta,
@@ -88,10 +90,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStep:
-    """One outer step. matvecs counts Lax-Milgram operator applications,
-    transform_size is the points per axis of their products and
-    inner_residual is the relative residual of the final linear iterate
-    (all 0 for the first step, which solves nothing)."""
+    """One outer step. inner_iters counts GMRES iterations, matvecs
+    Lax-Milgram operator applications, transform_size is the points per
+    axis of their products and inner_residual is the relative residual of
+    the final linear iterate (all 0 for the first step, which solves
+    nothing)."""
 
     n: int
     h_alpha: float
@@ -112,20 +115,16 @@ class SolveReport:
     residual: float = math.inf
     c_star: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "converged": self.converged,
-            "residual": self.residual,
-            "c_star": self.c_star,
-            "steps": [asdict(s) for s in self.steps],
-        }
-
 
 @dataclass(frozen=True)
 class ResidualRecord:
+    """r = (-Delta)^alpha theta + v . grad(theta) - f, its H^{-alpha} norm, the velocity v = v(theta) and,
+    for a truncated residual, P_N(v . grad(theta)) as values on the level's half disk (None otherwise)."""
+
     r_field: SpectralField
     r_norm: float
+    v: VelocityField
+    adv: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -159,11 +158,6 @@ def default_schedule(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(1, grid.dealias_level + 1))
 
 
-def _disk_values(u: SpectralField, level: LevelTable) -> np.ndarray:
-    """Values of u on the half disk of the level."""
-    return _resize(u.half, level.M).ravel()[level.pos]
-
-
 def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
     """(-Delta)^{-alpha} P_N f as values on the half disk of the level."""
     return _disk_values(f, level) * level.radial_power(-2.0 * alpha)
@@ -183,34 +177,18 @@ def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, a
     return _level_field(grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
 
-def _gmres_solve(matvec, b_vec: np.ndarray, x0: np.ndarray, cfg: SolverConfig) -> tuple[np.ndarray, int, bool]:
-    dim = b_vec.size
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
-    restart = min(50, dim)
-    maxiter = max(1, math.ceil(cfg.max_inner / restart))
-    iters = 0
-
-    def count(_pr_norm) -> None:
-        nonlocal iters
-        iters += 1
-
-    x, info = gmres(
-        op, b_vec, x0=x0, rtol=cfg.inner_tol, atol=0.0,
-        restart=restart, maxiter=maxiter, callback=count, callback_type="pr_norm",
-    )
-    return x, iters, info == 0
-
-
 def _linear_solve_info(
-    v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig,
+    v: VelocityField | None, f: SpectralField, N: int, cfg: SolverConfig,
     x0: SpectralField | None = None, adv0: np.ndarray | None = None,
 ) -> tuple[SpectralField, dict]:
+    """theta and the solve's counters under SolveStep's names; v None is the zero velocity, for which
+    theta = (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step)."""
     grid = f.grid
-    if v.grid != grid:
+    if v is not None and v.grid != grid:
         raise ValueError("velocity and force live on different grids")
     if N > grid.dealias_level:
         raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
-    vnorm = velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
+    vnorm = 0.0 if v is None else velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
     if not vnorm <= cfg.smallness_threshold:  # a NaN norm is refused too
         raise SmallnessError(
             f"||v||_H^{2 - 2 * cfg.alpha:g} = {vnorm:.6g} at N={N} exceeds the smallness threshold "
@@ -226,9 +204,9 @@ def _linear_solve_info(
         return _level_field(grid, level, np.ascontiguousarray(x).view(np.complex128))
 
     b_vec = _low_data(f, level, cfg.alpha).view(np.float64)
-    info = {"iterations": 0, "residual_rel": 0.0, "dim": b_vec.size, "matvecs": 0,
-            "transform_size": _product_size(_velocity_radius(v), level.M, level.M)[3]}
-    if not np.any(b_vec):
+    info = {"inner_iters": 0, "inner_residual": 0.0, "matvecs": 0,
+            "transform_size": 0 if v is None else _product_size(_velocity_radius(v), level.M, level.M)[3]}
+    if v is None or not np.any(b_vec):
         return field_of(b_vec), info
 
     last: list[np.ndarray] = []  # the latest (input, output) pair, answering an equal input; GMRES cannot write to it
@@ -241,18 +219,26 @@ def _linear_solve_info(
         last[:] = (x.copy(), out.copy())
         return out
 
+    def count(_pr_norm) -> None:
+        info["inner_iters"] += 1
+
     x_start = b_vec if x0 is None else _disk_values(x0, level).view(np.float64)
     if adv0 is not None:  # x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
         ax0 = x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0
         last[:] = (x_start, ax0.view(np.float64))
-    x, iters, converged = _gmres_solve(matvec, b_vec, x_start, cfg)
+    dim = b_vec.size
+    restart = min(50, dim)
+    x, flag = gmres(
+        LinearOperator((dim, dim), matvec=matvec, dtype=np.float64), b_vec, x0=x_start, rtol=cfg.inner_tol,
+        atol=0.0, restart=restart, maxiter=max(1, math.ceil(cfg.max_inner / restart)), callback=count,
+        callback_type="pr_norm",
+    )
     # GMRES's own stopping test applied A to the iterate it returns, so this reuses that product
     ax = matvec(x)
-    rel = float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))
-    info["iterations"], info["residual_rel"] = iters, rel
+    rel = info["inner_residual"] = float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))
 
     theta = field_of(x)
-    if not converged:
+    if flag != 0:
         raise ConvergenceError(
             f"linear solve did not reach inner_tol={cfg.inner_tol:g} within {cfg.max_inner} iterations "
             f"(relative residual {rel:.3e})",
@@ -274,11 +260,6 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
     With project_N the nonlinearity and force are truncated to P_N, matching
     the equation the outer iteration actually solves.
     """
-    return ResidualRecord(*_residual(theta, f, alpha, project_N)[:2])
-
-
-def _residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int | None) -> tuple:
-    """r, ||r||_{H^{-alpha}}, v(theta) and, with project_N, P_N(v . grad(theta)) on the level's half disk."""
     v = velocity_from_theta(theta)
     if project_N is None:
         values, adv = None, advect(v, theta)
@@ -288,7 +269,7 @@ def _residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: i
         adv = _level_field(theta.grid, level, values)
         f = project_low(f, project_N)
     r = fractional_laplacian(theta, alpha) + adv - f
-    return r, hs_norm(r, -alpha), v, values
+    return ResidualRecord(r, hs_norm(r, -alpha), v, values)
 
 
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
@@ -302,26 +283,13 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     """
     grid = f.grid
     n_top = default_schedule(grid)[-1]
+    top = grid.level(n_top)
     f_low = hs_norm(f, -cfg.alpha)
     target = cfg.outer_tol * f_low
     report = SolveReport(alpha=cfg.alpha)
 
-    N = 1
-    first, top = grid.level(N), grid.level(n_top)
-    theta = _level_field(grid, first, _low_data(f, first, cfg.alpha))
-    res, v, adv = _residual(theta, f, cfg.alpha, n_top)[1:]
-    h_alpha = hs_norm(theta, cfg.alpha)
-    report.steps.append(
-        SolveStep(
-            n=N,
-            h_alpha=h_alpha,
-            h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
-            diff_h_alpha=h_alpha,
-            inner_iters=0,
-            residual=res,
-        )
-    )
-
+    # theta_1 is the first level's solve from the zero field with no velocity
+    N, theta, res, v, adv = 0, field_from_modes(grid, {}), math.inf, None, None
     while not (N == n_top and res <= target):
         if len(report.steps) >= cfg.max_outer:
             raise ConvergenceError(
@@ -335,25 +303,17 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
         new_theta, info = _linear_solve_info(v, f, N, cfg, theta if N == n_top else None, adv if seeded else None)
         diff = hs_norm(new_theta - theta, cfg.alpha)
         theta, v, adv = new_theta, None, None  # drop the old velocity before the next one is sampled
-        res, v, adv = _residual(theta, f, cfg.alpha, n_top)[1:]
-        report.steps.append(
-            SolveStep(
-                n=N,
-                h_alpha=hs_norm(theta, cfg.alpha),
-                h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
-                diff_h_alpha=diff,
-                inner_iters=info["iterations"],
-                residual=res,
-                matvecs=info["matvecs"],
-                transform_size=info["transform_size"],
-                inner_residual=info["residual_rel"],
-            )
-        )
+        # keep the residual's norm, velocity and product, not its field
+        res, v, adv = attrgetter("r_norm", "v", "adv")(residual(theta, f, cfg.alpha, n_top))
+        report.steps.append(SolveStep(
+            n=N, h_alpha=hs_norm(theta, cfg.alpha), h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
+            diff_h_alpha=diff, residual=res, **info,
+        ))
 
     report.converged = True
     report.residual = res
     f_crit = hs_norm(f, 2.0 - 4.0 * cfg.alpha)
-    report.c_star = (hs_norm(theta, 2.0 - 2.0 * cfg.alpha) / f_crit) if f_crit > 0 else None
+    report.c_star = report.steps[-1].h_crit / f_crit if f_crit > 0 else None
     return theta, report
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from sqglab import (
     CounterexampleSpec,
@@ -258,7 +259,8 @@ class TestAcceptance:
             assert ratio <= 1.1, f"alpha={alpha}: b11 plateau max/min {ratio:.4f} exceeds 1.1"
         assert time.perf_counter() - t0 < 30.0
 
-    def test_torus_gap_signature(self):
+    @pytest.mark.parametrize("alpha", [0.4, 0.2])
+    def test_torus_gap_signature(self, alpha):
         """The nonlinear part of the solution gap persists while the data
         distance decays, on a torus that holds n = 3..6; under 15 min.
 
@@ -273,16 +275,18 @@ class TestAcceptance:
         must agree to 2%. d_crit decays exactly like 2^{-(1-2a)n}, so
         G_6 / d_crit_6 >= 2^{3(1-2a)} G_3 / d_crit_3 says that G_n does not
         decay from n=3 to n=6. The low ratio gap_low / d_low stays within 2x.
+        Both alphas are checked with the same bounds: at a = 0.2 the backends
+        agree to 0.29-0.48% and the growth is 3.97 against the floor 3.48.
         """
         t0 = time.perf_counter()
         grid = make_grid(1024, 2.0 * np.pi)
-        cfg = SolverConfig(alpha=ALPHA)
+        cfg = SolverConfig(alpha=alpha)
         n_top = default_schedule(grid)[-1]
-        s_crit = 2.0 - 2.0 * ALPHA
+        s_crit = 2.0 - 2.0 * alpha
         ns = (3, 4, 5, 6)
         d_crit, nonlin, low = {}, {}, {}
         for n in ns:
-            spec = CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=n, h_xi=H_XI)
+            spec = CounterexampleSpec(delta=DELTA, alpha=alpha, n=n, h_xi=H_XI)
             f_patch, g_patch, _ = build_forces(spec)
             f_t = to_torus(f_patch, grid)
             g_t = to_torus(g_patch, grid)
@@ -292,9 +296,9 @@ class TestAcceptance:
                 )
             theta_f, _ = outer_iterate(f_t, cfg)
             theta_g, _ = outer_iterate(g_t, cfg)
-            rec = GapRecord.between(f_t, g_t, theta_f, theta_g, ALPHA)
+            rec = GapRecord.between(f_t, g_t, theta_f, theta_g, alpha)
             d_crit[n] = rec.d_crit
-            nonlin[n] = hs_norm(theta_f - theta_g - fractional_laplacian(f_t - g_t, -ALPHA), s_crit)
+            nonlin[n] = hs_norm(theta_f - theta_g - fractional_laplacian(f_t - g_t, -alpha), s_crit)
             low[n] = rec.gap_low / rec.d_low
             g2_gap = decompose_second_iterate(spec).g2_gap
             rel = abs(nonlin[n] - g2_gap) / g2_gap
@@ -303,7 +307,7 @@ class TestAcceptance:
                 f"differ by {rel:.3%}"
             )
         assert all(d_crit[a] > d_crit[b] for a, b in zip(ns, ns[1:])), f"d_crit does not decay: {d_crit}"
-        floor = 2.0 ** (3.0 * (1.0 - 2.0 * ALPHA))
+        floor = 2.0 ** (3.0 * (1.0 - 2.0 * alpha))
         growth = (nonlin[6] / d_crit[6]) / (nonlin[3] / d_crit[3])
         assert growth >= floor, (
             f"nonlinear gap-to-data ratio grew only {growth:.4f}x from n=3 to n=6, below {floor:.4f}x"

@@ -293,6 +293,14 @@ class TestRlcheck:
         assert float(rows[0][3]) > 1e-3
         assert all(float(r[3]) == 0.0 for r in rows[1:])
 
+    def test_levels_past_the_float_range(self, tmp_path):
+        """Levels whose frequency 2^{n+1}/h_xi overflows a float still tabulate, with zero deviation."""
+        out = tmp_path / "run"
+        assert main(["rlcheck", "--n_min", "1016", "--n_max", "1030", "--outdir", str(out)]) == 0
+        _, rows = read_csv_rows(out / "rlcheck.csv")
+        assert [int(r[0]) for r in rows] == list(range(1016, 1031))
+        assert all(r[1] == r[2] and float(r[3]) == 0.0 for r in rows)
+
     def test_bad_range(self, tmp_path, capsys):
         """Levels below 1 are rejected."""
         rc = main(["rlcheck", "--n_min", "0", "--outdir", str(tmp_path / "o")])
@@ -587,9 +595,13 @@ class TestConfigResolution:
         (["solve", "--force", "nope"], {}, "'nope'"),
         (["ineq-scan"], {"product_exponents": [1.5, 0, 0, 1.5]}, "s1 < 1"),
         (["continuity", "--dealias_fraction", "0.15"], {"K": 16}, "no room for P_1"),
+        (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "n=58 is past the largest level 57"),
+        (["ineq-scan", "--interp_samples", "-5"], {}, "interp_samples=-5"),
+        (["ineq-scan", "--cancel_samples", "-3"], {}, "cancel_samples=-3"),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
-        """An unknown force, invalid probe exponents or a band with no level exit 1 and make no output directory."""
+        """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
+        lattice or a negative sample count exit 1 and make no output directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
@@ -674,3 +686,71 @@ class TestEntryPoint:
             listed.update(mod.__all__)
         exported = {n for n, v in vars(sqglab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
         assert exported - listed == set()
+
+    def test_readme_lists_the_names_no_run_reaches(self, tmp_path, monkeypatch):
+        """The public functions and methods that no sqg-lab command enters are exactly README's list.
+
+        Each command runs once at a small size under sys.setprofile, serially, so every Python frame
+        it enters is seen; the physical force file is written before the profile starts.
+        """
+        import importlib
+        import pkgutil
+        import re
+        import types
+
+        import sqglab
+
+        monkeypatch.setenv("SQG_THREADS", "1")
+        phys = tmp_path / "force.sqgf"
+        write_field(phys, field_from_modes(make_grid(32, math.pi), {(2, 1): 0.002j, (1, 0): 0.001}),
+                    representation="physical")
+        runs = [
+            ["solve", "--K", "32", "--outdir", str(tmp_path / "solve")],
+            ["solve", "--K", "32", "--force_file", str(phys), "--outdir", str(tmp_path / "phys")],
+            ["continuity", "--K", "32", "--j_min", "1", "--j_max", "1", "--outdir", str(tmp_path / "cont")],
+            ["nonuniform", "--n_min", "3", "--n_max", "3", "--outdir", str(tmp_path / "patch")],
+            ["nonuniform", "--torus", "true", "--K", "256", "--L", "8pi", "--n_min", "3", "--n_max", "3",
+             "--outdir", str(tmp_path / "torus")],
+            ["rlcheck", "--n_max", "3", "--outdir", str(tmp_path / "rl")],
+            ["ineq-scan", "--K", "32", "--samples", "2", "--interp_samples", "10", "--cancel_samples", "1",
+             "--outdir", str(tmp_path / "ineq")],
+            ["norms", str(tmp_path / "solve" / "theta.sqgf")],
+        ]
+        entered = set()
+
+        def hook(frame, event, _arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        sys.setprofile(hook)
+        try:
+            codes = [main(argv) for argv in runs]
+        finally:
+            sys.setprofile(None)
+        assert codes == [0] * len(runs)
+
+        def public_code(mod):
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if isinstance(obj, types.FunctionType):
+                    yield name, obj.__code__
+                elif isinstance(obj, type):
+                    for attr, member in vars(obj).items():
+                        # the function of a property, cached_property, classmethod or staticmethod
+                        fn = getattr(member, "fget", None) or getattr(member, "func", None) or getattr(
+                            member, "__func__", member)
+                        if not attr.startswith("_") and isinstance(fn, types.FunctionType):
+                            yield f"{name}.{attr}", fn.__code__
+
+        missed = set()
+        for info in pkgutil.iter_modules(sqglab.__path__):
+            mod = importlib.import_module(f"sqglab.{info.name}")
+            missed.update(name for name, code in public_code(mod) if code not in entered)
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = set()
+        for line in text.split("stay for the reasons given:\n", 1)[1].splitlines():
+            if line and not line.startswith(("- ", "  ")):
+                break
+            listed.update(re.findall(r"^- `([\w.]+)`", line))
+        assert missed == listed
