@@ -22,7 +22,6 @@ from .experiments import (
     run_rlcheck,
     run_solve,
 )
-from .grid import DEFAULT_DEALIAS_FRACTION
 from .solver import ConfigError, ConvergenceError, SmallnessError, SolverConfig
 
 __all__ = ["main", "build_parser"]
@@ -63,7 +62,7 @@ def _defaults(cls) -> dict:
 # default there, so each experiment sets one.
 _SOLVER = _defaults(SolverConfig)
 _SPEC = _defaults(CounterexampleSpec)
-_GRID = {"K": (int, 128), "L": (_length, math.pi), "dealias_fraction": (_float, MISSING)}
+_GRID = {"K": (int, 128), "L": (_length, math.pi)}
 
 _EXPERIMENTS = {
     "solve": (run_solve, {
@@ -122,7 +121,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norms")
     p.add_argument("file", help="SQGF1 field file")
     p.add_argument("--s", default="0", help="comma-separated Sobolev indices")
-    p.add_argument("--dealias_fraction", type=_float, default=DEFAULT_DEALIAS_FRACTION)
     return parser
 
 
@@ -191,7 +189,7 @@ def main(argv=None) -> int:
             raise ConfigError("a subcommand is required (solve, continuity, nonuniform, rlcheck, ineq-scan, norms)")
         if args.command == "norms":
             s_values = tuple(_float(s) for s in str(args.s).split(","))
-            return run_norms(args.file, s_values, dealias_fraction=args.dealias_fraction)
+            return run_norms(args.file, s_values)
         return _EXPERIMENTS[args.command][0](_resolve_config(args.command, args))
     except SmallnessError as exc:
         print(f"smallness gate: {exc}", file=sys.stderr)

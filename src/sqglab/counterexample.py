@@ -9,7 +9,7 @@ onto a lattice for the full nonlinear solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -108,16 +108,9 @@ class PhiProfile:
         """Samples per unit frequency."""
         return round(1.0 / self.h)
 
-    def sample(self, array: np.ndarray, half_width: int, tau: float) -> complex:
-        """Value of a stored transform at frequency tau (0 outside its box); an integer tau is exact at any size."""
-        m = self.m
-        if isinstance(tau, int):
-            j = (tau + half_width) * m
-        else:
-            idx = tau / self.h + half_width * m
-            j = round(idx)
-            if abs(idx - j) > 1e-9:
-                raise ValueError(f"tau = {tau} is not on the sample lattice")
+    def sample(self, array: np.ndarray, half_width: int, tau: int) -> complex:
+        """Value of a stored transform at the integer frequency tau (0 outside its box), exact at any size."""
+        j = (tau + half_width) * self.m
         if j < 0 or j >= array.size:
             return 0.0
         return complex(array[j])
@@ -286,7 +279,7 @@ def riemann_lebesgue_check(prof: PhiProfile, n: int) -> RLRecord:
     """
     if n < 1:
         raise ValueError(f"carrier level n must be >= 1, got {n}")
-    at0 = prof.sample(prof.phi4, 8, 0.0).real
+    at0 = prof.sample(prof.phi4, 8, 0).real
     osc = prof.sample(prof.phi4, 8, 2 ** (n + 1)).real
     value = float(np.sqrt(0.5 * (at0 - osc)))
     limit = float(np.sqrt(0.5 * at0))
@@ -321,14 +314,23 @@ def nonuniform_experiment(
     given, rows whose frequencies fit inside the dealias band also get the
     solved gap ||theta[f] - theta[g]|| (the gap_crit of their GapRecord) and
     the Picard remainders ||theta[.] - theta_2[.]|| in the critical norm;
-    rows that do not fit keep empty cells and a warning is recorded.
+    rows that do not fit keep empty cells and a warning is recorded. A level
+    whose patch norms are not finite, or whose d_crit or g2_gap is 0, is a
+    ValueError: delta is too far from 1 for the float range.
     """
     rows: list[dict] = []
     warnings: list[str] = []
     s_crit = 2.0 - 2.0 * spec.alpha
     for n in n_values:
         spec_n = replace(spec, n=int(n))
-        parts = decompose_second_iterate(spec_n)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                parts = decompose_second_iterate(spec_n)
+        except OverflowError:  # delta^2 past the float range
+            parts = None
+        ok = parts is not None and np.isfinite(astuple(parts)).all() and parts.d_crit > 0 and parts.g2_gap > 0
+        if not ok:
+            raise ValueError(f"delta={spec.delta:g}, n={n}: the gap norms overflow or underflow to 0")
         row = {col: getattr(parts, col, None) for col in NORM_TABLE_COLUMNS}
         if grid is not None and cfg is not None:
             try:

@@ -23,7 +23,7 @@ from .counterexample import (
     riemann_lebesgue_check,
 )
 from .field import SpectralField, field_from_modes, velocity_from_theta
-from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec, make_grid
+from .grid import GridSpec, make_grid
 from .inequalities import (
     _stream,
     cancellation_probe,
@@ -81,7 +81,7 @@ def parallel_map(fn, items):
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -110,7 +110,7 @@ def _prepare_outdir(config: dict) -> Path:
 
 
 def _grid_from(config: dict) -> GridSpec:
-    return make_grid(int(config["K"]), float(config["L"]), float(config.get("dealias_fraction", DEFAULT_DEALIAS_FRACTION)))
+    return make_grid(int(config["K"]), float(config["L"]))
 
 
 def _solver_from(config: dict) -> SolverConfig:
@@ -131,7 +131,7 @@ def builtin_force(name: str, grid: GridSpec, amplitude: float) -> SpectralField:
 def _resolve_force(config: dict, grid: GridSpec) -> SpectralField:
     path = config.get("force_file")
     if path:
-        f = read_field(path, dealias_fraction=grid.dealias_fraction)
+        f = read_field(path)
         if f.grid != grid:
             raise ConfigError(
                 f"force file grid (K={f.grid.K}, L={f.grid.L:g}) does not match configured grid "
@@ -217,14 +217,14 @@ def run_nonuniform(config: dict) -> int:
         cfg = _solver_from(config)
 
     table = nonuniform_experiment(spec, tuple(range(n_min, n_max + 1)), grid=grid, cfg=cfg)
-
-    outdir = _prepare_outdir(config)
-    csv_path = outdir / "nonuniform.csv"
-    table.write_csv(csv_path)
     plot_rows = [
         (row["n"], math.log2(row["d_crit"]), math.log2(row["g2_gap"]))
         for row in table.rows
     ]
+
+    outdir = _prepare_outdir(config)
+    csv_path = outdir / "nonuniform.csv"
+    table.write_csv(csv_path)
     plot_path = outdir / "plot.csv"
     _write_csv(plot_path, ("n", "log2_d_crit", "log2_g2_gap"), plot_rows)
     _write_manifest(outdir, "nonuniform", config, [csv_path, plot_path], warnings=table.warnings)
@@ -362,9 +362,9 @@ def run_inequality_scan(config: dict) -> int:
     return 0
 
 
-def run_norms(path: str, s_values: tuple[float, ...], dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> int:
+def run_norms(path: str, s_values: tuple[float, ...]) -> int:
     """Print homogeneous Sobolev norms of a stored field."""
-    u = read_field(path, dealias_fraction=dealias_fraction)
+    u = read_field(path)
     for s in s_values:
         print(f"s={s:g}: {hs_norm(u, float(s))!r}")
     return 0

@@ -455,7 +455,7 @@ def rescale(u: SpectralField, a: float) -> SpectralField:
     """
     if u.max_mode_index() > u.grid.K // 4:
         raise ValueError("field is not band-limited to half-Nyquist; dyadic rescale would alias")
-    half = GridSpec(u.grid.K, u.grid.L / 2.0, u.grid.dealias_fraction)
+    half = GridSpec(u.grid.K, u.grid.L / 2.0)
     return _new(half, (2.0**a) * u.half)
 
 

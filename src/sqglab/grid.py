@@ -16,16 +16,13 @@ import numpy as np
 __all__ = ["GridSpec", "LevelTable", "SquareTable", "make_grid"]
 
 
-DEFAULT_DEALIAS_FRACTION = 2.0 / 3.0  # the 2/3 rule for quadratic products
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution, half-period and dealiasing cutoff of a periodic grid.
+    """Resolution and half-period of a periodic grid.
 
     Parameters
     ----------
@@ -33,13 +30,10 @@ class GridSpec:
         Points per dimension; power of two, at least 16.
     L : float
         Half-period; the domain is [-L, L)^2.
-    dealias_fraction : float
-        Fraction of the Nyquist index kept by the dealias band.
     """
 
     K: int
     L: float
-    dealias_fraction: float = DEFAULT_DEALIAS_FRACTION
 
     _levels: dict = field(init=False, repr=False, compare=False)
     _squares: dict = field(init=False, repr=False, compare=False)
@@ -49,15 +43,16 @@ class GridSpec:
             raise ValueError(f"K must be a power of two >= 16, got {self.K}")
         if not 0 < self.L < math.inf:
             raise ValueError(f"L must be positive and finite, got {self.L}")
-        if not (0.0 < self.dealias_fraction <= 1.0 and self.dealias_index >= 1):
-            raise ValueError(f"dealias_fraction must lie in (0, 1] and keep a mode, got {self.dealias_fraction}")
+        k = float(self.nyquist_k)
+        if not math.isfinite(2.0 * k * k):
+            raise ValueError(f"K={self.K}, L={self.L:g}: the largest lattice |k|^2 is past the float range")
         object.__setattr__(self, "_levels", {})
         object.__setattr__(self, "_squares", {})
 
     @property
     def dealias_index(self) -> int:
-        """M_d = floor(dealias_fraction * K/2), below the Nyquist index K/2 (one lattice line with -K/2)."""
-        return min(int(np.floor(self.dealias_fraction * self.K / 2)), self.K // 2 - 1)
+        """M_d = K // 3 = floor((2/3) K/2), the 2/3 rule for quadratic products."""
+        return self.K // 3
 
     @property
     def dk(self) -> float:
@@ -173,6 +168,6 @@ class LevelTable:
         return self.square.radial_power(p).ravel()[self.pos]
 
 
-def make_grid(K: int, L: float, dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> GridSpec:
+def make_grid(K: int, L: float) -> GridSpec:
     """Validate and build a GridSpec."""
-    return GridSpec(K=K, L=L, dealias_fraction=dealias_fraction)
+    return GridSpec(K=K, L=L)

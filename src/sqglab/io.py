@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import SpectralField, field_from_physical, to_physical
-from .grid import DEFAULT_DEALIAS_FRACTION, GridSpec
+from .grid import GridSpec
 
 __all__ = ["write_field", "read_field", "MAGIC", "VERSION"]
 
@@ -39,7 +39,7 @@ def write_field(path: str | Path, u: SpectralField, representation: str = "spect
     Path(path).write_bytes(header + payload)
 
 
-def read_field(path: str | Path, dealias_fraction: float = DEFAULT_DEALIAS_FRACTION) -> SpectralField:
+def read_field(path: str | Path) -> SpectralField:
     """Read an SQGF1 file; every refusal is a ValueError that names the file."""
     raw = Path(path).read_bytes()
     try:
@@ -50,7 +50,7 @@ def read_field(path: str | Path, dealias_fraction: float = DEFAULT_DEALIAS_FRACT
             raise ValueError(f"bad magic {magic!r}")
         if version != VERSION:
             raise ValueError(f"unsupported version {version}")
-        grid = GridSpec(int(K), float(L), dealias_fraction)
+        grid = GridSpec(int(K), float(L))
         if tag not in (REPR_SPECTRAL, REPR_PHYSICAL):
             raise ValueError(f"unknown representation tag {tag}")
         data = np.frombuffer(raw[_HEADER.size :], dtype="<c16" if tag == REPR_SPECTRAL else "<f8")

@@ -169,21 +169,19 @@ def gradient(u: PatchField) -> tuple[PatchField, PatchField]:
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 2D arrays, by the rules of scipy.signal.fftconvolve.
+    """Full linear convolution of two complex 2D arrays, by the rules of scipy.signal.fftconvolve.
 
     An axis on which either array has length 1 is a plain product; the
-    others are transformed (rfftn for real inputs, fftn for complex ones)
-    at next_fast_len of their full length and cut back to it.
+    others are transformed by fftn at next_fast_len of their full length
+    and cut back to it.
     """
     shape = [a.shape[i] + b.shape[i] - 1 for i in range(2)]
     axes = [i for i in range(2) if a.shape[i] != 1 and b.shape[i] != 1]
     if not axes:
         return a * b
-    cplx = np.iscomplexobj(a) or np.iscomplexobj(b)
-    fshape = [scipy.fft.next_fast_len(shape[i], not cplx) for i in axes]
-    fft, ifft = (scipy.fft.fftn, scipy.fft.ifftn) if cplx else (scipy.fft.rfftn, scipy.fft.irfftn)
-    out = ifft(fft(a, fshape, axes=axes) * fft(b, fshape, axes=axes), fshape, axes=axes)
-    return out[: shape[0], : shape[1]]
+    fshape = [scipy.fft.next_fast_len(shape[i]) for i in axes]
+    spectrum = scipy.fft.fftn(a, fshape, axes=axes) * scipy.fft.fftn(b, fshape, axes=axes)
+    return scipy.fft.ifftn(spectrum, fshape, axes=axes)[: shape[0], : shape[1]]
 
 
 def convolve(a: PatchField, b: PatchField) -> PatchField:

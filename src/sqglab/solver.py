@@ -279,12 +279,15 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     problem at the next level of default_schedule(grid) with the previously
     induced velocity; after the top level 2^{N_top} is reached it is iterated
     to a fixed point. Convergence is declared when the projected nonlinear
-    residual drops below outer_tol * ||f||_{H^{-alpha}}.
+    residual drops below outer_tol * ||f||_{H^{-alpha}}; a nonzero force
+    whose norm underflows to 0 leaves no target and is a ConfigError.
     """
     grid = f.grid
     n_top = default_schedule(grid)[-1]
     top = grid.level(n_top)
     f_low = hs_norm(f, -cfg.alpha)
+    if f_low == 0 and f.max_mode_index() > 0:
+        raise ConfigError(f"the force's H^-{cfg.alpha:g} norm underflows to 0, so no residual target can be set")
     target = cfg.outer_tol * f_low
     report = SolveReport(alpha=cfg.alpha)
 

@@ -594,14 +594,20 @@ class TestConfigResolution:
         (["continuity", "--force", "nope"], {}, "'nope'"),
         (["solve", "--force", "nope"], {}, "'nope'"),
         (["ineq-scan"], {"product_exponents": [1.5, 0, 0, 1.5]}, "s1 < 1"),
-        (["continuity", "--dealias_fraction", "0.15"], {"K": 16}, "no room for P_1"),
+        (["continuity", "--L", "8pi"], {"K": 16}, "no room for P_1"),
         (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "n=58 is past the largest level 57"),
         (["ineq-scan", "--interp_samples", "-5"], {}, "interp_samples=-5"),
         (["ineq-scan", "--cancel_samples", "-3"], {}, "cancel_samples=-3"),
+        (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e100"], {}, "delta=1e+100, n=3"),
+        (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e300"], {}, "delta=1e+300, n=3"),
+        (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e-160"], {}, "delta=1e-160, n=3"),
+        (["solve", "--K", "16", "--L", "1e-300"], {}, "K=16, L=1e-300"),
+        (["solve", "--K", "64", "--amplitude", "1e-170"], {}, "norm underflows to 0"),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
         """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
-        lattice or a negative sample count exit 1 and make no output directory."""
+        lattice, a negative sample count, gap norms or a grid past the float range, or a force whose norm
+        underflows exit 1 and make no output directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
@@ -655,6 +661,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (out / "rlcheck.csv").exists()
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch):
+        """Every sqg-lab line of README's command-line examples exits 0, run in a scratch directory.
+
+        The examples read force.sqgf (on the default K=128, L=pi grid) and run.json; both are written here.
+        """
+        import re
+        import shlex
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        lines = [ln for block in re.findall(r"```sh\n(.*?)```", section, re.S) for ln in block.splitlines()]
+        commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("sqg-lab ")]
+        assert len(commands) >= 9
+
+        monkeypatch.chdir(tmp_path)
+        write_field("force.sqgf", field_from_modes(make_grid(128, math.pi), {(1, 0): -0.005j, (0, 2): 0.005}))
+        Path("run.json").write_text(json.dumps({"experiment": "nonuniform", "delta": 0.02, "outdir": "out_config"}))
+        assert [(argv, main(argv)) for argv in commands] == [(argv, 0) for argv in commands]
 
     def test_import_skips_scipy_signal(self):
         """Importing the package and its experiments leaves scipy.signal (about 0.3 s of import) unloaded."""

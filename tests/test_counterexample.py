@@ -8,7 +8,6 @@ from sqglab import SolverConfig, make_grid
 from sqglab.counterexample import (
     NORM_TABLE_COLUMNS,
     CounterexampleSpec,
-    PhiProfile,
     build_forces,
     build_phi,
     decompose_second_iterate,
@@ -130,19 +129,18 @@ class TestPhiProfile:
         np.testing.assert_allclose(physical(prof, prof.phi_dphi, 4, x), num, atol=1e-8)
 
     def test_sample_lattice_rules(self):
-        """sample() hits lattice points, zeros outside, rejects off-lattice."""
+        """sample() reads integer frequencies on the lattice and zeros outside the box on both sides."""
         prof = build_phi(spec_at(3))
-        assert prof.sample(prof.phi, 2, 0.0) == 1.0
-        assert prof.sample(prof.phi, 2, 5.0) == 0.0
-        with pytest.raises(ValueError, match="lattice"):
-            prof.sample(prof.phi, 2, 0.015)
+        assert prof.sample(prof.phi, 2, 0) == 1.0
+        assert prof.sample(prof.phi, 2, 5) == 0.0
+        assert prof.sample(prof.phi, 2, -3) == 0.0
 
     def test_quartic_mass_stable_under_refinement(self):
         """int phi^4 from the transform is stable to 1e-8 under h halving."""
         coarse = build_phi(spec_at(3))
         fine = build_phi(spec_at(3, h_xi=1.0 / 64.0))
-        a = coarse.sample(coarse.phi4, 8, 0.0).real
-        b = fine.sample(fine.phi4, 8, 0.0).real
+        a = coarse.sample(coarse.phi4, 8, 0).real
+        b = fine.sample(fine.phi4, 8, 0).real
         assert a > 0
         assert abs(a - b) / a <= 1e-8
 
@@ -318,7 +316,7 @@ class TestRiemannLebesgue:
     def test_limit_value(self, prof):
         """The limit is sqrt((1/2) int phi^4)."""
         rec = riemann_lebesgue_check(prof, 5)
-        at0 = prof.sample(prof.phi4, 8, 0.0).real
+        at0 = prof.sample(prof.phi4, 8, 0).real
         np.testing.assert_allclose(rec.limit, np.sqrt(0.5 * at0), rtol=1e-14)
 
     def test_invalid_level_rejected(self, prof):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from sqglab import (
-    GridSpec,
     SpectralField,
     advect,
     dealias,
@@ -44,10 +43,9 @@ class TestGridSpec:
         assert g.dealias_index == 5
 
     def test_dealias_index_large(self):
-        """K=256 with the 2/3 rule keeps modes up to 85; fraction 1 stops below the Nyquist index 128."""
+        """K=256 with the 2/3 rule keeps modes up to 85."""
         g = make_grid(256, np.pi)
         assert g.dealias_index == 85
-        assert make_grid(256, np.pi, 1.0).dealias_index == 127
 
     def test_dealias_level(self):
         """dealias_level is the largest N with 2^N <= dealias_k, boundary included, below the Nyquist line."""
@@ -58,13 +56,6 @@ class TestGridSpec:
         assert make_grid(64, 21.0 * np.pi / 16.0).dealias_level == 4  # dealias_k = 16 exactly
         # one ulp longer: dealias_k = 16 - 4e-15, inside the rounding slack
         assert make_grid(64, np.nextafter(21.0 * np.pi / 16.0, np.inf)).dealias_level == 4
-        # fraction 1: the band stops at index 15, below the Nyquist wavenumber 16
-        assert make_grid(32, np.pi, 1.0).dealias_level == 3
-
-    def test_empty_dealias_band_rejected(self):
-        """A dealias fraction that keeps no mode is refused."""
-        with pytest.raises(ValueError, match="dealias_fraction"):
-            make_grid(16, np.pi, 0.1)
 
     def test_odd_resolution_rejected(self):
         """Resolutions that are not powers of two are refused."""
@@ -80,6 +71,12 @@ class TestGridSpec:
         """L must be positive."""
         with pytest.raises(ValueError):
             make_grid(16, 0.0)
+
+    def test_overflowing_lattice_rejected(self):
+        """A half-period so small that the largest |k|^2 overflows is refused with K and L named."""
+        with pytest.raises(ValueError, match=r"K=16, L=1e-300"):
+            make_grid(16, 1e-300)
+        assert make_grid(16, 1e-12).dealias_index == 5
 
     def test_x_axis_layout(self):
         """Sample points are x_j = -L + 2L*j/K."""
@@ -140,10 +137,9 @@ class TestFieldConstruction:
         assert u.mode(8, 0) == 0.5
 
     @pytest.mark.parametrize("K", [16, 32])
-    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
-    def test_mode_reads_coeffs(self, K, fraction):
+    def test_mode_reads_coeffs(self, K):
         """mode() equals coeffs bit for bit on every mode, Nyquist lines included, without building coeffs."""
-        g = make_grid(K, np.pi, fraction)
+        g = make_grid(K, np.pi)
         samples = np.random.default_rng(K).standard_normal((K, K))
         u = field_from_physical(g, samples - samples.mean())
         fields = (u, -dealias(u), velocity_from_theta(dealias(u)).v1, field_from_modes(g, {(2, -1): 0.5j}))
@@ -475,17 +471,6 @@ class TestProducts:
         out = pointwise_product(a, b)
         X, Y = meshgrid(g)
         np.testing.assert_allclose(to_physical(out), np.cos(X) * np.cos(Y), atol=1e-14)
-
-    def test_full_band_product_keeps_parseval(self):
-        """At dealias fraction 1 a product stays below the Nyquist line, so Parseval and the physical round trip hold."""
-        g = make_grid(16, np.pi, 1.0)
-        u = field_from_modes(g, {(4, 1): 0.5, (3, 0): 0.2j})
-        p = pointwise_product(u, u)
-        assert p.max_mode_index() == g.K // 2 - 1
-        x = to_physical(p)
-        cell = (2 * g.L / g.K) ** 2
-        np.testing.assert_allclose(hs_norm(p, 0.0) ** 2, float(np.sum(x**2)) * cell, rtol=1e-12)
-        np.testing.assert_allclose(field_from_physical(g, x).coeffs, p.coeffs, rtol=0, atol=1e-15)
 
     def test_product_mean_is_dropped(self):
         """sin(x1)^2 keeps only its oscillatory part."""

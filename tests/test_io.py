@@ -95,14 +95,6 @@ class TestRoundTrip:
         write_field(p, hot)
         assert not read_field(p).is_dealiased
 
-    def test_custom_dealias_fraction(self, tmp_path):
-        """The reader applies the caller's dealias fraction to the new grid."""
-        g = make_grid(32, np.pi)
-        p = tmp_path / "u.sqgf"
-        write_field(p, sample_field(g))
-        back = read_field(p, dealias_fraction=0.5)
-        assert back.grid.dealias_index == 8
-
 
 def spectral_file(path, coeffs, L=np.pi):
     """An SQGF1 spectral file holding raw K x K coefficients in FFT order."""

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma
 
@@ -11,6 +12,7 @@ from sqglab.counterexample import CounterexampleSpec, build_forces, patch_biline
 from sqglab.patches import (
     _BLOCK_RADIUS,
     _GL_NODES,
+    _fft_convolve,
     FrequencyOverflowError,
     Patch,
     PatchField,
@@ -233,6 +235,20 @@ class TestConvolve:
         los = sorted(p.lo[0] for p in c.patches)
         assert len(c.patches) == 3
         assert los[0] < 0 < los[2]
+
+    def test_bits_of_scipy_fftconvolve(self):
+        """The convolution kernel gives scipy.signal.fftconvolve's bits on the force patches and on length-1 axes."""
+        f, _, _ = build_forces(CounterexampleSpec(delta=0.02, alpha=0.4, n=3))
+        forces = [materialize(p, f.h) for p in f.patches]
+        assert {v.shape for v in forces} == {(129, 129)}
+        rng = np.random.default_rng(0)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        shapes = (((1, 1), (1, 1)), ((1, 5), (3, 1)), ((1, 5), (4, 5)), ((7, 1), (7, 3)))
+        for a, b in [(a, b) for a in forces for b in forces] + [(draw(sa), draw(sb)) for sa, sb in shapes]:
+            assert np.array_equal(_fft_convolve(a, b), scipy.signal.fftconvolve(a, b)), (a.shape, b.shape)
 
 
 def to_dense(u, half_extent=260):
