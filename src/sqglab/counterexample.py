@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .grid import GridSpec
-from .io import _write_csv
 from .patches import (
     FrequencyOverflowError,
     Patch,
@@ -297,9 +296,6 @@ class NormTable:
 
     rows: list[dict]
     warnings: list[str]
-
-    def write_csv(self, path) -> None:
-        _write_csv(path, NORM_TABLE_COLUMNS, ([row.get(col) for col in NORM_TABLE_COLUMNS] for row in self.rows))
 
 
 def nonuniform_experiment(

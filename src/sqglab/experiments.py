@@ -1,22 +1,26 @@
 """Named experiments with reproducible artifacts.
 
-Every experiment resolves a flat configuration dict, computes, writes
-CSV/JSON artifacts plus a manifest with sha256 checksums of everything it
-produced, and returns a process exit code. Identical config and seed give
-byte-identical artifacts: reductions run in fixed order and floats are
-serialized via repr.
+Every experiment resolves a flat configuration dict, computes and encodes
+all of its CSV/JSON artifacts, hands them to the one writer ``_publish``,
+which makes the output directory and adds a manifest with sha256 checksums
+of everything it wrote, and returns a process exit code. A run that fails
+makes no directory. Identical config and seed give byte-identical
+artifacts: reductions run in fixed order and floats are serialized via repr.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, fields
+from io import StringIO
 from pathlib import Path
 
 from .counterexample import (
+    NORM_TABLE_COLUMNS,
     CounterexampleSpec,
     build_phi,
     nonuniform_experiment,
@@ -33,7 +37,7 @@ from .inequalities import (
     run_product_probe,
     sample_band_limited,
 )
-from .io import _write_csv, read_field, write_field
+from .io import read_field, write_field
 from .norms import (
     hs_norm,
     interpolation_check,
@@ -79,10 +83,19 @@ def parallel_map(fn, items):
         return list(ex.map(fn, items))
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _json(obj) -> bytes:
+    """JSON artifact bytes: sorted keys, two-space indent, floats by repr; NaN and infinities are refused."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def _csv(header: tuple[str, ...], rows) -> bytes:
+    """CSV artifact bytes of rows under header; floats by repr (exact round trip), None as an empty cell."""
+    buf = StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else (repr(float(v)) if isinstance(v, float) else str(v)) for v in row])
+    return buf.getvalue().encode()
 
 
 def _sha256(path: Path) -> str:
@@ -93,20 +106,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, experiment: str, config: dict, artifacts: list[Path], warnings: list[str] | None = None) -> None:
+def _publish(config: dict, experiment: str, artifacts: dict, warnings=()) -> None:
+    """The one artifact writer: make config["outdir"], write each artifact (name -> encoded bytes, or a
+    SpectralField as a spectral SQGF file), then manifest.json with their sha256. A run calls it once,
+    after everything is computed and encoded, so a run that fails makes no directory."""
+    outdir = Path(config["outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        if isinstance(data, SpectralField):
+            write_field(outdir / name, data, representation="spectral")
+        else:
+            (outdir / name).write_bytes(data)
     manifest = {
         "experiment": experiment,
         "config": config,
-        "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
-        "warnings": list(warnings or []),
+        "artifacts": {name: _sha256(outdir / name) for name in sorted(artifacts)},
+        "warnings": list(warnings),
     }
-    _write_json(outdir / "manifest.json", manifest)
-
-
-def _prepare_outdir(config: dict) -> Path:
-    outdir = Path(config["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    (outdir / "manifest.json").write_bytes(_json(manifest))
 
 
 def _grid_from(config: dict) -> GridSpec:
@@ -150,26 +167,16 @@ def run_solve(config: dict) -> int:
     f = _resolve_force(config, grid)
 
     theta, report = outer_iterate(f, cfg)
-
-    outdir = _prepare_outdir(config)
-    theta_path = outdir / "theta.sqgf"
-    write_field(theta_path, theta, representation="spectral")
-    report_path = outdir / "report.json"
-    _write_json(report_path, asdict(report))
     a = cfg.alpha
-    norms_path = outdir / "norms.json"
-    _write_json(
-        norms_path,
-        {
-            "l2": hs_norm(theta, 0.0),
-            "h_alpha": hs_norm(theta, a),
-            "h_crit": hs_norm(theta, 2.0 - 2.0 * a),
-            "force_h_low": hs_norm(f, -a),
-            "force_h_crit": hs_norm(f, 2.0 - 4.0 * a),
-            "velocity_h_crit": velocity_hs_norm(velocity_from_theta(theta), 2.0 - 2.0 * a),
-        },
-    )
-    _write_manifest(outdir, "solve", config, [theta_path, report_path, norms_path])
+    norms = {
+        "l2": hs_norm(theta, 0.0),
+        "h_alpha": hs_norm(theta, a),
+        "h_crit": hs_norm(theta, 2.0 - 2.0 * a),
+        "force_h_low": hs_norm(f, -a),
+        "force_h_crit": hs_norm(f, 2.0 - 4.0 * a),
+        "velocity_h_crit": velocity_hs_norm(velocity_from_theta(theta), 2.0 - 2.0 * a),
+    }
+    _publish(config, "solve", {"theta.sqgf": theta, "report.json": _json(asdict(report)), "norms.json": _json(norms)})
     print(f"converged: residual {report.residual:.3e} after {len(report.steps)} outer steps")
     return 0
 
@@ -192,10 +199,7 @@ def run_continuity(config: dict) -> int:
         return (j, *astuple(GapRecord.between(f_j, f_inf, theta_j, theta_inf, cfg.alpha)))
 
     rows = parallel_map(one, range(j_min, j_max + 1))
-    outdir = _prepare_outdir(config)
-    csv_path = outdir / "continuity.csv"
-    _write_csv(csv_path, ("j", *(f.name for f in fields(GapRecord))), rows)
-    _write_manifest(outdir, "continuity", config, [csv_path])
+    _publish(config, "continuity", {"continuity.csv": _csv(("j", *(f.name for f in fields(GapRecord))), rows)})
     return 0
 
 
@@ -217,17 +221,11 @@ def run_nonuniform(config: dict) -> int:
         cfg = _solver_from(config)
 
     table = nonuniform_experiment(spec, tuple(range(n_min, n_max + 1)), grid=grid, cfg=cfg)
-    plot_rows = [
-        (row["n"], math.log2(row["d_crit"]), math.log2(row["g2_gap"]))
-        for row in table.rows
-    ]
-
-    outdir = _prepare_outdir(config)
-    csv_path = outdir / "nonuniform.csv"
-    table.write_csv(csv_path)
-    plot_path = outdir / "plot.csv"
-    _write_csv(plot_path, ("n", "log2_d_crit", "log2_g2_gap"), plot_rows)
-    _write_manifest(outdir, "nonuniform", config, [csv_path, plot_path], warnings=table.warnings)
+    plot_rows = [(row["n"], math.log2(row["d_crit"]), math.log2(row["g2_gap"])) for row in table.rows]
+    _publish(config, "nonuniform", {
+        "nonuniform.csv": _csv(NORM_TABLE_COLUMNS, ([row[col] for col in NORM_TABLE_COLUMNS] for row in table.rows)),
+        "plot.csv": _csv(("n", "log2_d_crit", "log2_g2_gap"), plot_rows),
+    }, table.warnings)
     for w in table.warnings:
         print(f"warning: {w}")
     return 0
@@ -244,20 +242,8 @@ def run_rlcheck(config: dict) -> int:
     for n in range(n_min, n_max + 1):
         rec = riemann_lebesgue_check(prof, n)
         rows.append((n, rec.value, rec.limit, rec.rel_dev))
-    outdir = _prepare_outdir(config)
-    csv_path = outdir / "rlcheck.csv"
-    _write_csv(csv_path, ("n", "value", "limit", "rel_dev"), rows)
-    _write_manifest(outdir, "rlcheck", config, [csv_path])
+    _publish(config, "rlcheck", {"rlcheck.csv": _csv(("n", "value", "limit", "rel_dev"), rows)})
     return 0
-
-
-def _probe_json(probe, witness_files: list[str]) -> dict:
-    return {
-        "exponents": list(probe.exponents),
-        "samples": probe.samples,
-        "worst_ratio": probe.worst_ratio,
-        "witness_files": witness_files,
-    }
 
 
 def run_inequality_scan(config: dict) -> int:
@@ -285,19 +271,16 @@ def run_inequality_scan(config: dict) -> int:
         "product": run_product_probe(grid, tuple(prod_exps), samples, seed),
         "commutator": run_commutator_probe(grid, tuple(comm_exps), samples, seed),
     }
-    outdir = _prepare_outdir(config)
-
-    artifacts: list[Path] = []
+    artifacts = {}
     for name, probe in probes.items():
-        files = []
-        for tag, fld in zip(("f", "g"), probe.witness):
-            p = outdir / f"{name}_witness_{tag}.sqgf"
-            write_field(p, fld, representation="spectral")
-            artifacts.append(p)
-            files.append(p.name)
-        probe_path = outdir / f"{name}_probe.json"
-        _write_json(probe_path, _probe_json(probe, files))
-        artifacts.append(probe_path)
+        files = [f"{name}_witness_{tag}.sqgf" for tag in ("f", "g")]
+        artifacts.update(zip(files, probe.witness))
+        artifacts[f"{name}_probe.json"] = _json({
+            "exponents": list(probe.exponents),
+            "samples": probe.samples,
+            "worst_ratio": probe.worst_ratio,
+            "witness_files": files,
+        })
 
     # unconditional checks: mollifier interpolation and nonlinear cancellation
     k_band = grid.dealias_k / 2.0
@@ -346,11 +329,8 @@ def run_inequality_scan(config: dict) -> int:
         "smoothing_scan": {"samples": max(1, n_interp // 10), "failures": scan_fail},
         "cancellation": {"samples": n_cancel, "max_relative_pairing": cancel_max, "threshold": 1e-10},
     }
-    checks_path = outdir / "lemma_checks.json"
-    _write_json(checks_path, checks)
-    artifacts.append(checks_path)
-
-    _write_manifest(outdir, "ineq-scan", config, artifacts)
+    artifacts["lemma_checks.json"] = _json(checks)
+    _publish(config, "ineq-scan", artifacts)
     failed = interp_fail > 0 or scan_fail > 0 or cancel_max > 1e-10
     if failed:
         print("unconditional inequality checks FAILED")

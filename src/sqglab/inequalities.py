@@ -165,6 +165,8 @@ def _run_probe(kind, ratio_fn, grid, exponents, samples, seed) -> EstimateProbe:
         f = sample_band_limited(grid, k_min, k_max, rng)
         g = sample_band_limited(grid, k_min, k_max, rng)
         r = ratio_fn(f, g, exponents)
+        if not np.isfinite(r):
+            raise ValueError(f"{kind} probe draw {i}: ratio {r!r} is not finite; the norms leave the float range")
         ratios.append(r)
         if r > worst:
             worst, witness = r, (f, g)

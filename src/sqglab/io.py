@@ -8,7 +8,6 @@ row-major little-endian payload. Spectral payloads are complex interleaved
 """
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -61,12 +60,3 @@ def read_field(path: str | Path) -> SpectralField:
         return field_from_physical(grid, data.reshape(K, K))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
-    """CSV of rows under header; floats by repr (exact round trip), None as an empty cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(float(v)) if isinstance(v, float) else str(v)) for v in row])

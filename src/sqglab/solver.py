@@ -152,10 +152,12 @@ class GapRecord:
 
 
 def default_schedule(grid: GridSpec) -> tuple[int, ...]:
-    """1, 2, ..., N_max with 2^{N_max} below the dealias wavenumber."""
+    """N_0, ..., N_max: N_0 the lowest N >= 1 whose disk |k| <= 2^N holds a lattice mode, and 2^{N_max}
+    below the dealias wavenumber (the top level always holds one, since 2^{N_max} > dealias_k / 2 > pi/L)."""
     if grid.dealias_level < 1:
         raise ConfigError(f"grid dealias cutoff {grid.dealias_k:g} leaves no room for P_1")
-    return tuple(range(1, grid.dealias_level + 1))
+    n_0 = next(N for N in range(1, grid.dealias_level + 1) if grid.level(N).M >= 1)
+    return tuple(range(n_0, grid.dealias_level + 1))
 
 
 def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
@@ -275,15 +277,16 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
     """Approximation sequence theta_1, theta_2, ... with top-level refinement.
 
-    theta_1 = (-Delta)^{-alpha} P_1 f; each later step solves the linear
-    problem at the next level of default_schedule(grid) with the previously
-    induced velocity; after the top level 2^{N_top} is reached it is iterated
-    to a fixed point. Convergence is declared when the projected nonlinear
+    theta_1 = (-Delta)^{-alpha} P_N f at the first level N of the schedule
+    default_schedule(grid); each later step solves the linear problem at the
+    next level with the previously induced velocity; after the top level
+    2^{N_top} is reached it is iterated to a fixed point. Convergence is declared when the projected nonlinear
     residual drops below outer_tol * ||f||_{H^{-alpha}}; a nonzero force
     whose norm underflows to 0 leaves no target and is a ConfigError.
     """
     grid = f.grid
-    n_top = default_schedule(grid)[-1]
+    schedule = default_schedule(grid)
+    n_top = schedule[-1]
     top = grid.level(n_top)
     f_low = hs_norm(f, -cfg.alpha)
     if f_low == 0 and f.max_mode_index() > 0:
@@ -292,7 +295,7 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     report = SolveReport(alpha=cfg.alpha)
 
     # theta_1 is the first level's solve from the zero field with no velocity
-    N, theta, res, v, adv = 0, field_from_modes(grid, {}), math.inf, None, None
+    N, theta, res, v, adv = schedule[0] - 1, field_from_modes(grid, {}), math.inf, None, None
     while not (N == n_top and res <= target):
         if len(report.steps) >= cfg.max_outer:
             raise ConvergenceError(

@@ -603,11 +603,16 @@ class TestConfigResolution:
         (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e-160"], {}, "delta=1e-160, n=3"),
         (["solve", "--K", "16", "--L", "1e-300"], {}, "K=16, L=1e-300"),
         (["solve", "--K", "64", "--amplitude", "1e-170"], {}, "norm underflows to 0"),
+        # numpy reports the norms' overflow as a RuntimeWarning before the probe refuses the ratio
+        pytest.param(["ineq-scan", "--K", "16", "--L", "1e-60", "--samples", "3"], {},
+                     "commutator probe draw 0: ratio inf", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        pytest.param(["ineq-scan", "--K", "16", "--L", "1e-100", "--samples", "3"], {},
+                     "product probe draw 0: ratio nan", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
         """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
-        lattice, a negative sample count, gap norms or a grid past the float range, or a force whose norm
-        underflows exit 1 and make no output directory."""
+        lattice, a negative sample count, gap norms, probe ratios or a grid past the float range, or a force
+        whose norm underflows exit 1 and make no output directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
@@ -663,12 +668,15 @@ class TestEntryPoint:
         assert (out / "rlcheck.csv").exists()
 
     def test_readme_commands_run(self, tmp_path, monkeypatch):
-        """Every sqg-lab line of README's command-line examples exits 0, run in a scratch directory.
+        """Every sqg-lab line of README's command-line examples exits 0, run in a scratch directory, and
+        each experiment leaves in its output directory exactly manifest.json and the manifest's artifacts.
 
         The examples read force.sqgf (on the default K=128, L=pi grid) and run.json; both are written here.
         """
         import re
         import shlex
+
+        from sqglab.cli import _resolve_config, build_parser
 
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -679,7 +687,42 @@ class TestEntryPoint:
         monkeypatch.chdir(tmp_path)
         write_field("force.sqgf", field_from_modes(make_grid(128, math.pi), {(1, 0): -0.005j, (0, 2): 0.005}))
         Path("run.json").write_text(json.dumps({"experiment": "nonuniform", "delta": 0.02, "outdir": "out_config"}))
-        assert [(argv, main(argv)) for argv in commands] == [(argv, 0) for argv in commands]
+        for argv in commands:
+            assert (argv, main(argv)) == (argv, 0)
+            args = build_parser().parse_args(argv)
+            if args.command == "norms":
+                continue
+            outdir = Path(_resolve_config(args.command, args)["outdir"])
+            listed = read_manifest(outdir)["artifacts"]
+            assert sorted(p.name for p in outdir.iterdir()) == sorted(["manifest.json", *listed]), argv
+
+    def test_one_writer(self):
+        """Only experiments._publish and io.write_field make a directory or write a file in the package.
+
+        Every function of src/sqglab is scanned for calls of .mkdir, .write_bytes, .write_text, and open
+        with a w, a or x mode; a run that fails then makes no directory, since it never reaches _publish.
+        """
+        import ast
+
+        def opens_for_writing(call):
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else None
+            return isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) & set("wax")
+
+        def writes(call):
+            fn = call.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            return name in ("mkdir", "write_bytes", "write_text") or (name == "open" and opens_for_writing(call))
+
+        writers = set()
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sqglab").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                # a write in a nested function names the enclosing ones too
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and writes(c) for c in ast.walk(node)
+                ):
+                    writers.add(f"{path.stem}.{node.name}")
+        assert writers == {"experiments._publish", "io.write_field"}
 
     def test_import_skips_scipy_signal(self):
         """Importing the package and its experiments leaves scipy.signal (about 0.3 s of import) unloaded."""

@@ -326,7 +326,7 @@ class TestRiemannLebesgue:
 
 
 class TestNormTable:
-    """The per-level table and its CSV serialization."""
+    """The per-level table and the CSV the nonuniform run writes of it."""
 
     def test_patch_only_rows(self):
         """Without a grid the torus columns stay empty."""
@@ -338,11 +338,14 @@ class TestNormTable:
         assert table.warnings == []
 
     def test_csv_layout(self, tmp_path):
-        """The CSV has the fixed column order and empty optional cells."""
+        """The nonuniform.csv that `sqg-lab nonuniform` writes has the fixed column order and empty
+        optional cells."""
+        from sqglab.cli import main
+
         table = nonuniform_experiment(spec_at(3), (3, 4))
-        path = tmp_path / "norms.csv"
-        table.write_csv(path)
-        with open(path, newline="") as fh:
+        argv = ["nonuniform", "--delta", str(DELTA), "--alpha", str(ALPHA), "--n_min", "3", "--n_max", "4"]
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+        with open(tmp_path / "nonuniform.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(NORM_TABLE_COLUMNS)
         assert len(rows) == 3

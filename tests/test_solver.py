@@ -545,6 +545,19 @@ class TestOuterIterate:
         assert (new_start, old_start) == (len(applied), len(inputs))
         assert sum(x0 is not None for x0 in seeds) == 2
 
+    @pytest.mark.parametrize("L, levels", [("1e-12", [42, 43]), ("1e-20", [69, 70])])
+    def test_tiny_period_walks_no_empty_level(self, tmp_path, L, levels):
+        """`sqg-lab solve --K 16 --L 1e-12` and `--L 1e-20` start at the first level that holds a lattice
+        mode (levels below it are empty, since pi/L > 2^N), so the single-mode force, an exact solution,
+        converges in two outer steps instead of walking the empty levels."""
+        from sqglab.cli import main
+
+        out = tmp_path / "o"
+        assert main(["solve", "--K", "16", "--L", L, "--outdir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True
+        assert [s["n"] for s in report["steps"]] == levels
+
     def test_report_serializes(self):
         """The report renders to plain JSON-ready types, as report.json writes it."""
         g = make_grid(64, np.pi)
