@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .grid import GridSpec, LevelTable
 
@@ -282,7 +281,7 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     if s.shape != (grid.K, grid.K):
         raise ValueError(f"sample array shape {s.shape} does not match grid")
     shifted = np.roll(s, -(grid.K // 2), axis=(0, 1))  # to the [0, 2L) grid fft expects
-    h = scipy.fft.rfft2(shifted, norm="forward")
+    h = np.fft.rfft2(shifted, norm="forward")
     scale = float(np.max(np.abs(h)))
     if not np.isfinite(scale):
         raise ValueError(f"samples must be finite (largest transform modulus {scale})")
@@ -294,7 +293,7 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
 def to_physical(u: SpectralField) -> np.ndarray:
     """Evaluate on the physical grid x_j = -L + 2L*j/K (real array)."""
     K = u.grid.K
-    phys = scipy.fft.irfft2(_rfft_half(u), s=(K, K), norm="forward")
+    phys = np.fft.irfft2(_rfft_half(u), s=(K, K), norm="forward")
     return np.roll(phys, K // 2, axis=(0, 1))
 
 
@@ -354,11 +353,13 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # A quadratic product of factors with mode radii Ma and Mb, kept on the
 # modes |m_i| <= Mo, is an exact truncated convolution on any P x P grid
 # with P >= Ma + Mb + Mo + 1: an aliased copy m + P j of a kept mode would
-# need |m_i + P j_i| <= Ma + Mb. Each factor enters as its half square, a
-# P x (P/2+1) array, and reaches the grid through one irfft2 (a velocity
-# keeps its samples for the next product of the same size); each product
-# returns through one rfft2 as a half square, which _close completes, so
-# the result is a real field by construction.
+# need |m_i + P j_i| <= Ma + Mb. Each factor enters as its half square and
+# reaches the grid through one inverse real transform, pruned to the
+# columns that hold modes (a velocity keeps its samples for the next
+# product of the same size); each product returns through one forward real
+# transform, pruned to the kept columns, as a half square, which _close
+# completes, so the result is a real field by construction. P is 5-smooth,
+# as scipy.fft.next_fast_len(..., real=True) picks it.
 # Radii beyond what can reach a kept mode are cut first, and Mo never
 # exceeds the dealias index, so the result is the dealiased product
 # whatever the factors' bands.
@@ -369,23 +370,46 @@ def _product_size(ma: int, mb: int, mo: int) -> tuple[int, int, int, int]:
     ma, mb, mo = min(ma, mb + mo), min(mb, ma + mo), min(mo, ma + mb)
     if min(ma, mb, mo) == 0:
         return ma, mb, mo, 0
-    return ma, mb, mo, scipy.fft.next_fast_len(ma + mb + mo + 1, real=True)
+    return ma, mb, mo, _next_fast_len(ma + mb + mo + 1, real=True)
+
+
+def _next_fast_len(n: int, real: bool) -> int:
+    """Smallest m >= n with no prime factor above 5 (real) or 11 (complex): the sizes scipy.fft.next_fast_len
+    picks for pocketfft, and so the transform sizes of every earlier run."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    m = n
+    while True:
+        rest = m
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _samples(sq: np.ndarray, r: int, P: int) -> np.ndarray:
-    """Values on the P x P grid of the modes |m_i| <= r of the half square sq."""
+    """Values on the P x P grid of the modes |m_i| <= r of the half square sq.
+
+    The inverse transform is pruned: the column pass runs only on the r+1
+    columns that hold modes, and the row pass zero-pads them to P/2+1.
+    """
     M = sq.shape[1] - 1
-    h = np.zeros((P, P // 2 + 1), dtype=np.complex128)
-    h[: r + 1, : r + 1] = sq[M : M + r + 1, : r + 1]
-    h[P - r :, : r + 1] = sq[M - r : M, : r + 1]
-    return scipy.fft.irfft2(h, s=(P, P), norm="forward")
+    cols = np.zeros((P, r + 1), dtype=np.complex128)
+    cols[: r + 1] = sq[M : M + r + 1, : r + 1]
+    cols[P - r :] = sq[M - r : M, : r + 1]
+    return np.fft.irfft(np.fft.ifft(cols, axis=0, norm="forward"), n=P, axis=1, norm="forward")
 
 
 def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
-    """Modes |m1| <= mo, 0 <= m2 <= mo of real samples x; row m1 + mo, column m2."""
+    """Modes |m1| <= mo, 0 <= m2 <= mo of real samples x; row m1 + mo, column m2.
+
+    The forward transform is pruned: the row pass keeps columns 0..mo, and
+    only those take the column pass.
+    """
     P = x.shape[0]
-    spec = scipy.fft.rfft2(x, norm="forward")
-    return np.concatenate((spec[P - mo :, : mo + 1], spec[: mo + 1, : mo + 1]))
+    spec = np.fft.fft(np.fft.rfft(x, norm="forward")[:, : mo + 1], axis=0, norm="forward")
+    return np.concatenate((spec[P - mo :], spec[: mo + 1]))
 
 
 def _quadratic(

@@ -164,7 +164,14 @@ def _run_probe(kind, ratio_fn, grid, exponents, samples, seed) -> EstimateProbe:
         rng = _stream(seed, kind, i)
         f = sample_band_limited(grid, k_min, k_max, rng)
         g = sample_band_limited(grid, k_min, k_max, rng)
-        r = ratio_fn(f, g, exponents)
+        try:  # an overflow anywhere in the norms refuses the draw, even if the ratio comes out finite
+            with np.errstate(over="raise", invalid="raise"):
+                r = ratio_fn(f, g, exponents)
+        except FloatingPointError as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = ratio_fn(f, g, exponents)  # only to name the ratio in the message
+            raise ValueError(f"{kind} probe draw {i}: ratio {r!r} rests on numpy's '{exc}'; "
+                             f"the norms leave the float range") from None
         if not np.isfinite(r):
             raise ValueError(f"{kind} probe draw {i}: ratio {r!r} is not finite; the norms leave the float range")
         ratios.append(r)

@@ -20,10 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import RectBivariateSpline
 
-from .field import SpectralField, _close, _new, _resize, _support_radius
+from .field import SpectralField, _close, _new, _next_fast_len, _resize, _support_radius
 from .grid import GridSpec
 
 __all__ = [
@@ -179,9 +177,9 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     axes = [i for i in range(2) if a.shape[i] != 1 and b.shape[i] != 1]
     if not axes:
         return a * b
-    fshape = [scipy.fft.next_fast_len(shape[i]) for i in axes]
-    spectrum = scipy.fft.fftn(a, fshape, axes=axes) * scipy.fft.fftn(b, fshape, axes=axes)
-    return scipy.fft.ifftn(spectrum, fshape, axes=axes)[: shape[0], : shape[1]]
+    fshape = [_next_fast_len(shape[i], real=False) for i in axes]
+    spectrum = np.fft.fftn(a, fshape, axes=axes) * np.fft.fftn(b, fshape, axes=axes)
+    return np.fft.ifftn(spectrum, fshape, axes=axes)[: shape[0], : shape[1]]
 
 
 def convolve(a: PatchField, b: PatchField) -> PatchField:
@@ -288,6 +286,44 @@ def _origin_cell_radial_integral(q: float, h: float) -> float:
 _BLOCK_RADIUS = 8  # half-width, in cells, of the origin correction block
 
 
+def _bspline_rows(t: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
+    """Values at the points p of the degree-k B-splines on the knots t, one row per point.
+
+    Points are clamped to [t[k], t[-k-1]] and the right end belongs to the
+    last interval, as FITPACK evaluates; the k+1 splines that are nonzero on
+    each point's interval come from de Boor's recursion (FITPACK's fpbspl).
+    """
+    p = np.clip(p, t[k], t[-k - 1])
+    l = np.clip(np.searchsorted(t, p, side="right") - 1, k, t.size - k - 2)  # t[l] <= p < t[l+1]
+    b = np.zeros((p.size, k + 1))
+    b[:, 0] = 1.0
+    for j in range(1, k + 1):
+        prev = b[:, :j].copy()
+        b[:, 0] = 0.0
+        for i in range(j):
+            right, left = t[l + i + 1], t[l + i + 1 - j]
+            f = prev[:, i] / (right - left)
+            b[:, i] += f * (right - p)
+            b[:, i + 1] = f * (p - left)
+    out = np.zeros((p.size, t.size - k - 1))
+    np.put_along_axis(out, l[:, None] - k + np.arange(k + 1), b, axis=1)
+    return out
+
+
+def _spline_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E with E @ y the values at p of the interpolating spline of (x, y), of degree min(5, len(x) - 1).
+
+    The knots are FITPACK's for s=0 (those of RectBivariateSpline's default
+    fit): each end k+1 times, and inside the data points x[k//2+1 : m-k//2-1].
+    (FITPACK puts even-degree knots at interval midpoints, but k is even only
+    when m = k + 1, which leaves no inside knot.)
+    """
+    m = x.size
+    k = min(5, m - 1)
+    t = np.concatenate((np.full(k + 1, x[0]), x[k // 2 + 1 : m - k // 2 - 1], np.full(k + 1, x[-1])))
+    return np.linalg.solve(_bspline_rows(t, k, x).T, _bspline_rows(t, k, p).T).T
+
+
 def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
     """Replace the midpoint sum near the origin by panel Gauss quadrature.
 
@@ -306,9 +342,6 @@ def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
     s0 = slice(max(0, a0 - margin), min(n0, b0 + margin + 1))
     s1 = slice(max(0, a1 - margin), min(n1, b1 + margin + 1))
     x_ax, y_ax = patch.axes(h)
-    kx = min(5, len(x_ax[s0]) - 1)
-    ky = min(5, len(y_ax[s1]) - 1)
-    spline = RectBivariateSpline(x_ax[s0], y_ax[s1], w2[s0, s1], kx=kx, ky=ky)
 
     # one tensor Gauss grid over the block, _GL_NODES nodes per cell and axis
     gx, gw = _leggauss(_GL_NODES)
@@ -318,7 +351,9 @@ def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
     wx = np.tile(half * gw, b0 - a0 + 1)
     wy = np.tile(half * gw, b1 - a1 + 1)
     rq = _radial_weight(px, py, q)
-    block_exact = float(wx @ (rq * spline(px, py)) @ wy)
+    # the tensor interpolating spline of w2 on the samples near the block, at the Gauss grid
+    spline = _spline_matrix(x_ax[s0], px) @ w2[s0, s1] @ _spline_matrix(y_ax[s1], py).T
+    block_exact = float(wx @ (rq * spline) @ wy)
     # on the origin cell the radial weight times w2(0) is integrated in
     # polar form instead; the panel rule keeps only the smooth remainder
     c0 = slice((i0 - a0) * _GL_NODES, (i0 - a0 + 1) * _GL_NODES)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .field import (
     SpectralField,
@@ -179,6 +178,103 @@ def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, a
     return _level_field(grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
 
+# LAPACK's dlartg range limits: |f|, |g| inside (2^-511, 2^510.5) need no scaling
+_RTMIN, _RTMAX = 2.0**-511, math.sqrt(2.0**1021)
+_SAFMIN, _SAFMAX = 2.0**-1022, 2.0**1022
+
+
+def _givens(f: float, g: float) -> tuple[float, float, float]:
+    """c, s, r with [c s; -s c] [f; g] = [r; 0] and c >= 0, by LAPACK's dlartg (its bits, as scipy's gmres gets them)."""
+    if g == 0:
+        return 1.0, 0.0, f
+    if f == 0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    f1, g1 = abs(f), abs(g)
+    u = 1.0 if _RTMIN < min(f1, g1) and max(f1, g1) < _RTMAX else min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, fs)
+    return abs(fs) / d, gs / r, r * u
+
+
+def gmres(matvec, b: np.ndarray, x0: np.ndarray, *, rtol: float, restart: int, maxiter: int, callback):
+    """Restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A x = b, A x = matvec(x).
+
+    The arithmetic, stopping tests and counts are those of scipy.sparse.linalg.gmres with atol=0, no
+    preconditioner and callback_type="pr_norm": at most maxiter cycles of at most restart Arnoldi steps
+    (modified Gram-Schmidt, Givens rotations), callback(|residual estimate| / ||b||) after every step,
+    and scipy's inner tolerance control (gh-8400), which tightens a cycle's target when the estimate
+    passed but the true residual b - A x did not. matvec must return a new array. Returns (x, 0) when
+    ||b - A x|| <= rtol ||b||, else (x, maxiter).
+    """
+    x = np.array(x0, dtype=np.float64)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    eps = np.finfo(np.float64).eps
+    restart = min(restart, b.size)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, b.size))
+    h = np.zeros((restart, restart + 1))  # column col of the Hessenberg matrix is row col of h
+    givens = np.zeros((restart, 2))
+    r = b - matvec(x) if x.any() else b.copy()
+    rnorm = np.linalg.norm(r)
+    if rnorm < atol:
+        return x, 0
+    for _ in range(maxiter):
+        v[0] = r * (1 / rnorm)
+        S = np.zeros(restart + 1)  # the rotated right-hand side ||r|| e_1
+        S[0] = rnorm
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = hk = np.dot(v[k], w)
+                w -= hk * v[k]
+            h1 = h[col, col + 1] = np.linalg.norm(w)
+            v[col + 1] = w
+            if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col + 1] = 0
+            S[col], S[col + 1] = c * S[col], -s * S[col]
+            presid = abs(S[col + 1])
+            callback(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[: col + 1].copy()
+        for k in range(col, 0, -1):  # back substitution on the rotated triangle
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[: col + 1]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the estimate passed and the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _linear_solve_info(
     v: VelocityField | None, f: SpectralField, N: int, cfg: SolverConfig,
     x0: SpectralField | None = None, adv0: np.ndarray | None = None,
@@ -230,11 +326,8 @@ def _linear_solve_info(
         last[:] = (x_start, ax0.view(np.float64))
     dim = b_vec.size
     restart = min(50, dim)
-    x, flag = gmres(
-        LinearOperator((dim, dim), matvec=matvec, dtype=np.float64), b_vec, x0=x_start, rtol=cfg.inner_tol,
-        atol=0.0, restart=restart, maxiter=max(1, math.ceil(cfg.max_inner / restart)), callback=count,
-        callback_type="pr_norm",
-    )
+    x, flag = gmres(matvec, b_vec, x_start, rtol=cfg.inner_tol, restart=restart,
+                    maxiter=max(1, math.ceil(cfg.max_inner / restart)), callback=count)
     # GMRES's own stopping test applied A to the iterate it returns, so this reuses that product
     ax = matvec(x)
     rel = info["inner_residual"] = float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))

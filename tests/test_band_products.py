@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab import (
     SpectralField,
@@ -27,6 +28,7 @@ from sqglab import (
     theta2,
     velocity_from_theta,
 )
+from sqglab.field import _half_square, _next_fast_len, _samples
 from lattice_tables import Lattice, low_pass_mask
 
 ALPHA = 0.4
@@ -252,3 +254,34 @@ def test_velocity_samples_shared_between_threads():
     for reads in results:
         for rp, got in reads:
             assert got == want[rp]
+
+
+# -- the numpy transforms against the scipy calls they replace --------------------
+
+
+def test_next_fast_len_is_scipys():
+    """Transform sizes are scipy.fft.next_fast_len's: 5-smooth for real transforms, 11-smooth for complex."""
+    for real in (True, False):
+        assert [_next_fast_len(n, real) for n in range(1, 5001)] == [
+            scipy.fft.next_fast_len(n, real=real) for n in range(1, 5001)
+        ]
+
+
+@pytest.mark.parametrize("P", [160, 324, 540, 648, 800])
+def test_pruned_transforms_match_full_scipy(P):
+    """The pruned inverse (_samples) and forward (_half_square) transforms give scipy's full irfft2 and
+    rfft2 to 1e-14 of their largest value, at the product sizes of the carrier_torus solves and 540."""
+    rng = np.random.default_rng(P)
+    r = (P - 1) // 3  # a product's radii: P >= 3 r + 1
+    M = r + 4  # the half square reaches past r; _samples cuts it
+    sq = rng.standard_normal((2 * M + 1, M + 1)) + 1j * rng.standard_normal((2 * M + 1, M + 1))
+    full = np.zeros((P, P // 2 + 1), dtype=np.complex128)
+    full[: r + 1, : r + 1] = sq[M : M + r + 1, : r + 1]
+    full[P - r :, : r + 1] = sq[M - r : M, : r + 1]
+    ref = scipy.fft.irfft2(full, s=(P, P), norm="forward")
+    assert np.max(np.abs(_samples(sq, r, P) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    x = rng.standard_normal((P, P))
+    spec = scipy.fft.rfft2(x, norm="forward")
+    ref = np.concatenate((spec[P - r :, : r + 1], spec[: r + 1, : r + 1]))
+    assert np.max(np.abs(_half_square(x, r) - ref)) <= 1e-14 * np.max(np.abs(ref))

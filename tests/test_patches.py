@@ -20,6 +20,7 @@ from sqglab.patches import (
     _origin_block_correction,
     _origin_cell_radial_integral,
     _patch_norm_sq,
+    _spline_matrix,
     apply_radial,
     coalesce,
     convolve,
@@ -236,8 +237,13 @@ class TestConvolve:
         assert len(c.patches) == 3
         assert los[0] < 0 < los[2]
 
-    def test_bits_of_scipy_fftconvolve(self):
-        """The convolution kernel gives scipy.signal.fftconvolve's bits on the force patches and on length-1 axes."""
+    def test_matches_scipy_fftconvolve(self):
+        """The convolution kernel matches scipy.signal.fftconvolve on the force patches and on length-1 axes.
+
+        The kernel transforms with numpy.fft and scipy.signal with scipy.fft,
+        two FFT codes whose round-off differs, so the bound is FFT round-off:
+        max|diff| <= 1e-14 max|ref| (measured: at most 8e-16 of max|ref|).
+        """
         f, _, _ = build_forces(CounterexampleSpec(delta=0.02, alpha=0.4, n=3))
         forces = [materialize(p, f.h) for p in f.patches]
         assert {v.shape for v in forces} == {(129, 129)}
@@ -248,7 +254,8 @@ class TestConvolve:
 
         shapes = (((1, 1), (1, 1)), ((1, 5), (3, 1)), ((1, 5), (4, 5)), ((7, 1), (7, 3)))
         for a, b in [(a, b) for a in forces for b in forces] + [(draw(sa), draw(sb)) for sa, sb in shapes]:
-            assert np.array_equal(_fft_convolve(a, b), scipy.signal.fftconvolve(a, b)), (a.shape, b.shape)
+            ref = scipy.signal.fftconvolve(a, b)
+            assert np.max(np.abs(_fft_convolve(a, b) - ref)) <= 1e-14 * np.max(np.abs(ref)), (a.shape, b.shape)
 
 
 def to_dense(u, half_extent=260):
@@ -464,6 +471,35 @@ class TestOriginBlockReference:
                 assert_matches_reference(p, h.h, s_crit)
         gh = coalesce(patch_bilinear_B(g, h, alpha)).patches
         assert gh and not any(p.contains_origin() for p in gh)
+
+
+class TestSplineMatrices:
+    """The origin block's 1-D spline matrices against the RectBivariateSpline they replace."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_carrier_patches(self, n):
+        """Ex @ w2 @ Ey.T is RectBivariateSpline's s=0 interpolant to 1e-12 of its largest value.
+
+        The data are |values|^2 of the origin patches of B[h,h] at carrier level n, cut to 2..29 samples per
+        axis around the origin, so the degree min(5, len - 1) takes every value 1..5; the points are the
+        origin block's Gauss grid over those cells, half a cell past each end included (FITPACK clamps there).
+        """
+        _, _, h = build_forces(CounterexampleSpec(0.02, 0.4, n))
+        patches = [p for p in coalesce(patch_bilinear_B(h, h, 0.4)).patches if p.contains_origin()]
+        assert patches
+        gx, _ = _leggauss(_GL_NODES)
+        for p in patches:
+            w2 = np.abs(p.values) ** 2
+            x_ax, y_ax = p.axes(h.h)
+            for mx, my in ((2, 29), (3, 6), (4, 5), (5, 4), (6, 3), (29, 2), (29, 29)):
+                s0 = slice(-p.lo[0] - mx // 2, -p.lo[0] - mx // 2 + mx)
+                s1 = slice(-p.lo[1] - my // 2, -p.lo[1] - my // 2 + my)
+                x, y, w = x_ax[s0], y_ax[s1], w2[s0, s1]
+                px = (x[:, None] + 0.5 * h.h * gx).ravel()
+                py = (y[:, None] + 0.5 * h.h * gx).ravel()
+                ref = RectBivariateSpline(x, y, w, kx=min(5, mx - 1), ky=min(5, my - 1))(px, py)
+                got = _spline_matrix(x, px) @ w @ _spline_matrix(y, py).T
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (mx, my)
 
 
 class TestToTorus:

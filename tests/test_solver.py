@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.fft import next_fast_len
 
 from sqglab import (
@@ -369,6 +370,85 @@ class TestLinearSolve:
         warm, _ = solver._linear_solve_info(v, f, 2, cfg, x0=cold)  # the outer iteration's warm start
         scale = np.max(np.abs(cold.coeffs))
         np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-8 * scale)
+
+
+def assert_gmres_is_scipys(matvec, b, x0, rtol, restart, maxiter):
+    """solver.gmres and scipy's gmres on one system: same flag, callback count and matvec count, and
+    iterates within 1e-12 of the largest entry."""
+    import sqglab.solver as solver
+
+    runs = []
+    for scipy_side in (True, False):
+        counts = {"matvec": 0, "callback": 0}
+
+        def mv(x):
+            counts["matvec"] += 1
+            return matvec(x)
+
+        def cb(_pr_norm):
+            counts["callback"] += 1
+
+        if scipy_side:
+            x, flag = scipy.sparse.linalg.gmres(
+                scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=mv, dtype=np.float64), b, x0=x0,
+                rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, callback=cb, callback_type="pr_norm",
+            )
+        else:
+            x, flag = solver.gmres(mv, b, x0, rtol=rtol, restart=restart, maxiter=maxiter, callback=cb)
+        runs.append((x, flag, counts))
+    (x_ref, flag_ref, counts_ref), (x, flag, counts) = runs
+    assert (flag, counts) == (flag_ref, counts_ref)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    return flag, counts
+
+
+class TestGmres:
+    """The solver's restarted GMRES against scipy.sparse.linalg.gmres, the call it replaces."""
+
+    @pytest.mark.parametrize("n,restart,maxiter,rtol,warm,scale,flag", [
+        (40, 50, 8, 1e-10, False, 1.0, 0),  # one cycle
+        (150, 10, 20, 1e-10, True, 1.0, 0),  # restarted, from a warm start
+        (150, 5, 2, 1e-12, True, 1.0, 2),  # the cycle cap is hit
+        (6, 50, 4, 1e-14, False, 1.0, 0),  # the Krylov space is exhausted (breakdown)
+        (40, 50, 8, 1e-10, False, 1e-160, 0),  # squares underflow: the rotations scale as LAPACK's do
+    ])
+    def test_random_nonsymmetric(self, n, restart, maxiter, rtol, warm, scale, flag):
+        """Random real nonsymmetric systems."""
+        rng = np.random.default_rng(n + restart)
+        A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = scale * rng.standard_normal(n)
+        x0 = scale * rng.standard_normal(n) if warm else np.zeros(n)
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, x0, rtol, restart, maxiter)[0] == flag
+
+    def test_ill_conditioned(self):
+        """Singular values from 1 to 1e-7: a cycle's residual estimate passes while b - A x does not, twice,
+        so scipy's inner tolerance control tightens the next cycle's target."""
+        rng = np.random.default_rng(1)
+        U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        A = U @ np.diag(np.logspace(0, -7, 20)) @ V.T
+        b = rng.standard_normal(20)
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(20), 1e-10, 50, 20)[0] == 0
+
+    @pytest.mark.parametrize("restart", [50, 2])
+    def test_lax_milgram_system(self, restart):
+        """The K=64 Lax-Milgram system of one linear solve, in one cycle and restarted every 2 iterations."""
+        import sqglab.solver as solver
+
+        g = make_grid(64, np.pi)
+        rng = np.random.default_rng(47)
+        v = small_velocity(g, rng, ALPHA, size=0.09)
+        f = ball_field(g, rng, 4)
+        level = g.level(4)
+
+        def matvec(x):
+            theta = _level_field(g, level, np.ascontiguousarray(x).view(np.complex128))
+            return solver._disk_values(apply_lax_milgram_operator(v, theta, 4, ALPHA), level).view(np.float64)
+
+        b = solver._low_data(f, level, ALPHA).view(np.float64)
+        flag, counts = assert_gmres_is_scipys(matvec, b, b, 1e-10, restart, 100)
+        assert flag == 0
+        assert (counts["callback"] > restart) == (restart == 2)
 
 
 class TestResidual:
