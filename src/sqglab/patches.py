@@ -167,19 +167,12 @@ def gradient(u: PatchField) -> tuple[PatchField, PatchField]:
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two complex 2D arrays, by the rules of scipy.signal.fftconvolve.
-
-    An axis on which either array has length 1 is a plain product; the
-    others are transformed by fftn at next_fast_len of their full length
-    and cut back to it.
-    """
+    """Full linear convolution of two complex 2D arrays: fftn on both axes at the 11-smooth next_fast_len
+    of the full length, cut back to it."""
     shape = [a.shape[i] + b.shape[i] - 1 for i in range(2)]
-    axes = [i for i in range(2) if a.shape[i] != 1 and b.shape[i] != 1]
-    if not axes:
-        return a * b
-    fshape = [_next_fast_len(shape[i], real=False) for i in axes]
-    spectrum = np.fft.fftn(a, fshape, axes=axes) * np.fft.fftn(b, fshape, axes=axes)
-    return np.fft.ifftn(spectrum, fshape, axes=axes)[: shape[0], : shape[1]]
+    fshape = [_next_fast_len(n, real=False) for n in shape]
+    spectrum = np.fft.fftn(a, fshape, axes=(0, 1)) * np.fft.fftn(b, fshape, axes=(0, 1))
+    return np.fft.ifftn(spectrum, fshape, axes=(0, 1))[: shape[0], : shape[1]]
 
 
 def convolve(a: PatchField, b: PatchField) -> PatchField:

@@ -197,20 +197,21 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(fs) / d, gs / r, r * u
 
 
-def gmres(matvec, b: np.ndarray, x0: np.ndarray, *, rtol: float, restart: int, maxiter: int, callback):
+def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, *, rtol: float, restart: int,
+          maxiter: int) -> tuple[np.ndarray, float, int, bool]:
     """Restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A x = b, A x = matvec(x).
 
-    The arithmetic, stopping tests and counts are those of scipy.sparse.linalg.gmres with atol=0, no
-    preconditioner and callback_type="pr_norm": at most maxiter cycles of at most restart Arnoldi steps
-    (modified Gram-Schmidt, Givens rotations), callback(|residual estimate| / ||b||) after every step,
-    and scipy's inner tolerance control (gh-8400), which tightens a cycle's target when the estimate
-    passed but the true residual b - A x did not. matvec must return a new array. Returns (x, 0) when
-    ||b - A x|| <= rtol ||b||, else (x, maxiter).
+    The arithmetic, stopping tests and counts are those of scipy.sparse.linalg.gmres with atol=0 and no
+    preconditioner: at most maxiter cycles of at most restart Arnoldi steps (modified Gram-Schmidt,
+    Givens rotations), and scipy's inner tolerance control (gh-8400), which tightens a cycle's target
+    when the residual estimate passed but the true residual b - A x did not. ax0 is A x0 when the caller
+    already has it. matvec must return a new array. Returns (x, ||b - A x||, Arnoldi steps, converged):
+    the norm is that of the true residual of the returned x, and converged means it is <= rtol ||b||.
     """
     x = np.array(x0, dtype=np.float64)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
-        return b, 0
+        return b, bnrm2, 0, True
     atol = rtol * bnrm2
     eps = np.finfo(np.float64).eps
     restart = min(restart, b.size)
@@ -219,10 +220,13 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, *, rtol: float, restart: int, m
     v = np.empty((restart + 1, b.size))
     h = np.zeros((restart, restart + 1))  # column col of the Hessenberg matrix is row col of h
     givens = np.zeros((restart, 2))
-    r = b - matvec(x) if x.any() else b.copy()
+    if ax0 is None:
+        ax0 = matvec(x) if x.any() else 0.0
+    r = b - ax0
     rnorm = np.linalg.norm(r)
+    steps = 0
     if rnorm < atol:
-        return x, 0
+        return x, rnorm, steps, True
     for _ in range(maxiter):
         v[0] = r * (1 / rnorm)
         S = np.zeros(restart + 1)  # the rotated right-hand side ||r|| e_1
@@ -250,7 +254,7 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, *, rtol: float, restart: int, m
             h[col, col + 1] = 0
             S[col], S[col + 1] = c * S[col], -s * S[col]
             presid = abs(S[col + 1])
-            callback(presid / bnrm2)
+            steps += 1
             if presid <= ptol or breakdown:
                 break
         if h[col, col] == 0:
@@ -272,7 +276,7 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, *, rtol: float, restart: int, m
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
+    return x, rnorm, steps, bool(rnorm <= atol)
 
 
 def _linear_solve_info(
@@ -307,33 +311,21 @@ def _linear_solve_info(
     if v is None or not np.any(b_vec):
         return field_of(b_vec), info
 
-    last: list[np.ndarray] = []  # the latest (input, output) pair, answering an equal input; GMRES cannot write to it
-
     def matvec(x: np.ndarray) -> np.ndarray:
-        if last and np.array_equal(x, last[0]):
-            return last[1].copy()
         info["matvecs"] += 1
-        out = _disk_values(apply_lax_milgram_operator(v, field_of(x), N, cfg.alpha), level).view(np.float64)
-        last[:] = (x.copy(), out.copy())
-        return out
-
-    def count(_pr_norm) -> None:
-        info["inner_iters"] += 1
+        return _disk_values(apply_lax_milgram_operator(v, field_of(x), N, cfg.alpha), level).view(np.float64)
 
     x_start = b_vec if x0 is None else _disk_values(x0, level).view(np.float64)
-    if adv0 is not None:  # x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
-        ax0 = x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0
-        last[:] = (x_start, ax0.view(np.float64))
-    dim = b_vec.size
-    restart = min(50, dim)
-    x, flag = gmres(matvec, b_vec, x_start, rtol=cfg.inner_tol, restart=restart,
-                    maxiter=max(1, math.ceil(cfg.max_inner / restart)), callback=count)
-    # GMRES's own stopping test applied A to the iterate it returns, so this reuses that product
-    ax = matvec(x)
-    rel = info["inner_residual"] = float(np.linalg.norm(b_vec - ax) / np.linalg.norm(b_vec))
+    # A x0 from adv0, x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
+    ax0 = None if adv0 is None else (
+        x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0).view(np.float64)
+    restart = min(50, b_vec.size)
+    x, rnorm, info["inner_iters"], converged = gmres(matvec, b_vec, x_start, ax0, rtol=cfg.inner_tol, restart=restart,
+                                                     maxiter=max(1, math.ceil(cfg.max_inner / restart)))
+    rel = info["inner_residual"] = float(rnorm / np.linalg.norm(b_vec))
 
     theta = field_of(x)
-    if flag != 0:
+    if not converged:
         raise ConvergenceError(
             f"linear solve did not reach inner_tol={cfg.inner_tol:g} within {cfg.max_inner} iterations "
             f"(relative residual {rel:.3e})",
@@ -375,13 +367,18 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     next level with the previously induced velocity; after the top level
     2^{N_top} is reached it is iterated to a fixed point. Convergence is declared when the projected nonlinear
     residual drops below outer_tol * ||f||_{H^{-alpha}}; a nonzero force
-    whose norm underflows to 0 leaves no target and is a ConfigError.
+    whose norm underflows to 0 or overflows leaves no target and is a ConfigError, and so is a step
+    whose arithmetic overflows.
     """
     grid = f.grid
     schedule = default_schedule(grid)
     n_top = schedule[-1]
     top = grid.level(n_top)
-    f_low = hs_norm(f, -cfg.alpha)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f_low = hs_norm(f, -cfg.alpha)
+    except FloatingPointError:
+        raise ConfigError(f"the force's H^-{cfg.alpha:g} norm overflows, so no residual target can be set") from None
     if f_low == 0 and f.max_mode_index() > 0:
         raise ConfigError(f"the force's H^-{cfg.alpha:g} norm underflows to 0, so no residual target can be set")
     target = cfg.outer_tol * f_low
@@ -389,25 +386,30 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
 
     # theta_1 is the first level's solve from the zero field with no velocity
     N, theta, res, v, adv = schedule[0] - 1, field_from_modes(grid, {}), math.inf, None, None
-    while not (N == n_top and res <= target):
-        if len(report.steps) >= cfg.max_outer:
-            raise ConvergenceError(
-                f"outer iteration cap {cfg.max_outer} hit with residual {res:.3e} (target {target:.3e})",
-                best=theta,
-                residual_rel=res / f_low if f_low > 0 else res,
-            )
-        N = min(N + 1, n_top)
-        # v is the residual's velocity; its product is this solve's only if theta fills the top disk (same P)
-        seeded = N == n_top and theta.max_mode_index() == top.M
-        new_theta, info = _linear_solve_info(v, f, N, cfg, theta if N == n_top else None, adv if seeded else None)
-        diff = hs_norm(new_theta - theta, cfg.alpha)
-        theta, v, adv = new_theta, None, None  # drop the old velocity before the next one is sampled
-        # keep the residual's norm, velocity and product, not its field
-        res, v, adv = attrgetter("r_norm", "v", "adv")(residual(theta, f, cfg.alpha, n_top))
-        report.steps.append(SolveStep(
-            n=N, h_alpha=hs_norm(theta, cfg.alpha), h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
-            diff_h_alpha=diff, residual=res, **info,
-        ))
+    try:  # an overflow is refused where it happens, before an inf or NaN reaches the next smallness gate
+        with np.errstate(over="raise", invalid="raise"):
+            while not (N == n_top and res <= target):
+                if len(report.steps) >= cfg.max_outer:
+                    raise ConvergenceError(
+                        f"outer iteration cap {cfg.max_outer} hit with residual {res:.3e} (target {target:.3e})",
+                        best=theta,
+                        residual_rel=res / f_low if f_low > 0 else res,
+                    )
+                N = min(N + 1, n_top)
+                # v is the residual's velocity; its product is this solve's only if theta fills the top disk (same P)
+                seeded = N == n_top and theta.max_mode_index() == top.M
+                x0 = theta if N == n_top else None
+                new_theta, info = _linear_solve_info(v, f, N, cfg, x0, adv if seeded else None)
+                diff = hs_norm(new_theta - theta, cfg.alpha)
+                theta, v, adv = new_theta, None, None  # drop the old velocity before the next one is sampled
+                # keep the residual's norm, velocity and product, not its field
+                res, v, adv = attrgetter("r_norm", "v", "adv")(residual(theta, f, cfg.alpha, n_top))
+                report.steps.append(SolveStep(
+                    n=N, h_alpha=hs_norm(theta, cfg.alpha), h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
+                    diff_h_alpha=diff, residual=res, **info,
+                ))
+    except FloatingPointError as exc:
+        raise ConfigError(f"the outer step at N={N} leaves the float range ({exc}); the force is too large") from None
 
     report.converged = True
     report.residual = res

@@ -605,15 +605,22 @@ class TestConfigResolution:
         (["solve", "--K", "64", "--amplitude", "1e-170"], {}, "norm underflows to 0"),
         (["ineq-scan", "--K", "16", "--L", "1e-60", "--samples", "3"], {}, "commutator probe draw 0: ratio inf"),
         (["ineq-scan", "--K", "16", "--L", "1e-100", "--samples", "3"], {}, "product probe draw 0: ratio nan"),
+        (["solve", "--K", "16", "--amplitude", "1e300"], {}, "norm overflows"),
+        (["solve", "--K", "16", "--amplitude", "1e160"], {}, "norm overflows"),
+        (["solve", "--K", "16", "--amplitude", "1e154"], {}, "outer step at N=1 leaves the float range"),
+        (["solve", "--K", "16", "--amplitude", "1e150"], {}, "outer step at N=1 leaves the float range"),
+        (["continuity", "--K", "16", "--amplitude", "1e300"], {}, "norm overflows"),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
         """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
-        lattice, a negative sample count, gap norms, probe ratios or a grid past the float range, or a force
-        whose norm underflows exit 1 and make no output directory."""
+        lattice, a negative sample count, gap norms, probe ratios or a grid past the float range, a force
+        whose norm underflows, or a force whose norms or solve steps overflow exit 1 with one line on stderr
+        and make no output directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1, err
         assert not (tmp_path / "o").exists()
 
     def test_subcommand_required(self, capsys):
@@ -735,20 +742,55 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_runs_need_no_scipy(self, tmp_path):
-        """solve, nonuniform and ineq-scan run to exit 0 in a process where importing scipy fails."""
+        """Every command runs to exit 0 in a process where importing scipy fails: continuity with two
+        threads, so the pool runs, and norms on the field the solve wrote."""
         src = str(Path(__file__).resolve().parents[1] / "src")
+        out = [str(tmp_path / str(i)) for i in range(5)]
         runs = [
-            ["solve", "--K", "64"],
-            ["nonuniform", "--n_min", "3", "--n_max", "3"],
-            ["ineq-scan", "--K", "32", "--samples", "3", "--interp_samples", "3", "--cancel_samples", "2"],
+            ["solve", "--K", "64", "--outdir", out[0]],
+            ["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", out[1]],
+            ["nonuniform", "--n_min", "3", "--n_max", "3", "--outdir", out[2]],
+            ["rlcheck", "--n_max", "3", "--outdir", out[3]],
+            ["ineq-scan", "--K", "32", "--samples", "3", "--interp_samples", "3", "--cancel_samples", "2",
+             "--outdir", out[4]],
+            ["norms", str(tmp_path / "0" / "theta.sqgf"), "--s=-0.4,0,1.2"],
         ]
-        for i, argv in enumerate(runs):
-            code = ("import sys; sys.modules['scipy'] = None; from sqglab.cli import main; "
-                    f"sys.exit(main({argv + ['--outdir', str(tmp_path / str(i))]!r}))")
+        for argv in runs:
+            code = f"import sys; sys.modules['scipy'] = None; from sqglab.cli import main; sys.exit(main({argv!r}))"
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": src})
+                                  env={**os.environ, "PYTHONPATH": src, "SQG_THREADS": "2"})
             assert proc.returncode == 0, (argv, proc.stderr)
-            assert (tmp_path / str(i) / "manifest.json").is_file()
+        assert all((Path(o) / "manifest.json").is_file() for o in out)
+        assert proc.stdout.count("s=") == 3
+
+    def test_benchmark_hooks(self, monkeypatch):
+        """The names the benchmark's tracer wraps at run time still see the work: every transform is looked
+        up on numpy.fft at call time (one band product makes 6 calls, one patch convolution 3), and
+        solver.gmres is a module-level function outside __all__, which the tracer wraps by name."""
+        import inspect
+
+        import sqglab.solver as solver
+        from sqglab import pointwise_product
+        from sqglab.patches import Patch, PatchField, convolve
+
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2", "rfftn",
+                     "irfftn"):
+            def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        g = make_grid(32, np.pi)
+        pointwise_product(field_from_modes(g, {(1, 0): 0.5j, (2, 3): 0.25}), field_from_modes(g, {(0, 2): 0.5}))
+        assert len(calls) == 6, calls
+        calls.clear()
+        rng = np.random.default_rng(0)
+        a, b = (PatchField(0.5, (Patch((0, 0), rng.standard_normal((5, 4))),)) for _ in range(2))
+        convolve(a, b)
+        assert calls == ["fftn", "fftn", "ifftn"]
+        assert inspect.isfunction(solver.gmres) and solver.gmres.__module__ == "sqglab.solver"
+        assert "gmres" not in solver.__all__
 
     def test_public_names_resolve(self):
         """Every module __all__ entry resolves, and every name sqglab exports is in a module's __all__.

@@ -373,33 +373,31 @@ class TestLinearSolve:
 
 
 def assert_gmres_is_scipys(matvec, b, x0, rtol, restart, maxiter):
-    """solver.gmres and scipy's gmres on one system: same flag, callback count and matvec count, and
-    iterates within 1e-12 of the largest entry."""
+    """solver.gmres and scipy's gmres on one system: the same matvec count, Arnoldi steps equal to scipy's
+    callback count, converged exactly when scipy's flag is 0, a returned norm that is ||b - A x|| to the
+    bit, and iterates within 1e-12 of the largest entry. Returns scipy's flag and counts."""
     import sqglab.solver as solver
 
-    runs = []
-    for scipy_side in (True, False):
-        counts = {"matvec": 0, "callback": 0}
+    counts = {"matvec": 0, "callback": 0}
 
-        def mv(x):
-            counts["matvec"] += 1
-            return matvec(x)
+    def mv(x):
+        counts["matvec"] += 1
+        return matvec(x)
 
-        def cb(_pr_norm):
-            counts["callback"] += 1
+    def cb(_pr_norm):
+        counts["callback"] += 1
 
-        if scipy_side:
-            x, flag = scipy.sparse.linalg.gmres(
-                scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=mv, dtype=np.float64), b, x0=x0,
-                rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, callback=cb, callback_type="pr_norm",
-            )
-        else:
-            x, flag = solver.gmres(mv, b, x0, rtol=rtol, restart=restart, maxiter=maxiter, callback=cb)
-        runs.append((x, flag, counts))
-    (x_ref, flag_ref, counts_ref), (x, flag, counts) = runs
-    assert (flag, counts) == (flag_ref, counts_ref)
+    x_ref, flag = scipy.sparse.linalg.gmres(
+        scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=mv, dtype=np.float64), b, x0=x0,
+        rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, callback=cb, callback_type="pr_norm",
+    )
+    ref = dict(counts)
+    counts["matvec"] = 0
+    x, rnorm, steps, converged = solver.gmres(mv, b, x0, rtol=rtol, restart=restart, maxiter=maxiter)
+    assert (counts["matvec"], steps, converged) == (ref["matvec"], ref["callback"], flag == 0)
+    assert rnorm == np.linalg.norm(b - matvec(x))
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
-    return flag, counts
+    return flag, ref
 
 
 class TestGmres:
@@ -429,6 +427,28 @@ class TestGmres:
         A = U @ np.diag(np.logspace(0, -7, 20)) @ V.T
         b = rng.standard_normal(20)
         assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(20), 1e-10, 50, 20)[0] == 0
+
+    @pytest.mark.parametrize("restart,maxiter", [(50, 8), (10, 20), (5, 2)])
+    def test_given_ax0(self, restart, maxiter):
+        """Handing GMRES A x0 gives the bits of x and of the residual norm it gets by computing A x0, with one
+        product fewer: in one cycle, restarted, and when the cycle cap is hit."""
+        import sqglab.solver as solver
+
+        rng = np.random.default_rng(3)
+        A = np.eye(150) + 0.5 * rng.standard_normal((150, 150)) / np.sqrt(150)
+        b, x0 = rng.standard_normal(150), rng.standard_normal(150)
+        runs = []
+        for ax0 in (None, A @ x0):
+            products = []
+
+            def matvec(x):
+                products.append(None)
+                return A @ x
+
+            x, rnorm, steps, converged = solver.gmres(matvec, b, x0, ax0, rtol=1e-12, restart=restart, maxiter=maxiter)
+            runs.append((x.tobytes(), rnorm, steps, converged, len(products)))
+        (x, rnorm, steps, converged, products), given = runs
+        assert given == (x, rnorm, steps, converged, products - 1)
 
     @pytest.mark.parametrize("restart", [50, 2])
     def test_lax_milgram_system(self, restart):
