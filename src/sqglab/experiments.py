@@ -13,11 +13,11 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, fields
 from io import StringIO
 from pathlib import Path
+
+import numpy as np
 
 from .counterexample import (
     NORM_TABLE_COLUMNS,
@@ -48,8 +48,6 @@ from .norms import (
 from .solver import ConfigError, GapRecord, SolverConfig, outer_iterate
 
 __all__ = [
-    "thread_count",
-    "parallel_map",
     "builtin_force",
     "run_solve",
     "run_continuity",
@@ -61,27 +59,6 @@ __all__ = [
 
 
 # -- plumbing ---------------------------------------------------------------
-
-def thread_count() -> int:
-    """Worker cap for parameter sweeps; SQG_THREADS overrides the CPU count."""
-    env = os.environ.get("SQG_THREADS")
-    if env is not None:
-        # ASCII digits only: int() would also take signs, spaces, underscores and other scripts' digits
-        if not (env.isascii() and env.isdigit()) or int(env) < 1:
-            raise ConfigError(f"SQG_THREADS must be a positive integer, got {env!r}")
-        return int(env)
-    return max(1, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent tasks, threaded when allowed."""
-    items = list(items)
-    workers = min(thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
 
 def _json(obj) -> bytes:
     """JSON artifact bytes: sorted keys, two-space indent, floats by repr; NaN and infinities are refused."""
@@ -198,7 +175,7 @@ def run_continuity(config: dict) -> int:
         theta_j, _ = outer_iterate(f_j, cfg)
         return (j, *astuple(GapRecord.between(f_j, f_inf, theta_j, theta_inf, cfg.alpha)))
 
-    rows = parallel_map(one, range(j_min, j_max + 1))
+    rows = [one(j) for j in range(j_min, j_max + 1)]
     _publish(config, "continuity", {"continuity.csv": _csv(("j", *(f.name for f in fields(GapRecord))), rows)})
     return 0
 
@@ -343,8 +320,21 @@ def run_inequality_scan(config: dict) -> int:
 
 
 def run_norms(path: str, s_values: tuple[float, ...]) -> int:
-    """Print homogeneous Sobolev norms of a stored field."""
+    """Print homogeneous Sobolev norms of a stored field.
+
+    Every norm is computed before any is printed; one that overflows, or that
+    underflows to 0 for a field with a nonzero mode past the mean, is a ConfigError.
+    """
     u = read_field(path)
+    norms = []
     for s in s_values:
-        print(f"s={s:g}: {hs_norm(u, float(s))!r}")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                norms.append(hs_norm(u, float(s)))
+        except FloatingPointError:
+            raise ConfigError(f"{path}: the s={s:g} norm overflows") from None
+        if norms[-1] == 0 and u.max_mode_index() > 0:
+            raise ConfigError(f"{path}: the s={s:g} norm underflows to 0 for a nonzero field")
+    for s, norm in zip(s_values, norms):
+        print(f"s={s:g}: {norm!r}")
     return 0

@@ -348,11 +348,14 @@ def _origin_block_correction(patch: Patch, h: float, q: float) -> float:
     spline = _spline_matrix(x_ax[s0], px) @ w2[s0, s1] @ _spline_matrix(y_ax[s1], py).T
     block_exact = float(wx @ (rq * spline) @ wy)
     # on the origin cell the radial weight times w2(0) is integrated in
-    # polar form instead; the panel rule keeps only the smooth remainder
-    c0 = slice((i0 - a0) * _GL_NODES, (i0 - a0 + 1) * _GL_NODES)
-    c1 = slice((i1 - a1) * _GL_NODES, (i1 - a1 + 1) * _GL_NODES)
+    # polar form instead; the panel rule keeps only the smooth remainder.
+    # The polar integral diverges at q <= -2, where _patch_norm_sq has
+    # already refused a w2(0) that is not negligible.
     w0 = float(w2[i0, i1])
-    block_exact += w0 * (_origin_cell_radial_integral(q, h) - float(wx[c0] @ rq[c0, c1] @ wy[c1]))
+    if w0 != 0.0 and q > -2.0:
+        c0 = slice((i0 - a0) * _GL_NODES, (i0 - a0 + 1) * _GL_NODES)
+        c1 = slice((i1 - a1) * _GL_NODES, (i1 - a1 + 1) * _GL_NODES)
+        block_exact += w0 * (_origin_cell_radial_integral(q, h) - float(wx[c0] @ rq[c0, c1] @ wy[c1]))
 
     rqm = _radial_weight(x_ax[a0 : b0 + 1], y_ax[a1 : b1 + 1], q)
     block_mid = float(h * h * np.sum(rqm * w2[a0 : b0 + 1, a1 : b1 + 1]))

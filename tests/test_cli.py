@@ -450,6 +450,17 @@ class TestNorms:
         assert lines[0] == f"s=0: {hs_norm(u, 0.0)!r}"
         assert lines[1] == f"s=1: {hs_norm(u, 1.0)!r}"
 
+    @pytest.mark.parametrize("coef,named", [(1e160, "overflows"), (1e-170, "underflows to 0")])
+    def test_norm_past_the_float_range(self, tmp_path, capsys, coef, named):
+        """A valid file whose norm overflows, or underflows to 0 for a nonzero field, exits 1 with one
+        line naming the file and s, before any norm is printed."""
+        path = tmp_path / "u.sqgf"
+        write_field(path, field_from_modes(make_grid(16, math.pi), {(1, 0): coef}), representation="spectral")
+        assert main(["norms", str(path), "--s", "1,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(path) in err and "s=1" in err and named in err, err
+
     def test_missing_file(self, tmp_path, capsys):
         """A missing field file is an ordinary error, not a traceback."""
         rc = main(["norms", str(tmp_path / "absent.sqgf")])
@@ -630,31 +641,23 @@ class TestConfigResolution:
         assert "subcommand" in capsys.readouterr().err
 
 
-class TestThreads:
-    """Worker-count override."""
+class TestSerialSweep:
+    """The continuity levels are solved in order in the calling thread."""
 
-    def test_serial_override(self, tmp_path, monkeypatch):
-        """SQG_THREADS=1 forces the serial path and changes nothing.
+    @pytest.mark.parametrize("value", ["2", "many"])
+    def test_continuity_starts_no_thread(self, tmp_path, monkeypatch, value):
+        """continuity starts no thread and reads no SQG_THREADS, so neither a worker count nor a value a
+        worker-count parser would refuse changes the run."""
+        import threading
 
-        With 2 threads the pool's workers share one grid and its level
-        tables; the table must come out byte for byte the same.
-        """
-        tables = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SQG_THREADS", threads)
-            out = tmp_path / f"run{threads}"
-            rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(out)])
-            assert rc == 0
-            tables[threads] = (out / "continuity.csv").read_bytes()
-        assert tables["1"] == tables["2"]
+        def refuse(self):
+            raise RuntimeError("a thread was started")
 
-    def test_invalid_value(self, tmp_path, monkeypatch, capsys):
-        """A SQG_THREADS that is not a positive integer is a configuration error, never coerced."""
-        for value in ("many", "0", "-3", "1_0", " 2 ", "+2", "\u0662"):  # the last is Arabic-Indic two
-            monkeypatch.setenv("SQG_THREADS", value)
-            rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(tmp_path / "o")])
-            assert rc == 1
-            assert "SQG_THREADS" in capsys.readouterr().err
+        monkeypatch.setenv("SQG_THREADS", value)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rc = main(["continuity", "--K", "32", "--j_min", "1", "--j_max", "2", "--outdir", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "continuity.csv").is_file()
 
 
 class TestEntryPoint:
@@ -742,8 +745,8 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_runs_need_no_scipy(self, tmp_path):
-        """Every command runs to exit 0 in a process where importing scipy fails: continuity with two
-        threads, so the pool runs, and norms on the field the solve wrote."""
+        """Every command, norms on the field the solve wrote included, runs to exit 0 in a process where
+        importing scipy fails."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = [str(tmp_path / str(i)) for i in range(5)]
         runs = [
@@ -758,7 +761,7 @@ class TestEntryPoint:
         for argv in runs:
             code = f"import sys; sys.modules['scipy'] = None; from sqglab.cli import main; sys.exit(main({argv!r}))"
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": src, "SQG_THREADS": "2"})
+                                  env={**os.environ, "PYTHONPATH": src})
             assert proc.returncode == 0, (argv, proc.stderr)
         assert all((Path(o) / "manifest.json").is_file() for o in out)
         assert proc.stdout.count("s=") == 3
@@ -811,11 +814,11 @@ class TestEntryPoint:
         exported = {n for n, v in vars(sqglab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
         assert exported - listed == set()
 
-    def test_readme_lists_the_names_no_run_reaches(self, tmp_path, monkeypatch):
+    def test_readme_lists_the_names_no_run_reaches(self, tmp_path):
         """The public functions and methods that no sqg-lab command enters are exactly README's list.
 
-        Each command runs once at a small size under sys.setprofile, serially, so every Python frame
-        it enters is seen; the physical force file is written before the profile starts.
+        Each command runs once at a small size under sys.setprofile and starts no thread, so every Python
+        frame it enters is seen; the physical force file is written before the profile starts.
         """
         import importlib
         import pkgutil
@@ -824,7 +827,6 @@ class TestEntryPoint:
 
         import sqglab
 
-        monkeypatch.setenv("SQG_THREADS", "1")
         phys = tmp_path / "force.sqgf"
         write_field(phys, field_from_modes(make_grid(32, math.pi), {(2, 1): 0.002j, (1, 0): 0.001}),
                     representation="physical")

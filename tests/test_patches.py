@@ -358,6 +358,14 @@ class TestNormQuadrature:
         with pytest.raises(ValueError, match="integrable"):
             patch_hs_norm(gauss_field(H), -1.0)
 
+    def test_vanishing_origin_value_at_the_integrability_edge(self):
+        """With a zero origin sample, the norm at q = 2s = -2 is finite and continuous in s."""
+        u = gradient(gauss_field(0.1, half_width=0.8))[0]
+        at = patch_hs_norm(u, -1.0)
+        assert np.isfinite(at)
+        for s in (-1.0 - 1e-3, -1.0 + 1e-3):
+            np.testing.assert_allclose(at, patch_hs_norm(u, s), rtol=1e-3)
+
     def test_off_origin_box_needs_no_correction(self):
         """A carrier patch reduces to the plain weighted lattice sum."""
         u = bump_pair(H, 64)
