@@ -20,7 +20,9 @@ from .field import (
     _advect_level,
     _disk_values,
     _level_field,
+    _new,
     _product_size,
+    _resize,
     _velocity_radius,
     advect,
     field_from_modes,
@@ -284,7 +286,9 @@ def _linear_solve_info(
     x0: SpectralField | None = None, adv0: np.ndarray | None = None,
 ) -> tuple[SpectralField, dict]:
     """theta and the solve's counters under SolveStep's names; v None is the zero velocity, for which
-    theta = (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step)."""
+    theta = (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step). GMRES starts
+    from x0 (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f, and returns a start that
+    passes its test with inner_iters 0; adv0, x0's product made at this solve's P, gives A x0 unapplied."""
     grid = f.grid
     if v is not None and v.grid != grid:
         raise ValueError("velocity and force live on different grids")
@@ -345,18 +349,32 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
     """r = (-Delta)^alpha theta + v.grad(theta) - f with v induced by theta.
 
     With project_N the nonlinearity and force are truncated to P_N, matching
-    the equation the outer iteration actually solves.
+    the equation the outer iteration actually solves. A theta stored at the
+    mode radius of P_N, as a solve at that level returns it, takes its
+    product at that radius, the transform size of the level's solves; v is
+    stored at theta's support radius.
     """
-    v = velocity_from_theta(theta)
+    v = velocity_from_theta(_new(theta.grid, _resize(theta.half, theta.max_mode_index())))
     if project_N is None:
         values, adv = None, advect(v, theta)
     else:
         level = theta.grid.level(project_N)
-        values = _advect_level(v, theta, level)
+        values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
         adv = _level_field(theta.grid, level, values)
         f = project_low(f, project_N)
     r = fractional_laplacian(theta, alpha) + adv - f
     return ResidualRecord(r, hs_norm(r, -alpha), v, values)
+
+
+def _nested_start(theta: SpectralField, f: SpectralField, level: LevelTable, prev: LevelTable,
+                  alpha: float) -> tuple[SpectralField, bool]:
+    """The start of a solve at level after one at prev, theta on prev's disk and b = (-Delta)^{-alpha} P_N f on
+    the band beyond it, and whether that start is theta itself (the band carries no force)."""
+    b = _low_data(f, level, alpha)
+    band = level.square.k2.ravel()[level.pos] > prev.bound
+    if not b[band].any():
+        return theta, True
+    return _level_field(theta.grid, level, np.where(band, b, _disk_values(theta, level))), False
 
 
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
@@ -369,11 +387,14 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     residual drops below outer_tol * ||f||_{H^{-alpha}}; a nonzero force
     whose norm underflows to 0 or overflows leaves no target and is a ConfigError, and so is a step
     whose arithmetic overflows.
+
+    Each solve starts from the last iterate (nested iteration, see _nested_start); every residual before
+    a top-level solve takes its product at that solve's P, which hands GMRES A theta when the start is
+    theta, and a solve that returns its start theta changes no bit of it and keeps its residual.
     """
     grid = f.grid
     schedule = default_schedule(grid)
     n_top = schedule[-1]
-    top = grid.level(n_top)
     try:
         with np.errstate(over="raise", invalid="raise"):
             f_low = hs_norm(f, -cfg.alpha)
@@ -395,15 +416,22 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                         best=theta,
                         residual_rel=res / f_low if f_low > 0 else res,
                     )
-                N = min(N + 1, n_top)
-                # v is the residual's velocity; its product is this solve's only if theta fills the top disk (same P)
-                seeded = N == n_top and theta.max_mode_index() == top.M
-                x0 = theta if N == n_top else None
-                new_theta, info = _linear_solve_info(v, f, N, cfg, x0, adv if seeded else None)
+                prev, N = N, min(N + 1, n_top)
+                x0, from_theta = (None, False) if v is None else _nested_start(
+                    theta, f, grid.level(N), grid.level(prev), cfg.alpha)
+                # v is the residual's velocity, and before a top-level solve its product is made at that solve's P
+                new_theta, info = _linear_solve_info(v, f, N, cfg, x0, adv if from_theta and N == n_top else None)
                 diff = hs_norm(new_theta - theta, cfg.alpha)
-                theta, v, adv = new_theta, None, None  # drop the old velocity before the next one is sampled
-                # keep the residual's norm, velocity and product, not its field
-                res, v, adv = attrgetter("r_norm", "v", "adv")(residual(theta, f, cfg.alpha, n_top))
+                # a solve that returns its start theta changes no bit of it, so its residual stands, unless this
+                # step closes the level below the top, whose residual is made at the top solve's P
+                unchanged = from_theta and info["inner_iters"] == 0 and N != n_top - 1
+                theta = new_theta
+                if not unchanged:
+                    x0, v, adv = None, None, None  # drop the start and the old velocity before the next is sampled
+                    # keep the residual's norm, velocity and product, not its field; the level below the top is
+                    # taken to the top radius, where the next solve's products run
+                    res, v, adv = attrgetter("r_norm", "v", "adv")(residual(
+                        project_low(theta, n_top) if N == n_top - 1 else theta, f, cfg.alpha, n_top))
                 report.steps.append(SolveStep(
                     n=N, h_alpha=hs_norm(theta, cfg.alpha), h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
                     diff_h_alpha=diff, residual=res, **info,

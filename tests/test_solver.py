@@ -34,7 +34,7 @@ from sqglab import (
     velocity_from_theta,
     velocity_hs_norm,
 )
-from sqglab.field import _level_field
+from sqglab.field import _advect_level, _level_field
 from lattice_tables import Lattice, cauchy_constant, low_pass_mask, x_axis
 
 ALPHA = 0.4
@@ -71,31 +71,46 @@ def disk_filling_force(grid):
 
 
 def unseeded_outer_loop(f, cfg):
-    """outer_iterate without the hand-off: every solve samples its own velocity and GMRES applies A to
-    its x0. Returns theta, the steps and, per step, the x0 that outer_iterate seeds from the previous
-    residual's product (None where it does not)."""
+    """outer_iterate without the hand-off: every solve samples its own velocity, GMRES applies A to its
+    x0 and every step evaluates its residual. Each solve starts from theta on the previous level's disk
+    and from b = (-Delta)^{-alpha} P_N f on the band beyond it, and the residual closing the level below
+    the top takes its product at the top radius, so at the top solve's transform size. Returns theta, the
+    steps and, per step, the x0 that outer_iterate seeds from the previous residual's product (None where
+    it does not)."""
     import sqglab.solver as solver
 
     grid = f.grid
     a = cfg.alpha
     n_top = default_schedule(grid)[-1]
+    top = grid.level(n_top)
     target = cfg.outer_tol * hs_norm(f, -a)
+
+    def residual_norm(theta, N):
+        if N < n_top - 1:
+            return residual(theta, f, a, project_N=n_top).r_norm
+        theta = project_low(theta, n_top)
+        adv = _advect_level(velocity_from_theta(theta), theta, top, theta_radius=top.M)
+        return hs_norm(fractional_laplacian(theta, a) + _level_field(grid, top, adv) - project_low(f, n_top), -a)
+
     first = grid.level(1)
     theta = _level_field(grid, first, solver._low_data(f, first, a))
-    res = residual(theta, f, a, project_N=n_top).r_norm
+    res = residual_norm(theta, 1)
     h = hs_norm(theta, a)
     steps = [SolveStep(n=1, h_alpha=h, h_crit=hs_norm(theta, 2.0 - 2.0 * a), diff_h_alpha=h, inner_iters=0,
                        residual=res)]
     seeds = [None]
     N = 1
     while not (N == n_top and res <= target):
-        N = min(N + 1, n_top)
-        x0 = theta if N == n_top else None
+        prev, N = N, min(N + 1, n_top)
+        level = grid.level(N)
+        b = solver._low_data(f, level, a)
+        band = level.square.k2.ravel()[level.pos] > grid.level(prev).bound
+        x0 = _level_field(grid, level, np.where(band, b, solver._disk_values(theta, level)))
         new, info = solver._linear_solve_info(velocity_from_theta(theta), f, N, cfg, x0=x0)
-        seeds.append(x0 if x0 is not None and x0.max_mode_index() == grid.level(n_top).M else None)
+        seeds.append(x0 if N == n_top and not b[band].any() else None)
         diff = hs_norm(new - theta, a)
         theta = new
-        res = residual(theta, f, a, project_N=n_top).r_norm
+        res = residual_norm(theta, N)
         steps.append(SolveStep(
             n=N, h_alpha=hs_norm(theta, a), h_crit=hs_norm(theta, 2.0 - 2.0 * a), diff_h_alpha=diff,
             residual=res, **info,
@@ -582,7 +597,9 @@ class TestOuterIterate:
 
         A solve makes one application at its start, one per GMRES iteration and one for GMRES's final
         residual; a seeded step, which starts from the previous residual's product, makes one fewer.
-        The two-mode iterates never fill the top disk, so none of its steps is seeded.
+        The two-mode force lies in the first level's disk, so its top step starts from theta and is
+        seeded; the disk-filling force carries force on every band, so its first top step starts from b
+        there and only its two refinement steps are seeded.
         """
         import sqglab.solver as solver
 
@@ -597,7 +614,7 @@ class TestOuterIterate:
         g = make_grid(64, np.pi)
         amp = 1e-2
         two_mode = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
-        for f, seeded in ((two_mode, 0), (disk_filling_force(g), 2)):
+        for f, seeded in ((two_mode, 1), (disk_filling_force(g), 2)):
             calls.clear()
             _, report = outer_iterate(f, SolverConfig(alpha=ALPHA))
             first, rest = report.steps[0], report.steps[1:]
@@ -644,6 +661,85 @@ class TestOuterIterate:
                 assert (x0.M, x0.half.tobytes()) not in new_inputs
         assert (new_start, old_start) == (len(applied), len(inputs))
         assert sum(x0 is not None for x0 in seeds) == 2
+
+    def test_each_solve_starts_from_the_last_iterate(self, monkeypatch):
+        """Each GMRES start holds the previous iterate's bits on the previous level's disk and those of
+        b = (-Delta)^{-alpha} P_N f on the band beyond it: at the first solved level it is b itself, the
+        start of a solve from no x0, and at a refinement step it is theta."""
+        import sqglab.solver as solver
+
+        solves, starts = [], []
+        solve_info, gmres = solver._linear_solve_info, solver.gmres
+
+        def solve_spy(v, f, N, cfg, x0=None, adv0=None):
+            theta, info = solve_info(v, f, N, cfg, x0, adv0)
+            solves.append((N, theta))
+            return theta, info
+
+        def gmres_spy(matvec, b, x0, *args, **kwargs):
+            starts.append((b.copy(), np.array(x0)))
+            return gmres(matvec, b, x0, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_linear_solve_info", solve_spy)
+        monkeypatch.setattr(solver, "gmres", gmres_spy)
+        g = make_grid(64, np.pi)
+        f = disk_filling_force(g)
+        outer_iterate(f, SolverConfig(alpha=ALPHA))
+        assert [N for N, _ in solves] == [1, 2, 3, 4, 4, 4] and len(starts) == len(solves) - 1
+        for (prev, theta), (N, _), (b, x0) in zip(solves, solves[1:], starts):
+            level = g.level(N)
+            inside = level.square.k2.ravel()[level.pos] <= g.level(prev).bound
+            start, b = x0.view(np.complex128), b.view(np.complex128)
+            assert start[inside].tobytes() == solver._disk_values(theta, level)[inside].tobytes()
+            assert start[~inside].tobytes() == b[~inside].tobytes()
+            assert inside.all() == (N == prev) and (~inside).any() == (N != prev)
+        assert starts[0][1].tobytes() == solver._low_data(f, g.level(2), ALPHA).view(np.float64).tobytes()
+        assert starts[-1][1].tobytes() == solver._disk_values(solves[-2][1], g.level(4)).view(np.float64).tobytes()
+
+    def test_an_unchanged_iterate_keeps_its_residual(self, monkeypatch):
+        """A solve that returns its start theta leaves theta's bits unchanged, and its residual is not
+        evaluated again: on the single-mode force, whose every solve returns its start, only theta_1 and
+        the iterate closing the level below the top, whose residual is made at the top solve's transform
+        size, evaluate one. The report is that of the loop that evaluates every residual, bit for bit."""
+        import sqglab.solver as solver
+
+        evaluated = []
+        residual_of = solver.residual
+        monkeypatch.setattr(solver, "residual", lambda theta, *a: evaluated.append(theta) or residual_of(theta, *a))
+        g = make_grid(64, np.pi)
+        f = fractional_laplacian(field_from_modes(g, {(1, 0): -0.5j * 1e-2}), ALPHA)
+        cfg = SolverConfig(alpha=ALPHA)
+        theta, report = outer_iterate(f, cfg)
+        assert [s.n for s in report.steps] == [1, 2, 3, 4]
+        assert [s.inner_iters for s in report.steps] == [0, 0, 0, 0]
+        assert [t.M for t in evaluated] == [g.level(1).M, g.level(4).M]  # theta_3 taken to the top radius
+        want, steps, seeds = unseeded_outer_loop(f, cfg)
+        assert (theta.M, theta.half.tobytes()) == (want.M, want.half.tobytes())
+        assert [repr(replace(s, matvecs=0)) for s in report.steps] == [repr(replace(o, matvecs=0)) for o in steps]
+        assert [s.matvecs for s in report.steps] == [o.matvecs - (x0 is not None) for o, x0 in zip(steps, seeds)]
+        assert [x0 is not None for x0 in seeds] == [False, False, False, True]
+
+    def test_continuity_solve_counts(self, tmp_path, monkeypatch):
+        """The continuity sweep at K=256, L=pi, j=1..6 (seven solves) makes at most 126 operator
+        applications and 70 GMRES iterations; started cold at every level it made 175 and 112."""
+        import sqglab.experiments as experiments
+
+        reports = []
+        solve = experiments.outer_iterate
+
+        def recorded(f, cfg):
+            theta, report = solve(f, cfg)
+            reports.append(report)
+            return theta, report
+
+        monkeypatch.setattr(experiments, "outer_iterate", recorded)
+        config = {"K": 256, "L": np.pi, "alpha": ALPHA, "force": "two_mode", "amplitude": 1e-2,
+                  "perturbation": "single_mode", "perturbation_amplitude": 1e-2, "j_min": 1, "j_max": 6,
+                  "outdir": str(tmp_path / "c")}
+        assert experiments.run_continuity(config) == 0
+        assert len(reports) == 7 and all(r.converged for r in reports)
+        assert sum(s.matvecs for r in reports for s in r.steps) <= 126
+        assert sum(s.inner_iters for r in reports for s in r.steps) <= 70
 
     @pytest.mark.parametrize("L, levels", [("1e-12", [42, 43]), ("1e-20", [69, 70])])
     def test_tiny_period_walks_no_empty_level(self, tmp_path, L, levels):
