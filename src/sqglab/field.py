@@ -131,11 +131,11 @@ class SpectralField:
 
 
 def _support_radius(sq: np.ndarray) -> int:
-    """Largest |m_i| of a nonzero entry of the half square sq (0 if there is none)."""
-    nz = sq != 0
+    """Largest |m_i| of a nonzero entry of the half square sq, or of a stack of them (0 if there is none)."""
+    nz = (sq != 0).reshape(-1, *sq.shape[-2:]).any(axis=0)
     if not nz.any():
         return 0
-    rows = np.flatnonzero(nz.any(axis=1)) - (sq.shape[1] - 1)
+    rows = np.flatnonzero(nz.any(axis=1)) - (sq.shape[-1] - 1)
     return int(max(np.abs(rows).max(), np.flatnonzero(nz.any(axis=0)).max()))
 
 
@@ -173,7 +173,7 @@ def _slot(m1: int, m2: int, K: int) -> tuple[int, int]:
 
 
 def _close(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
-    """Make the half square sq (row m1 + M, column m2) a real field, in place.
+    """Make the half square sq (row m1 + M, column m2), or each of a stack of them, a real field, in place.
 
     On the self-conjugate columns (m2 = 0, and m2 = K/2 at M = K/2) the
     m1 < 0 entries become the conjugates of the m1 > 0 ones and the
@@ -181,16 +181,16 @@ def _close(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
     the zero mode is dropped. Entries that already hold those values keep
     their bits, so exactly Hermitian data round-trip byte for byte.
     """
-    M = sq.shape[1] - 1
+    M = sq.shape[-1] - 1
     nyquist = M == grid.K // 2
     top = M - nyquist  # largest m1 > 0 whose partner row is stored
     for j in (0, M) if nyquist else (0,):
-        want, neg = np.conj(sq[M + top : M : -1, j]), sq[M - top : M, j]
-        sq[M - top : M, j] = np.where(neg == want, neg, want)
+        want, neg = np.conj(sq[..., M + top : M : -1, j]), sq[..., M - top : M, j]
+        sq[..., M - top : M, j] = np.where(neg == want, neg, want)
         rows = [0, M] if nyquist else [M]
-        own = sq[rows, j]
-        sq[rows, j] = np.where(own.imag == 0, own, own.real)
-    sq[M, 0] = 0.0
+        own = sq[..., rows, j]
+        sq[..., rows, j] = np.where(own.imag == 0, own, own.real)
+    sq[..., M, 0] = 0.0
     return sq
 
 
@@ -359,7 +359,8 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # product of the same size); each product returns through one forward real
 # transform, pruned to the kept columns, as a half square, which _close
 # completes, so the result is a real field by construction. P is 5-smooth,
-# as scipy.fft.next_fast_len(..., real=True) picks it.
+# as scipy.fft.next_fast_len(..., real=True) picks it. Half squares may carry
+# leading axes, a stack of fields (the probes' draws), each transformed alone.
 # Radii beyond what can reach a kept mode are cut first, and Mo never
 # exceeds the dealias index, so the result is the dealiased product
 # whatever the factors' bands.
@@ -389,27 +390,27 @@ def _next_fast_len(n: int, real: bool) -> int:
 
 
 def _samples(sq: np.ndarray, r: int, P: int) -> np.ndarray:
-    """Values on the P x P grid of the modes |m_i| <= r of the half square sq.
+    """Values on the P x P grid of the modes |m_i| <= r of the half square sq (leading axes kept).
 
     The inverse transform is pruned: the column pass runs only on the r+1
     columns that hold modes, and the row pass zero-pads them to P/2+1.
     """
-    M = sq.shape[1] - 1
-    cols = np.zeros((P, r + 1), dtype=np.complex128)
-    cols[: r + 1] = sq[M : M + r + 1, : r + 1]
-    cols[P - r :] = sq[M - r : M, : r + 1]
-    return np.fft.irfft(np.fft.ifft(cols, axis=0, norm="forward"), n=P, axis=1, norm="forward")
+    M = sq.shape[-1] - 1
+    cols = np.zeros((*sq.shape[:-2], P, r + 1), dtype=np.complex128)
+    cols[..., : r + 1, :] = sq[..., M : M + r + 1, : r + 1]
+    cols[..., P - r :, :] = sq[..., M - r : M, : r + 1]
+    return np.fft.irfft(np.fft.ifft(cols, axis=-2, norm="forward"), n=P, axis=-1, norm="forward")
 
 
 def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
-    """Modes |m1| <= mo, 0 <= m2 <= mo of real samples x; row m1 + mo, column m2.
+    """Modes |m1| <= mo, 0 <= m2 <= mo of real samples x; row m1 + mo, column m2 (leading axes kept).
 
     The forward transform is pruned: the row pass keeps columns 0..mo, and
     only those take the column pass.
     """
-    P = x.shape[0]
-    spec = np.fft.fft(np.fft.rfft(x, norm="forward")[:, : mo + 1], axis=0, norm="forward")
-    return np.concatenate((spec[P - mo :], spec[: mo + 1]))
+    P = x.shape[-1]
+    spec = np.fft.fft(np.fft.rfft(x, norm="forward")[..., : mo + 1], axis=-2, norm="forward")
+    return np.concatenate((spec[..., P - mo :, :], spec[..., : mo + 1, :]), axis=-2)
 
 
 def _quadratic(
@@ -420,11 +421,12 @@ def _quadratic(
     a a half square: the product a b. a a VelocityField: div(a b), which
     is a . grad(b) since div a = 0; this divergence form takes one inverse
     transform (of b) and two forward ones, as a's samples are kept on a.
-    b is a half square; radii are the mode radii of a and b.
+    b is a half square; radii are the mode radii of a and b. Leading axes
+    of a half square a broadcast against b's, which the result keeps.
     """
     ma, mb, m, P = _product_size(radii[0], radii[1], min(mo, grid.dealias_index))
     if P == 0:
-        return np.zeros((1, 1), dtype=np.complex128)
+        return np.zeros((*b.shape[:-2], 1, 1), dtype=np.complex128)
     t = _samples(b, mb, P)
     if isinstance(a, VelocityField):
         v1, v2 = a._sampled(ma, P)
@@ -432,8 +434,14 @@ def _quadratic(
         sq = _half_square(v1 * t, m) * (1j * dk * np.arange(-m, m + 1)[:, None])
         sq += _half_square(v2 * t, m) * (1j * dk * np.arange(m + 1))
     else:
-        sq = _half_square(_samples(a, ma, P) * t, m)
+        sq = _half_square(np.multiply(t, _samples(a, ma, P), out=t), m)
     return _close(grid, sq)
+
+
+def _check_product_inputs(u: SpectralField, w: SpectralField) -> None:
+    u._require_same_grid(w)
+    if not (u.is_dealiased and w.is_dealiased):
+        raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
 
 
 def _check_advect_inputs(v: VelocityField, theta: SpectralField) -> None:
@@ -497,9 +505,7 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
     The product mean is discarded: homogeneous norms ignore it, and fields
     here are mean-free by construction.
     """
-    u._require_same_grid(w)
-    if not (u.is_dealiased and w.is_dealiased):
-        raise ValueError("pointwise_product requires dealiased inputs; apply dealias() first")
+    _check_product_inputs(u, w)
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
     return _new(g, _quadratic(g, u.half, w.half, radii, g.dealias_index))

@@ -23,9 +23,13 @@ def hs_norm(u: SpectralField, s: float) -> float:
     The sum runs over the stored half square, each mode with m2 > 0 standing
     for itself and its conjugate partner.
     """
-    t = u.grid.square(u.M)
-    total = float(np.sum(t.weight * t.radial_power(2.0 * s) * np.abs(u.half) ** 2))
-    return float(np.sqrt(total) * 2.0 * u.grid.L)
+    return float(_hs_norms(u.grid, u.half, s))
+
+
+def _hs_norms(grid, sq: np.ndarray, s: float) -> np.ndarray:
+    """hs_norm of the field with half square sq, or of each of a stack of them (leading axes kept)."""
+    t = grid.square(sq.shape[-1] - 1)
+    return np.sqrt(np.sum(t.weight * t.radial_power(2.0 * s) * np.abs(sq) ** 2, axis=(-2, -1))) * 2.0 * grid.L
 
 
 def velocity_hs_norm(v: VelocityField, s: float) -> float:

@@ -283,12 +283,12 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, 
 
 def _linear_solve_info(
     v: VelocityField | None, f: SpectralField, N: int, cfg: SolverConfig,
-    x0: SpectralField | None = None, adv0: np.ndarray | None = None,
+    x0: SpectralField | None = None, adv0: np.ndarray | None = None, b: np.ndarray | None = None,
 ) -> tuple[SpectralField, dict]:
     """theta and the solve's counters under SolveStep's names; v None is the zero velocity, for which
     theta = (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step). GMRES starts
-    from x0 (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f, and returns a start that
-    passes its test with inner_iters 0; adv0, x0's product made at this solve's P, gives A x0 unapplied."""
+    from x0 (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f (given, or computed here), and returns
+    a start that passes its test with inner_iters 0; adv0, x0's product at this solve's P, gives A x0 unapplied."""
     grid = f.grid
     if v is not None and v.grid != grid:
         raise ValueError("velocity and force live on different grids")
@@ -309,7 +309,7 @@ def _linear_solve_info(
     def field_of(x: np.ndarray) -> SpectralField:
         return _level_field(grid, level, np.ascontiguousarray(x).view(np.complex128))
 
-    b_vec = _low_data(f, level, cfg.alpha).view(np.float64)
+    b_vec = (_low_data(f, level, cfg.alpha) if b is None else b).view(np.float64)
     info = {"inner_iters": 0, "inner_residual": 0.0, "matvecs": 0,
             "transform_size": 0 if v is None else _product_size(_velocity_radius(v), level.M, level.M)[3]}
     if v is None or not np.any(b_vec):
@@ -366,11 +366,10 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
     return ResidualRecord(r, hs_norm(r, -alpha), v, values)
 
 
-def _nested_start(theta: SpectralField, f: SpectralField, level: LevelTable, prev: LevelTable,
-                  alpha: float) -> tuple[SpectralField, bool]:
+def _nested_start(theta: SpectralField, b: np.ndarray, level: LevelTable,
+                  prev: LevelTable) -> tuple[SpectralField, bool]:
     """The start of a solve at level after one at prev, theta on prev's disk and b = (-Delta)^{-alpha} P_N f on
     the band beyond it, and whether that start is theta itself (the band carries no force)."""
-    b = _low_data(f, level, alpha)
     band = level.square.k2.ravel()[level.pos] > prev.bound
     if not b[band].any():
         return theta, True
@@ -417,10 +416,12 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                         residual_rel=res / f_low if f_low > 0 else res,
                     )
                 prev, N = N, min(N + 1, n_top)
+                b = _low_data(f, grid.level(N), cfg.alpha)  # the solve's right-hand side, and its start on the band
                 x0, from_theta = (None, False) if v is None else _nested_start(
-                    theta, f, grid.level(N), grid.level(prev), cfg.alpha)
+                    theta, b, grid.level(N), grid.level(prev))
                 # v is the residual's velocity, and before a top-level solve its product is made at that solve's P
-                new_theta, info = _linear_solve_info(v, f, N, cfg, x0, adv if from_theta and N == n_top else None)
+                new_theta, info = _linear_solve_info(v, f, N, cfg, x0, adv if from_theta and N == n_top else None, b)
+                b = None  # the solve's alone: held through the residual, it raises the peak memory
                 diff = hs_norm(new_theta - theta, cfg.alpha)
                 # a solve that returns its start theta changes no bit of it, so its residual stands, unless this
                 # step closes the level below the top, whose residual is made at the top solve's P

@@ -285,3 +285,32 @@ def test_pruned_transforms_match_full_scipy(P):
     spec = scipy.fft.rfft2(x, norm="forward")
     ref = np.concatenate((spec[P - r :, : r + 1], spec[: r + 1, : r + 1]))
     assert np.max(np.abs(_half_square(x, r) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_stacked_passes_match_each_slice():
+    """On a stack of four fields at the ineq-scan size P = 90, every numpy.fft pass of the product kernel, the
+    kernel's two transforms and the norm's sum over the last two axes give each slice's 2-D result bit for bit,
+    so a probe's stacked ratios are its one-draw ratios; a numpy change that breaks this fails here."""
+    from sqglab.norms import _hs_norms
+
+    rng = np.random.default_rng(24)
+    P, r, mo = 90, 21, 42
+    cols = rng.standard_normal((4, P, r + 1)) + 1j * rng.standard_normal((4, P, r + 1))
+    x = rng.standard_normal((4, P, P))
+    sq = rng.standard_normal((4, 2 * r + 3, r + 2)) + 1j * rng.standard_normal((4, 2 * r + 3, r + 2))
+    weights = rng.standard_normal((4, 2 * mo + 1, mo + 1)) ** 2
+    passes = [
+        (lambda a: np.fft.ifft(a, axis=-2, norm="forward"), cols),
+        (lambda a: np.fft.irfft(a, n=P, axis=-1, norm="forward"), cols),
+        (lambda a: np.fft.rfft(a, norm="forward"), x),
+        (lambda a: np.fft.fft(a[..., : mo + 1], axis=-2, norm="forward"), np.fft.rfft(x, norm="forward")),
+        (lambda a: _samples(a, r, P), sq),
+        (lambda a: _half_square(a, mo), x),
+        (lambda a: _hs_norms(make_grid(128, np.pi), a, 0.6), sq),
+    ]
+    for fn, stack in passes:
+        got = fn(stack)
+        for j in range(4):
+            assert got[j].tobytes() == fn(stack[j]).tobytes()
+    sums = np.sum(weights, axis=(-2, -1))
+    assert [sums[j].tobytes() for j in range(4)] == [np.sum(w).tobytes() for w in weights]

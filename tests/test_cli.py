@@ -634,6 +634,27 @@ class TestConfigResolution:
         assert named in err and len(err.splitlines()) == 1, err
         assert not (tmp_path / "o").exists()
 
+    def test_refusal_names_a_draw_inside_a_later_stack(self, tmp_path, capsys, monkeypatch):
+        """A product draw past the first stack whose norms overflow, draw 5 (both fields scaled by 1e200), is
+        refused by number in one line on stderr, and no output directory is made."""
+        from sqglab import inequalities
+
+        draws = inequalities._draws
+
+        def scaled(grid, k_min, k_max, n, rng, per):
+            first = 0
+            for stack in draws(grid, k_min, k_max, n, rng, per):
+                if per == 2 and first <= 5 < first + len(stack):  # a probe's stack (f and g per draw)
+                    stack[5 - first] *= 1e200
+                first += len(stack)
+                yield stack
+
+        monkeypatch.setattr(inequalities, "_draws", scaled)
+        assert main(["ineq-scan", "--K", "32", "--samples", "8", "--outdir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "product probe draw 5: ratio" in err and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "o").exists()
+
     def test_subcommand_required(self, capsys):
         """Bare invocation is a usage error."""
         rc = main([])

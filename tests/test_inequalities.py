@@ -12,14 +12,18 @@ from sqglab import (
     commutator_field,
     commutator_operating_point,
     field_from_modes,
+    fractional_laplacian,
     hs_norm,
     make_grid,
+    pointwise_product,
     product_estimate_ratio,
     product_operating_point,
     run_commutator_probe,
     run_product_probe,
     sample_band_limited,
 )
+from sqglab import inequalities
+from sqglab.inequalities import _stream
 from lattice_tables import Lattice, translate
 
 GRID = make_grid(32, np.pi)
@@ -278,3 +282,71 @@ class TestProbeRuns:
         """At least one sample is required."""
         with pytest.raises(ValueError, match="at least 1"):
             run_product_probe(GRID, product_operating_point(0.4), samples=0, seed=0)
+
+
+class TestStackedDraws:
+    """The probes evaluate their draws a stack at a time; every stack gives the one-draw path's bits."""
+
+    PROBES = {
+        "product": (run_product_probe, product_estimate_ratio, product_operating_point),
+        "commutator": (run_commutator_probe, commutator_estimate_ratio, commutator_operating_point),
+    }
+
+    @staticmethod
+    def draw(kind, seed, i):
+        """f, then g, of draw i, drawn one at a time from the draw's own stream."""
+        rng = _stream(seed, kind, i)
+        return tuple(sample_band_limited(GRID, 1.0, GRID.dealias_k / 2.0, rng) for _ in range(2))
+
+    @staticmethod
+    def field_ratio(kind, f, g, e):
+        """The estimate's ratio written with the field API: pointwise_product, fractional_laplacian, hs_norm."""
+        if kind == "product":
+            lhs = hs_norm(pointwise_product(f, g), e[0] + e[1] - 1.0)
+            return lhs / (hs_norm(f, e[0]) * hs_norm(g, e[1]) + hs_norm(f, e[2]) * hs_norm(g, e[3]))
+        half = e[0] / 2.0
+        c = fractional_laplacian(pointwise_product(f, g), half) - pointwise_product(f, fractional_laplacian(g, half))
+        return hs_norm(c, e[1] - 1.0) / (hs_norm(f, e[2]) * hs_norm(g, e[3]) + hs_norm(f, e[4]) * hs_norm(g, e[5]))
+
+    @pytest.mark.parametrize("kind", ["product", "commutator"])
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, 9])
+    def test_stacks_give_the_one_draw_ratios(self, kind, samples):
+        """Each ratio, full and partial stacks alike, equals bit for bit the public one-draw ratio of
+        sample_band_limited's f and g from the draw's stream and the same ratio written with the field API,
+        and the witness is the first maximal draw."""
+        run, ratio, point = self.PROBES[kind]
+        probe = run(GRID, point(0.4), samples, seed=5)
+        draws = [self.draw(kind, 5, i) for i in range(samples)]
+        assert probe.ratios == tuple(ratio(f, g, probe.exponents) for f, g in draws)
+        assert probe.ratios == tuple(self.field_ratio(kind, f, g, probe.exponents) for f, g in draws)
+        first = probe.ratios.index(max(probe.ratios))
+        assert [w.half.tobytes() for w in probe.witness] == [u.half.tobytes() for u in draws[first]]
+
+    @pytest.mark.parametrize("kind", ["product", "commutator"])
+    def test_ratio_prefixes_agree_across_stack_splits(self, kind):
+        """Runs whose sample counts split the draws into different stacks agree on every shared draw."""
+        run, _, point = self.PROBES[kind]
+        full = run(GRID, point(0.4), 9, seed=2).ratios
+        for samples in (1, 3, 4, 5):
+            assert run(GRID, point(0.4), samples, seed=2).ratios == full[:samples]
+
+    @pytest.mark.parametrize("kind", ["product", "commutator"])
+    def test_witness_is_the_first_of_tied_draws(self, kind, monkeypatch):
+        """With draw i replaced by 2^i times draw 0 (both fields), which scales every product, norm and sum
+        exactly, all nine ratios tie bit for bit and the witness is draw 0, not a later stack's draw."""
+        draws = inequalities._draws
+
+        def tied(grid, k_min, k_max, n, rng, per):
+            first = 0
+            for stack in draws(grid, k_min, k_max, n, rng, per):
+                if first == 0:
+                    base = stack[0].copy()
+                stack[:] = base * 2.0 ** np.arange(first, first + len(stack))[:, None, None, None]
+                first += len(stack)
+                yield stack
+
+        monkeypatch.setattr(inequalities, "_draws", tied)
+        run, _, point = self.PROBES[kind]
+        probe = run(GRID, point(0.4), 9, seed=7)
+        assert len(set(probe.ratios)) == 1
+        assert [w.half.tobytes() for w in probe.witness] == [u.half.tobytes() for u in self.draw(kind, 7, 0)]

@@ -671,8 +671,8 @@ class TestOuterIterate:
         solves, starts = [], []
         solve_info, gmres = solver._linear_solve_info, solver.gmres
 
-        def solve_spy(v, f, N, cfg, x0=None, adv0=None):
-            theta, info = solve_info(v, f, N, cfg, x0, adv0)
+        def solve_spy(v, f, N, cfg, x0=None, adv0=None, b=None):
+            theta, info = solve_info(v, f, N, cfg, x0, adv0, b)
             solves.append((N, theta))
             return theta, info
 
