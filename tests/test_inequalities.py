@@ -350,3 +350,43 @@ class TestStackedDraws:
         probe = run(GRID, point(0.4), 9, seed=7)
         assert len(set(probe.ratios)) == 1
         assert [w.half.tobytes() for w in probe.witness] == [u.half.tobytes() for u in self.draw(kind, 7, 0)]
+
+    def test_a_refused_stack_is_evaluated_once(self, monkeypatch):
+        """A stack holding a draw whose norms overflow, draw 5 (both fields scaled by 1e200), is refused from its
+        one evaluation: _estimate runs once per stack, and no draw of the refused stack is evaluated again."""
+        draws, estimate, sizes = inequalities._draws, inequalities._estimate, []
+
+        def scaled(grid, k_min, k_max, n, rng, per):
+            first = 0
+            for stack in draws(grid, k_min, k_max, n, rng, per):
+                if first <= 5 < first + len(stack):
+                    stack[5 - first] *= 1e200
+                first += len(stack)
+                yield stack
+
+        def counted(kind, grid, f, g, exponents):
+            sizes.append(len(f))
+            return estimate(kind, grid, f, g, exponents)
+
+        monkeypatch.setattr(inequalities, "_draws", scaled)
+        monkeypatch.setattr(inequalities, "_estimate", counted)
+        with pytest.raises(ValueError, match="product probe draw 5: ratio"):
+            run_product_probe(GRID, product_operating_point(0.4), 9, seed=0)
+        assert sizes == [4, 4]
+
+    @pytest.mark.parametrize("side, ratio", [(1, "0.0"), (0, "inf")], ids=["rhs", "lhs"])
+    def test_a_side_past_the_float_range_is_refused(self, side, ratio, monkeypatch):
+        """Draw 6 with one side inf and the other finite is refused by number, the right side's case
+        although its ratio, 0.0, is finite."""
+        estimate, calls = inequalities._estimate, []
+
+        def broken(kind, grid, f, g, exponents):
+            sides = estimate(kind, grid, f, g, exponents)
+            calls.append(len(f))
+            if len(calls) == 2:  # the second stack, draws 4..7
+                sides[side][6 - 4] = np.inf
+            return sides
+
+        monkeypatch.setattr(inequalities, "_estimate", broken)
+        with pytest.raises(ValueError, match=f"commutator probe draw 6: ratio {ratio} of sides"):
+            run_commutator_probe(GRID, commutator_operating_point(0.4), 9, seed=3)
