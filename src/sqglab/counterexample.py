@@ -16,7 +16,6 @@ import numpy as np
 from .grid import GridSpec
 from .patches import (
     FrequencyOverflowError,
-    Patch,
     PatchField,
     _new_patch,
     apply_radial,
@@ -130,30 +129,17 @@ def build_phi(spec: CounterexampleSpec) -> PhiProfile:
 
 # -- force construction ------------------------------------------------------
 
-def _separable_patch(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
-                     half_w: tuple[int, int], carrier_units: int, amp: complex) -> Patch:
-    """Patch for amp * fx(xi_1 - c) fy(xi_2) in the stored 2D convention."""
+def _separable(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
+               half_w: tuple[int, int], n: int | None, amp: complex) -> PatchField:
+    """amp fx(xi_1 - c) fy(xi_2) in the stored 2D convention, at c = 0 for n None, else at the carrier c = 2^n
+    with its mirror conj(amp) fx(xi_1 + c) fy(xi_2): a real field, as fx and fy transform real profiles.
+    Patch corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit."""
     m = prof.m
-    lo = (carrier_units - half_w[0] * m, -half_w[1] * m)
-    vals = amp * np.multiply.outer(fx, fy) / (2.0 * np.pi)
-    return _new_patch(lo, vals)
-
-
-def _carrier_pair(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
-                  half_w: tuple[int, int], n: int, amp: complex) -> PatchField:
-    """amp fx(xi_1 - 2^n) fy(xi_2) plus its partner conj(amp) fx(xi_1 + 2^n) fy(xi_2).
-
-    fx and fy are transforms of real profiles, conj(f(-t)) = f(t), so the pair is a real field.
-    Patch corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit.
-    """
-    top = (np.iinfo(np.int64).max // prof.m - 8).bit_length() - 1
-    if n > top:
+    top = (np.iinfo(np.int64).max // m - 8).bit_length() - 1
+    if n is not None and n > top:
         raise ValueError(f"carrier level n={n} is past the largest level {top} of the int64 patch lattice")
-    c = (2**n) * prof.m
-    return PatchField(prof.h, (
-        _separable_patch(prof, fx, fy, half_w, c, amp),
-        _separable_patch(prof, fx, fy, half_w, -c, np.conj(amp)),
-    ))
+    lo = ((0 if n is None else 2**n * m) - half_w[0] * m, -half_w[1] * m)
+    return PatchField(prof.h, (_new_patch(lo, amp * np.multiply.outer(fx, fy) / (2.0 * np.pi)),))
 
 
 def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, PatchField]:
@@ -167,10 +153,10 @@ def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, Patc
     n = spec.n
 
     amp_g = spec.delta * 2.0 ** (-(2.0 - 2.0 * a) * n)
-    g = apply_radial(_carrier_pair(prof, prof.phi, prof.phi, (2, 2), n, -0.5j * amp_g), 2.0 * a)
+    g = apply_radial(_separable(prof, prof.phi, prof.phi, (2, 2), n, -0.5j * amp_g), 2.0 * a)
 
     amp_h = spec.delta * 2.0 ** (-(1.0 - 2.0 * a) * n)
-    base = PatchField(prof.h, (_separable_patch(prof, prof.phi, prof.phi, (2, 2), 0, amp_h),))
+    base = _separable(prof, prof.phi, prof.phi, (2, 2), None, amp_h)
     h_field = apply_radial(apply_radial(base, 2.0 * a), 1.0)  # origin power 2a + 1 exactly, see Patch
 
     return g + h_field, g, h_field
@@ -211,7 +197,7 @@ def _closed_form(spec: CounterexampleSpec, prof: PhiProfile, fx: np.ndarray, fy:
                  rate: float, amp: complex) -> PatchField:
     """delta^2 2^{-rate n} (-Delta)^{-a}[ fx(x_1) fy(x_2) (amp e^{i 2^n x_1} + conj(amp) e^{-i 2^n x_1}) ]."""
     scale = spec.delta**2 * 2.0 ** (-rate * spec.n)
-    return apply_radial(_carrier_pair(prof, fx, fy, (4, 4), spec.n, amp * scale), -2.0 * spec.alpha)
+    return apply_radial(_separable(prof, fx, fy, (4, 4), spec.n, amp * scale), -2.0 * spec.alpha)
 
 
 def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:

@@ -241,10 +241,7 @@ class VelocityField:
         return self.v1.is_dealiased and self.v2.is_dealiased
 
     def _sampled(self, r: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-        """(v1, v2) on the P x P grid from their modes |m_i| <= r (read-only, kept for the last (r, P)).
-
-        Threads racing on one velocity compute identical arrays, so either write is right.
-        """
+        """(v1, v2) on the P x P grid from their modes |m_i| <= r (read-only, kept for the last (r, P))."""
         kept = self._grid_samples
         if kept is None or kept[0] != (r, P):
             s1, s2 = _samples(self.v1.half, r, P), _samples(self.v2.half, r, P)

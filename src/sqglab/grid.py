@@ -4,7 +4,7 @@ The wavenumber lattice is k = (pi/L) * m with integer mode indices
 |m_i| <= K/2. Physical sample points are x_j = -L + 2L*j/K along each
 axis. The tables of each half square (see
 SquareTable) and of each truncation level are built on first use and kept
-by the grid, so they live as long as it does and threads share them.
+by the grid, so they live as long as it does.
 """
 from __future__ import annotations
 
@@ -79,7 +79,6 @@ class GridSpec:
         N = int(N)
         table = self._levels.get(N)
         if table is None:
-            # setdefault is atomic: threads racing on a new level all get the stored table
             table = self._levels.setdefault(N, LevelTable(self, N))
         return table
 
@@ -132,7 +131,6 @@ class SquareTable:
             w[self.M, 0] = 0.0
             w.setflags(write=False)
             if len(self._powers) < 32:
-                # setdefault is atomic: threads racing on a new exponent all get the stored array
                 w = self._powers.setdefault(p, w)
         return w
 

@@ -75,6 +75,12 @@ def commutator_operating_point(alpha: float) -> tuple[float, ...]:
     return (2.0 - 3.0 * alpha, 1.0 - alpha, 2.0 - 2.0 * alpha, 1.0 - 2.0 * alpha, 2.0 - 2.0 * alpha, 1.0 - 2.0 * alpha)
 
 
+def _band(grid: GridSpec, k_min: float, k_max: float) -> np.ndarray:
+    """The annulus k_min < |k| <= k_max (0 < k_max) as a mask on the half square |m_i| <= M that holds it."""
+    kmag = grid.square(min(int(k_max / grid.dk) + 1, grid.dealias_index)).kmag
+    return (kmag > k_min) & (kmag <= k_max * (1.0 + 1e-12))
+
+
 def _draws(grid: GridSpec, k_min: float, k_max: float, n: int, rng, per: int):
     """Draws 0..n-1, a stack (<= _STACK, per, 2M+1, M+1) at a time: per fields from generator rng(i) for draw i,
     standard complex Gaussians on the band k_min < |k| <= k_max (mask built once), closed, of unit L^2 norm."""
@@ -82,9 +88,7 @@ def _draws(grid: GridSpec, k_min: float, k_max: float, n: int, rng, per: int):
         raise ValueError(f"need 0 < k_min < k_max, got ({k_min}, {k_max})")
     if k_max > grid.dealias_k * (1.0 + 1e-12):
         raise ValueError(f"k_max = {k_max:g} exceeds the dealias cutoff {grid.dealias_k:g}")
-    M = min(int(k_max / grid.dk) + 1, grid.dealias_index)  # the annulus lies in |m_i| <= M
-    kmag = grid.square(M).kmag
-    band = (kmag > k_min) & (kmag <= k_max * (1.0 + 1e-12))
+    band = _band(grid, k_min, k_max)
     if not band.any():
         raise ValueError(f"annulus ({k_min:g}, {k_max:g}] contains no lattice points")
     for first in range(0, n, _STACK):
@@ -123,7 +127,9 @@ def _estimate(kind: str, grid: GridSpec, f: np.ndarray, g: np.ndarray, exponents
     else:
         c, s, s1, s2, s3, s4 = _check_commutator_exponents(exponents)
         lhs = _hs_norms(grid, _products(grid, f, g, c), s - 1.0)
-    return lhs, _hs_norms(grid, f, s1) * _hs_norms(grid, g, s2) + _hs_norms(grid, f, s3) * _hs_norms(grid, g, s4)
+    f2, g2 = np.abs(f) ** 2, np.abs(g) ** 2  # each stack squared once for its four norms
+    rhs = _hs_norms(grid, f2, s1, True) * _hs_norms(grid, g2, s2, True)
+    return lhs, rhs + _hs_norms(grid, f2, s3, True) * _hs_norms(grid, g2, s4, True)
 
 
 def _ratio(kind: str, f: SpectralField, g: SpectralField, exponents) -> float:
@@ -184,6 +190,9 @@ def _run_probe(kind, grid, exponents, samples, seed) -> EstimateProbe:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     k_min, k_max = 1.0, grid.dealias_k / 2.0
+    if not _band(grid, k_min, k_max).any():
+        raise ValueError(f"K={grid.K}, L={grid.L:g}: the probe band (1, dealias_k/2] = (1, {k_max:g}] "
+                         "holds no lattice wavenumber")
     worst, witness, ratios = -np.inf, None, []
     stacks = _draws(grid, k_min, k_max, samples, lambda i: _stream(seed, kind, i), 2)  # f, then g, of each draw
     for first, pairs in zip(range(0, samples, _STACK), stacks):

@@ -26,10 +26,11 @@ def hs_norm(u: SpectralField, s: float) -> float:
     return float(_hs_norms(u.grid, u.half, s))
 
 
-def _hs_norms(grid, sq: np.ndarray, s: float) -> np.ndarray:
-    """hs_norm of the field with half square sq, or of each of a stack of them (leading axes kept)."""
+def _hs_norms(grid, sq: np.ndarray, s: float, squared: bool = False) -> np.ndarray:
+    """hs_norm of the field with half square sq (its moduli squared if squared), or of each of a stack of them."""
     t = grid.square(sq.shape[-1] - 1)
-    return np.sqrt(np.sum(t.weight * t.radial_power(2.0 * s) * np.abs(sq) ** 2, axis=(-2, -1))) * 2.0 * grid.L
+    a2 = sq if squared else np.abs(sq) ** 2
+    return np.sqrt(np.sum(t.weight * t.radial_power(2.0 * s) * a2, axis=(-2, -1))) * 2.0 * grid.L
 
 
 def velocity_hs_norm(v: VelocityField, s: float) -> float:

@@ -4,9 +4,11 @@ A Patch stores samples of a transform on a uniform frequency lattice of
 spacing h; the represented transform is |xi|^origin_power * values, the
 power factored out so radial multipliers stay exact near xi = 0. The power
 is the exact rational sum of the float exponents applied, so powers that
-cancel give exactly 0. A PatchField is a finite sum of patches. Carrier
-frequencies enter only through patch offsets, so cost is independent of
-the carrier 2^n.
+cancel give exactly 0. A PatchField is a real field, a finite sum of
+patches stored as a half square stores a torus field: a patch whose box
+holds the origin is self-conjugate and stands for itself; every other
+patch stands for itself plus its mirror conj(u(-xi)). Carrier frequencies
+enter only through patch offsets, so cost is independent of the carrier 2^n.
 
 Convention: stored values are (2 pi)^{-1} times the integral transform
 u_hat(xi) = int u(x) e^{-i xi.x} dx, so that
@@ -36,7 +38,6 @@ __all__ = [
     "coalesce",
     "patch_hs_norm",
     "to_torus",
-    "hermitian_defect",
 ]
 
 _MAX_SIDE = 8.0  # frequency-box side limit; all constructed objects fit in it
@@ -85,9 +86,20 @@ def _new_patch(lo: tuple[int, int], values: np.ndarray, origin_power: Fraction =
     return patch
 
 
+def _mirror(p: Patch) -> Patch:
+    """The conjugate partner conj(u(-xi)) of p: conj(values[::-1, ::-1]) on the box [-hi, -lo]."""
+    hi = p.hi()
+    return _new_patch((-hi[0], -hi[1]), np.conj(p.values[::-1, ::-1]), p.origin_power)
+
+
+def _terms(patches) -> list[Patch]:
+    """The patches, each off the origin followed by its mirror: the field they stand for, term by term."""
+    return [q for p in patches for q in ((p,) if p.contains_origin() else (p, _mirror(p)))]
+
+
 @dataclass(frozen=True)
 class PatchField:
-    """Finite sum of patches sharing one sample spacing."""
+    """Real field: a sum of patches sharing one sample spacing, each off the origin standing with its mirror."""
 
     h: float
     patches: tuple[Patch, ...]
@@ -176,7 +188,12 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def convolve(a: PatchField, b: PatchField) -> PatchField:
-    """Transform of the physical product: h^2/(2 pi) times discrete convolution."""
+    """Transform of the physical product: h^2/(2 pi) times discrete convolution.
+
+    A patch p off the origin stands for p + p' (' the mirror), so two such patches make p q + p q' and their
+    mirrors: two convolutions. An origin patch is its own mirror, so with one the product is p q and, unless
+    both are, its mirror; a product standing with its mirror whose box holds the origin is summed with it.
+    """
     if abs(a.h - b.h) > 1e-15 * a.h:
         raise ValueError("patch fields have different sample spacings")
     h = a.h
@@ -184,19 +201,22 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
     for pa in a.patches:
         va = materialize(pa, h)
         for pb in b.patches:
-            vb = materialize(pb, h)
-            vals = _fft_convolve(va, vb) * (h**2 / (2.0 * np.pi))
-            # fft-based convolution leaves rounding junk where exact zeros
-            # belong; scrub below the noise floor so supports stay sharp
-            floor = 5e-16 * float(np.max(np.abs(vals)))
-            vals[np.abs(vals) < floor] = 0.0
-            out.append(_new_patch((pa.lo[0] + pb.lo[0], pa.lo[1] + pb.lo[1]), vals))
+            both = pa.contains_origin() and pb.contains_origin()
+            for q in (pb,) if pa.contains_origin() or pb.contains_origin() else (pb, _mirror(pb)):
+                vals = _fft_convolve(va, materialize(q, h)) * (h**2 / (2.0 * np.pi))
+                # fft-based convolution leaves rounding junk where exact zeros
+                # belong; scrub below the noise floor so supports stay sharp
+                floor = 5e-16 * float(np.max(np.abs(vals)))
+                vals[np.abs(vals) < floor] = 0.0
+                p = _new_patch((pa.lo[0] + q.lo[0], pa.lo[1] + q.lo[1]), vals)
+                out.append(_summed([p, _mirror(p)], h) if p.contains_origin() and not both else p)
     return PatchField(h, tuple(out))
 
 
-def _boxes_overlap(p: Patch, q: Patch) -> bool:
-    ph, qh = p.hi(), q.hi()
-    return p.lo[0] <= qh[0] and q.lo[0] <= ph[0] and p.lo[1] <= qh[1] and q.lo[1] <= ph[1]
+def _boxes_overlap(box: tuple[tuple[int, int], tuple[int, int]], q: Patch) -> bool:
+    """Whether the box (lo, hi) meets the box of q."""
+    (lo, hi), qh = box, q.hi()
+    return lo[0] <= qh[0] and q.lo[0] <= hi[0] and lo[1] <= qh[1] and q.lo[1] <= hi[1]
 
 
 def _trim(p: Patch) -> Patch | None:
@@ -218,40 +238,56 @@ def _trim(p: Patch) -> Patch | None:
     return _new_patch((p.lo[0] + r0, p.lo[1] + c0), p.values[r0 : r1 + 1, c0 : c1 + 1], p.origin_power)
 
 
+def _box(terms: list[Patch]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(lo, hi) of the smallest box holding every term."""
+    los, his = zip(*((q.lo, q.hi()) for q in terms))
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
+def _summed(terms: list[Patch], h: float) -> Patch:
+    """The terms added on the smallest box holding them."""
+    if len(terms) == 1:
+        return terms[0]
+    # factor onto the lowest power present so folded exponents stay >= 0
+    p_star = min(q.origin_power for q in terms)
+    (lo0, lo1), (hi0, hi1) = _box(terms)
+    vals = np.zeros((hi0 - lo0 + 1, hi1 - lo1 + 1), dtype=np.complex128)
+    for q in terms:
+        sl = (slice(q.lo[0] - lo0, q.lo[0] - lo0 + q.values.shape[0]),
+              slice(q.lo[1] - lo1, q.lo[1] - lo1 + q.values.shape[1]))
+        if q.origin_power == p_star:
+            vals[sl] += q.values
+        else:
+            vals[sl] += q.values * _radial_weight(*q.axes(h), float(q.origin_power - p_star))
+    return _new_patch((lo0, lo1), vals, p_star)
+
+
 def coalesce(u: PatchField) -> PatchField:
-    """Merge overlapping patches so quadrature never double-counts a region."""
-    groups: list[list[Patch]] = []
+    """Merge overlapping patches so quadrature never double-counts a region.
+
+    A patch joins each group its box meets and, mirrored, each group its mirror meets. A group whose box holds
+    the origin stands alone, and its terms are every member and mirror; any other stands with its mirror.
+    """
+    groups: list[tuple[bool, list[Patch]]] = []  # (stands alone, terms)
     for raw in u.patches:
         p = _trim(raw)
         if p is None:
             continue
-        hits = [g for g in groups if any(_boxes_overlap(p, q) for q in g)]
-        merged = [p]
-        for g in hits:
-            merged.extend(g)
-            groups.remove(g)
-        groups.append(merged)
-    out = []
-    for g in groups:
-        if len(g) == 1:
-            out.append(g[0])
-            continue
-        # factor onto the lowest power present so folded exponents stay >= 0
-        p_star = min(q.origin_power for q in g)
-        lo0 = min(q.lo[0] for q in g)
-        lo1 = min(q.lo[1] for q in g)
-        hi0 = max(q.hi()[0] for q in g)
-        hi1 = max(q.hi()[1] for q in g)
-        vals = np.zeros((hi0 - lo0 + 1, hi1 - lo1 + 1), dtype=np.complex128)
-        for q in g:
-            sl = (slice(q.lo[0] - lo0, q.lo[0] - lo0 + q.values.shape[0]),
-                  slice(q.lo[1] - lo1, q.lo[1] - lo1 + q.values.shape[1]))
-            if q.origin_power == p_star:
-                vals[sl] += q.values
+        boxes = (p.lo, p.hi()), ((-p.hi()[0], -p.hi()[1]), (-p.lo[0], -p.lo[1]))  # p's box and its mirror's
+        meets = [tuple(any(_boxes_overlap(box, q) for q in ts) for box in boxes) for _, ts in groups]
+        hits = [(g, direct) for g, (direct, mirrored) in zip(groups, meets) if direct or mirrored]
+        kept = [g for g, m in zip(groups, meets) if not any(m)]
+        whole = [p] if p.contains_origin() else []  # terms standing alone, the others with their mirrors
+        paired = [] if whole else [p]
+        for (alone, ts), direct in hits:
+            if alone:
+                whole += ts
             else:
-                vals[sl] += q.values * _radial_weight(*q.axes(u.h), float(q.origin_power - p_star))
-        out.append(_new_patch((lo0, lo1), vals, p_star))
-    return PatchField(u.h, tuple(out))
+                paired += ts if direct else map(_mirror, ts)
+        (lo0, lo1), (hi0, hi1) = _box(paired + whole)
+        alone = lo0 <= 0 <= hi0 and lo1 <= 0 <= hi1
+        groups = kept + [(alone, _terms(paired) + whole if alone else paired)]
+    return PatchField(u.h, tuple(_summed(terms, u.h) for _, terms in groups))
 
 
 # -- norm quadrature ------------------------------------------------------
@@ -377,10 +413,10 @@ def _patch_norm_sq(patch: Patch, h: float, s: float) -> float:
 
 
 def patch_hs_norm(u: PatchField, s: float) -> float:
-    """sqrt(int |xi|^{2s} |u_hat|^2 dxi) by panel quadrature over the patches."""
+    """sqrt(int |xi|^{2s} |u_hat|^2 dxi) by panel quadrature, a patch off the origin counted with its mirror."""
     total = 0.0
     for p in coalesce(u).patches:
-        total += _patch_norm_sq(p, u.h, s)
+        total += (1.0 if p.contains_origin() else 2.0) * _patch_norm_sq(p, u.h, s)
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -392,10 +428,9 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
     Torus coefficients are u_hat(k) * 2 pi / (2L)^2, so the lattice Sobolev
     sum is the rectangle-rule approximation of the continuum norm. Requires
     the lattice spacing pi/L to be an integer multiple of the patch spacing
-    and all patch content to sit inside the dealias band.
-
-    u must be a real field: its samples with xi_2 < 0, the conjugates of
-    their partners, are not read (hermitian_defect measures the symmetry).
+    and all patch content to sit inside the dealias band. Each patch and
+    its mirror are scattered into the band's half square, which _close
+    makes a real field.
     """
     dk = grid.dk
     ratio = dk / u.h
@@ -406,7 +441,7 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
     Md = grid.dealias_index
     sq = np.zeros((2 * Md + 1, Md + 1), dtype=np.complex128)  # the band's half square
     scale = 2.0 * np.pi / (2.0 * grid.L) ** 2
-    for p in u.patches:
+    for p in _terms(u.patches):
         vals = materialize(p, u.h)
         nz = np.abs(vals) > 0.0
         if nz.any():
@@ -426,29 +461,3 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
         sq[np.ix_(m0 + Md, m1)] += scale * vals[rows, cols]
     sq = _close(grid, sq)
     return _new(grid, _resize(sq, _support_radius(sq)).copy())
-
-
-# -- diagnostics ----------------------------------------------------------
-
-def hermitian_defect(u: PatchField) -> float:
-    """max |u_hat(-xi) - conj(u_hat(xi))| over all sampled lattice points."""
-    rows, cols, vals = [], [], []
-    for p in u.patches:
-        v = materialize(p, u.h)
-        i, j = np.nonzero(v)
-        rows.append(p.lo[0] + i)
-        cols.append(p.lo[1] + j)
-        vals.append(v[i, j])
-    if not any(r.size for r in rows):
-        return 0.0
-    i, j = np.concatenate(rows), np.concatenate(cols)
-    # point (i, j) gets code (i + R) W + j + R in the box [-R, R]^2 of width W, so -xi has code W^2 - 1 - code
-    R = int(max(np.abs(i).max(), np.abs(j).max()))
-    W = 2 * R + 1
-    keys, slot = np.unique((i + R) * W + (j + R), return_inverse=True)
-    acc = np.zeros(keys.size, dtype=np.complex128)
-    np.add.at(acc, slot, np.concatenate(vals))  # overlapping patches add, in patch order
-    at = np.minimum(np.searchsorted(keys, W * W - 1 - keys), keys.size - 1)
-    mirror = np.where(keys[at] == W * W - 1 - keys, acc[at], 0.0)
-    d = np.conj(acc) - mirror
-    return float(np.max(np.hypot(d.real, d.imag)))  # the scalar complex abs, bit for bit

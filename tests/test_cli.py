@@ -634,6 +634,23 @@ class TestConfigResolution:
         assert named in err and len(err.splitlines()) == 1, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("L, k_max", [("10", "0.785398"), ("7.6969", "1.02041")])
+    def test_empty_probe_band_refused(self, tmp_path, capsys, monkeypatch, L, k_max):
+        """An ineq-scan whose probe band (1, dealias_k/2] holds no lattice wavenumber, because dealias_k/2 <= 1
+        (L=10) or because no |k| falls between 1 and it (L=7.6969), exits 1 before any draw with one line
+        naming K, L and the band, and makes no output directory."""
+        from sqglab import inequalities
+
+        def no_draws(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(inequalities, "_draws", no_draws)
+        assert main(["ineq-scan", "--K", "16", "--L", L, "--outdir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"K=16, L={L}: the probe band (1, dealias_k/2] = (1, {k_max}]" in err, err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_refusal_names_a_draw_inside_a_later_stack(self, tmp_path, capsys, monkeypatch):
         """A product draw past the first stack whose norms overflow, draw 5 (both fields scaled by 1e200), is
         refused by number in one line on stderr, and no output directory is made."""

@@ -1,4 +1,4 @@
-"""Tests for the carrier-pair construction and its norm decomposition."""
+"""Tests for the carrier-force construction and its norm decomposition."""
 import csv
 
 import numpy as np
@@ -16,7 +16,7 @@ from sqglab.counterexample import (
     riemann_lebesgue_check,
     _closed_form,
 )
-from sqglab.patches import hermitian_defect, patch_hs_norm
+from sqglab.patches import patch_hs_norm
 
 DELTA = 0.02
 ALPHA = 0.4
@@ -149,13 +149,13 @@ class TestForces:
     """The force pair and its supports."""
 
     def test_supports(self):
-        """g sits in carrier boxes, h in the centered box |xi_i| <= 2."""
+        """g sits in one carrier box at +2^n, standing with its mirror at -2^n, h in the centered box |xi_i| <= 2."""
         _, g, h = build_forces(spec_at(3))
         carrier = 8 * build_phi(spec_at(3)).m
-        for p, sign in zip(g.patches, (1, -1)):
-            assert p.lo[0] == sign * carrier - 2 * round(1 / g.h)
-            assert p.hi()[0] == sign * carrier + 2 * round(1 / g.h)
-            assert abs(p.lo[1]) * g.h == 2.0
+        (gp,) = g.patches
+        assert gp.lo[0] == carrier - 2 * round(1 / g.h)
+        assert gp.hi()[0] == carrier + 2 * round(1 / g.h)
+        assert abs(gp.lo[1]) * g.h == 2.0
         (hp,) = h.patches
         assert hp.lo == (-2 * round(1 / h.h), -2 * round(1 / h.h))
 
@@ -170,14 +170,20 @@ class TestForces:
         assert vals[i0, i0] == 0.0
 
     def test_forces_are_hermitian(self):
-        """The three forces and the closed-form b11 and b12 are real fields, exactly."""
+        """The three forces and the closed-form b11 and b12 are real fields by construction: each carrier is one
+        patch on the xi_1 > 0 side, standing with its mirror, and h's origin patch is exactly self-conjugate."""
         for n in (3, 6):
             spec = spec_at(n)
             prof = build_phi(spec)
             b11 = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * ALPHA, 0.5)
             b12 = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * ALPHA, -0.5j)
             for u in (*build_forces(spec), b11, b12):
-                assert hermitian_defect(u) == 0.0
+                for p in u.patches:
+                    if p.contains_origin():
+                        assert p.lo == tuple(-x for x in p.hi())
+                        np.testing.assert_array_equal(p.values, np.conj(p.values[::-1, ::-1]))
+                    else:
+                        assert p.lo[0] > 0
 
     def test_f_splits_into_g_plus_h(self):
         """f carries exactly the patches of g and h."""
@@ -229,6 +235,19 @@ class TestDecomposition:
         """The generic convolution B[h,g] matches the closed form b11."""
         for p in parts.values():
             assert p.recon_rel <= 1e-12
+
+    def test_each_conjugate_pair_convolved_once(self, monkeypatch):
+        """A carrier level makes 6 patch convolutions of 3 transforms each: B[g,h], B[h,g] and B[h,h] take two
+        each, and none recomputes the conjugate partner of another."""
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        decompose_second_iterate(spec_at(3))
+        assert calls == ["fftn", "fftn", "ifftn"] * 6
 
     def test_b2_equals_b12(self, parts):
         """The two sine-carrying pieces coincide."""
@@ -327,6 +346,36 @@ class TestRiemannLebesgue:
 
 class TestNormTable:
     """The per-level table and the CSV the nonuniform run writes of it."""
+
+    # the patch columns at delta = 0.02, alpha = 0.4, n = 3..10, as written when each carrier stored both
+    # conjugate patches: d_low, d_crit, g2_gap, b11, b12 (= b2), bgh
+    PINNED = {
+        3: (0.007731711197983908, 0.010352245242848742, 8.154123952734273e-06, 9.748606464125191e-06,
+            5.83601069203585e-07, 1.678942449891403e-06),
+        4: (0.0067308455386478425, 0.009012152927541595, 8.895680081708309e-06, 9.694076196422595e-06,
+            2.9032306861920213e-07, 8.411955919811177e-07),
+        5: (0.005859541375129084, 0.00784553480758215, 9.282812012400469e-06, 9.680398034917852e-06,
+            1.4498289511886182e-07, 4.2081648373954074e-07),
+        6: (0.00510102704477557, 0.006829934746099989, 9.479506192735784e-06, 9.676975786395426e-06,
+            7.246931281367146e-08, 2.1043567038783083e-07),
+        7: (0.0044407019672181355, 0.005945803540493117, 9.578228058009913e-06, 9.676120057120151e-06,
+            3.623189570746828e-08, 1.0522126660110793e-07),
+        8: (0.003865855598991955, 0.005176122621424373, 9.627463921463902e-06, 9.6759061143874e-06,
+            1.811560295865496e-08, 5.2611062314879396e-08),
+        9: (0.0033654227693239217, 0.004506076463770798, 9.651926034701376e-06, 9.67585262805385e-06,
+            9.05775837345595e-09, 2.6305584786990557e-08),
+        10: (0.002929770687564542, 0.003922767403791075, 9.664046510210069e-06, 9.675839256429822e-06,
+             4.528873798681972e-09, 1.3152799097275356e-08),
+    }
+
+    def test_patch_columns_pinned(self):
+        """The patch-only columns of the default table stay within 1e-13 relative of their pinned values."""
+        table = nonuniform_experiment(spec_at(3), tuple(range(3, 11)))
+        for row in table.rows:
+            d_low, d_crit, g2_gap, b11, b12, bgh = self.PINNED[row["n"]]
+            want = {"d_low": d_low, "d_crit": d_crit, "g2_gap": g2_gap, "b11": b11, "b12": b12, "b2": b12, "bgh": bgh}
+            for col, value in want.items():
+                np.testing.assert_allclose(row[col], value, rtol=1e-13, atol=0, err_msg=f"n={row['n']} {col}")
 
     def test_patch_only_rows(self):
         """Without a grid the torus columns stay empty."""

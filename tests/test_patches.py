@@ -25,7 +25,6 @@ from sqglab.patches import (
     coalesce,
     convolve,
     gradient,
-    hermitian_defect,
     materialize,
     mul_i_xi,
     patch_hs_norm,
@@ -57,15 +56,43 @@ def gauss_norm(s, power=0.0):
 
 
 def bump_pair(h, carrier, amp=1.0):
-    """Hermitian pair of smooth bumps at +-carrier lattice offset."""
+    """Real field of smooth bumps at +-carrier lattice offset: the +carrier patch, standing with its mirror."""
     n = round(1.0 / h)
     x = h * np.arange(-n, n + 1)
     prof = np.exp(-1.0 / np.maximum(1e-12, 1.0 - np.minimum(1.0, x**2)))
     prof[np.abs(x) >= 1.0] = 0.0
-    vals = np.outer(prof, prof)
-    plus = Patch((carrier - n, -n), amp * vals)
-    minus = Patch((-carrier - n, -n), np.conj(amp) * vals)
-    return PatchField(h, (plus, minus))
+    return PatchField(h, (Patch((carrier - n, -n), amp * np.outer(prof, prof)),))
+
+
+def explicit(u):
+    """The terms of u as (lo, values with the origin power folded in): each patch and, after each one off the
+    origin, its mirror conj(u(-xi)), the partner it stands for."""
+    out = []
+    for p in u.patches:
+        v = materialize(p, u.h)
+        out.append((p.lo, v))
+        if not p.contains_origin():
+            out.append(((-p.hi()[0], -p.hi()[1]), np.conj(v[::-1, ::-1])))
+    return out
+
+
+def origin_patch(rng, r):
+    """A random self-conjugate patch on the box [-r, r]^2."""
+    v = rng.standard_normal((2 * r + 1, 2 * r + 1)) + 1j * rng.standard_normal((2 * r + 1, 2 * r + 1))
+    return Patch((-r, -r), v + np.conj(v[::-1, ::-1]))
+
+
+def meeting_field(rng):
+    """A real field whose stored patches meet: an origin box, a patch meeting it (and so does its mirror), a
+    patch meeting the mirror of another, and a lone one."""
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return PatchField(H, (
+        origin_patch(rng, 16), Patch((4, -3), draw((15, 6))), Patch((40, 0), draw((8, 8))),
+        Patch((-45, -5), draw((8, 8))), Patch((20, 30), draw((5, 7))),
+    ))
 
 
 class TestPatchGeometry:
@@ -191,19 +218,20 @@ class TestConvolve:
     """Frequency-domain convolution with the 1/(2 pi) product convention."""
 
     def test_delta_pair(self):
-        """Two spikes convolve to one spike at the summed offset."""
+        """Two spike pairs convolve to two stored spikes, at a + b and a - b, each standing with its mirror."""
         a = spike(H, (32, 0), 2.0)
         b = spike(H, (0, 64), 3.0j)
         c = convolve(a, b)
-        (p,) = coalesce(c).patches
-        assert p.lo == (32, 64)
-        assert p.values.shape == (1, 1)
-        np.testing.assert_allclose(p.values[0, 0], 2.0 * 3.0j * H * H / (2 * np.pi))
+        plus, minus = coalesce(c).patches
+        assert (plus.lo, minus.lo) == ((32, 64), (32, -64))
+        assert plus.values.shape == minus.values.shape == (1, 1)
+        np.testing.assert_allclose(plus.values[0, 0], 2.0 * 3.0j * H * H / (2 * np.pi))
+        np.testing.assert_allclose(minus.values[0, 0], 2.0 * -3.0j * H * H / (2 * np.pi))
 
     def test_commutative(self):
-        """a * b = b * a."""
+        """a * b = b * a, for a product whose box holds the origin."""
         a = bump_pair(H, 64)
-        b = gauss_field(H, half_width=2.0)
+        b = gauss_field(H, half_width=1.0)
         ab = to_dense(convolve(a, b))
         ba = to_dense(convolve(b, a))
         np.testing.assert_allclose(ab[1], ba[1], atol=1e-15 * np.max(np.abs(ab[1])))
@@ -231,11 +259,11 @@ class TestConvolve:
         """Exact zeros outside the true support survive the FFT round trip."""
         a = bump_pair(H, 64)
         c = coalesce(convolve(a, a))
-        # the (+carrier)*(-carrier) cross terms land on an origin box that
-        # must not fuse with the +-2*carrier boxes through rounding junk
-        los = sorted(p.lo[0] for p in c.patches)
-        assert len(c.patches) == 3
-        assert los[0] < 0 < los[2]
+        # the (+carrier)*(-carrier) cross term lands on an origin box that
+        # must not fuse with the 2*carrier box through rounding junk
+        origin, double = sorted(c.patches, key=lambda p: p.lo[0])
+        assert origin.contains_origin() and origin.lo[0] < 0
+        assert double.lo[0] > origin.hi()[0]
 
     def test_matches_scipy_fftconvolve(self):
         """The convolution kernel matches scipy.signal.fftconvolve on the force patches and on length-1 axes.
@@ -262,9 +290,8 @@ def to_dense(u, half_extent=260):
     """Accumulate a patch field on one dense lattice window for comparison."""
     n = half_extent
     grid = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    for p in u.patches:
-        vals = materialize(p, u.h)
-        grid[p.lo[0] + n : p.lo[0] + n + vals.shape[0], p.lo[1] + n : p.lo[1] + n + vals.shape[1]] += vals
+    for lo, vals in explicit(u):
+        grid[lo[0] + n : lo[0] + n + vals.shape[0], lo[1] + n : lo[1] + n + vals.shape[1]] += vals
     return (u.h, grid)
 
 
@@ -272,8 +299,8 @@ class TestCoalesce:
     """Merging overlapping patches onto shared boxes."""
 
     def test_disjoint_patches_survive(self):
-        """Non-overlapping boxes stay separate."""
-        u = spike(H, (64, 0), 1.0) + spike(H, (-64, 0), 1.0)
+        """Non-overlapping boxes, whose mirrors do not meet them either, stay separate."""
+        u = spike(H, (64, 0), 1.0) + spike(H, (0, 64), 1.0)
         assert len(coalesce(u).patches) == 2
 
     def test_overlapping_patches_sum(self):
@@ -327,10 +354,10 @@ class TestNormQuadrature:
     """Panel quadrature with the origin-block correction."""
 
     def test_unit_box_area(self):
-        """A unit-amplitude half-open box has L^2 norm sqrt(area) exactly."""
+        """A unit-amplitude half-open box and its mirror have L^2 norm sqrt(area) exactly."""
         vals = np.ones((32, 32))
         u = PatchField(H, (Patch((32, 0), vals),))
-        np.testing.assert_allclose(patch_hs_norm(u, 0.0), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(patch_hs_norm(u, 0.0), np.sqrt(2.0), rtol=1e-14)
 
     def test_gaussian_l2_exact(self):
         """Away from weighted exponents the lattice sum is superalgebraic."""
@@ -367,13 +394,13 @@ class TestNormQuadrature:
             np.testing.assert_allclose(at, patch_hs_norm(u, s), rtol=1e-3)
 
     def test_off_origin_box_needs_no_correction(self):
-        """A carrier patch reduces to the plain weighted lattice sum."""
+        """A carrier patch reduces to the plain weighted lattice sum over it and its mirror."""
         u = bump_pair(H, 64)
         direct = 0.0
-        for p in u.patches:
-            x, y = p.axes(H)
+        for lo, vals in explicit(u):
+            x, y = (H * (lo[i] + np.arange(vals.shape[i])) for i in range(2))
             r2 = x[:, None] ** 2 + y[None, :] ** 2
-            direct += float(np.sum(r2**0.6 * np.abs(p.values) ** 2) * H * H)
+            direct += float(np.sum(r2**0.6 * np.abs(vals) ** 2) * H * H)
         np.testing.assert_allclose(patch_hs_norm(u, 0.6), np.sqrt(direct), rtol=1e-12)
 
 
@@ -516,7 +543,7 @@ class TestToTorus:
     def test_on_lattice_spike_transfers_exactly(self):
         """A spike on a lattice frequency becomes one torus coefficient."""
         g = make_grid(256, 16 * np.pi)  # dk = 1/16 = 2*H
-        u = spike(H, (64, 0), 1.0) + spike(H, (-64, 0), 1.0)
+        u = spike(H, (64, 0), 1.0)
         f = to_torus(u, g)
         scale = 2 * np.pi / (2 * g.L) ** 2
         np.testing.assert_allclose(f.mode(32, 0), scale)
@@ -525,7 +552,7 @@ class TestToTorus:
     def test_off_lattice_content_is_skipped(self):
         """Samples between lattice frequencies do not transfer."""
         g = make_grid(256, 16 * np.pi)
-        u = spike(H, (63, 0), 1.0) + spike(H, (-63, 0), 1.0)
+        u = spike(H, (63, 0), 1.0)
         f = to_torus(u, g)
         assert hs_norm(f, 0.0) == 0.0
 
@@ -543,12 +570,12 @@ class TestToTorus:
         """pi/L must be an integer multiple of the patch spacing."""
         g = make_grid(64, 3.0)
         with pytest.raises(ValueError, match="spacing"):
-            to_torus(spike(H, (64, 0), 1.0) + spike(H, (-64, 0), 1.0), g)
+            to_torus(spike(H, (64, 0), 1.0), g)
 
     def test_frequency_overflow_detected(self):
         """Content beyond the dealias cutoff raises FrequencyOverflowError."""
         g = make_grid(64, 16 * np.pi)  # dealias_k = 21/16
-        u = spike(H, (1024, 0), 1.0) + spike(H, (-1024, 0), 1.0)  # xi = 32
+        u = spike(H, (1024, 0), 1.0)  # xi = +-32
         with pytest.raises(FrequencyOverflowError):
             to_torus(u, g)
 
@@ -606,20 +633,19 @@ class TestToTorus:
 
 
 def ref_to_torus(u, grid):
-    """The former path: every sample scattered into K x K, then the validating constructor."""
+    """The former path: every sample of every term scattered into K x K, then the validating constructor."""
     r = round(grid.dk / u.h)
     K = grid.K
     coeffs = Lattice(grid).zeros()
     scale = 2.0 * np.pi / (2.0 * grid.L) ** 2
-    for p in u.patches:
-        vals = materialize(p, u.h)
-        hi = p.hi()
-        m0 = np.arange(int(np.ceil(p.lo[0] / r)), int(np.floor(hi[0] / r)) + 1)
-        m1 = np.arange(int(np.ceil(p.lo[1] / r)), int(np.floor(hi[1] / r)) + 1)
+    for lo, vals in explicit(u):
+        hi = (lo[0] + vals.shape[0] - 1, lo[1] + vals.shape[1] - 1)
+        m0 = np.arange(int(np.ceil(lo[0] / r)), int(np.floor(hi[0] / r)) + 1)
+        m1 = np.arange(int(np.ceil(lo[1] / r)), int(np.floor(hi[1] / r)) + 1)
         if m0.size == 0 or m1.size == 0:
             continue
-        rows = (m0 * r - p.lo[0])[:, None]
-        cols = (m1 * r - p.lo[1])[None, :]
+        rows = (m0 * r - lo[0])[:, None]
+        cols = (m1 * r - lo[1])[None, :]
         coeffs[np.ix_(m0 % K, m1 % K)] += scale * vals[rows, cols]
     coeffs[0, 0] = 0.0
     return SpectralField(grid, coeffs)
@@ -631,40 +657,50 @@ def assert_same_field(a, b):
     assert np.any(a.half != 0)
 
 
-class TestDiagnostics:
-    """Hermitian defect."""
+class TestMirrorExpansion:
+    """Each operation on stored patches against the same operation on the field written out term by term."""
 
-    def test_hermitian_pair_has_no_defect(self):
-        """Conjugate-symmetric patch sets report zero defect."""
-        assert hermitian_defect(bump_pair(H, 64)) <= 1e-15
+    def test_convolve(self):
+        """The stored product is the dense convolution of the written-out factors, an origin box meeting a
+        patch, a patch meeting another's mirror and a product about the origin included."""
+        rng = np.random.default_rng(5)
+        a, b = meeting_field(rng), meeting_field(rng) + bump_pair(H, 40, 0.3 - 0.2j)
+        da, db = to_dense(a, 60)[1], to_dense(b, 80)[1]
+        ref = scipy.signal.fftconvolve(da, db) * (H * H / (2 * np.pi))
+        got = to_dense(convolve(a, b), 140)[1]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_unpaired_spike_reports_defect(self):
-        """A lone spike has defect equal to its magnitude."""
-        u = spike(H, (32, 0), 0.7)
-        np.testing.assert_allclose(hermitian_defect(u), 0.7)
+    def test_coalesce(self):
+        """Coalescing keeps the written-out field; no stored box meets another or another's mirror, and each
+        origin box is self-conjugate."""
+        u = meeting_field(np.random.default_rng(6))
+        merged = coalesce(u).patches
+        assert np.max(np.abs(to_dense(PatchField(H, merged), 60)[1] - to_dense(u, 60)[1])) <= 1e-15 * 8
+        mirrors = [Patch((-p.hi()[0], -p.hi()[1]), np.zeros(p.values.shape)) for p in merged]
+        for i, p in enumerate(merged):
+            for j, q in enumerate(merged):
+                meets = [_boxes_meet(p, q), _boxes_meet(p, mirrors[j])]
+                assert meets == ([True, p.contains_origin()] if i == j else [False, False]), (p.lo, q.lo)
+            if p.contains_origin():
+                np.testing.assert_allclose(p.values, np.conj(p.values[::-1, ::-1]), rtol=0, atol=1e-15 * 8)
+        assert [p.contains_origin() for p in merged] == [True, False, False]
 
-    def test_defect_matches_pointwise_oracle(self):
-        """The defect equals, bit for bit, a sample-by-sample walk over overlapping, sparse patches."""
+    @pytest.mark.parametrize("s", [-0.4, 0.0, 0.6])
+    def test_patch_hs_norm(self, s):
+        """The norm of the stored field is that of the written-out field held in one origin box."""
+        u = meeting_field(np.random.default_rng(7))
+        dense = to_dense(u, 60)[1]
+        np.testing.assert_allclose(patch_hs_norm(u, s), patch_hs_norm(PatchField(H, (Patch((-60, -60), dense),)), s),
+                                   rtol=1e-13)
 
-        def oracle(u):
-            acc = {}
-            for p in u.patches:
-                for (i, j), v in np.ndenumerate(materialize(p, u.h)):
-                    if v != 0:
-                        key = (p.lo[0] + i, p.lo[1] + j)
-                        acc[key] = acc.get(key, 0j) + v
-            return max((abs(np.conj(v) - acc.get((-k[0], -k[1]), 0j)) for k, v in acc.items()), default=0.0)
+    def test_to_torus(self):
+        """Sampling onto the torus matches scattering every written-out term into K x K."""
+        u = meeting_field(np.random.default_rng(8))
+        g = make_grid(256, 16 * np.pi)
+        got, ref = to_torus(u, g), ref_to_torus(u, g)
+        assert got.half.shape == ref.half.shape
+        np.testing.assert_allclose(got.half, ref.half, rtol=0, atol=1e-15 * np.max(np.abs(ref.half)))
 
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            patches = []
-            for _ in range(rng.integers(0, 5)):
-                shape = tuple(rng.integers(1, 6, 2))
-                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                v[rng.random(shape) < 0.3] = 0.0
-                lo = tuple(int(k) for k in rng.integers(-6, 4, 2))
-                patches.append(Patch(lo, v))
-                if rng.random() < 0.5:  # the mirror patch, so some sets are exactly Hermitian
-                    patches.append(Patch((1 - lo[0] - shape[0], 1 - lo[1] - shape[1]), np.conj(v[::-1, ::-1])))
-            u = PatchField(H, tuple(patches))
-            assert hermitian_defect(u) == oracle(u)
+
+def _boxes_meet(p, q):
+    return all(p.lo[i] <= q.hi()[i] and q.lo[i] <= p.hi()[i] for i in range(2))
