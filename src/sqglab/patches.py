@@ -6,9 +6,10 @@ power factored out so radial multipliers stay exact near xi = 0. The power
 is the exact rational sum of the float exponents applied, so powers that
 cancel give exactly 0. A PatchField is a real field, a finite sum of
 patches stored as a half square stores a torus field: a patch whose box
-holds the origin is self-conjugate and stands for itself; every other
-patch stands for itself plus its mirror conj(u(-xi)). Carrier frequencies
-enter only through patch offsets, so cost is independent of the carrier 2^n.
+holds the origin stands for itself, and these patches sum to a
+self-conjugate field; every other patch stands for itself plus its mirror
+conj(u(-xi)). Carrier frequencies enter only through patch offsets, so
+cost is independent of the carrier 2^n.
 
 Convention: stored values are (2 pi)^{-1} times the integral transform
 u_hat(xi) = int u(x) e^{-i xi.x} dx, so that
@@ -99,7 +100,8 @@ def _terms(patches) -> list[Patch]:
 
 @dataclass(frozen=True)
 class PatchField:
-    """Real field: a sum of patches sharing one sample spacing, each off the origin standing with its mirror."""
+    """Real field: a sum of patches sharing one sample spacing, each off the origin standing with its mirror and
+    those on it summing to a self-conjugate field."""
 
     h: float
     patches: tuple[Patch, ...]
@@ -191,8 +193,9 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
     """Transform of the physical product: h^2/(2 pi) times discrete convolution.
 
     A patch p off the origin stands for p + p' (' the mirror), so two such patches make p q + p q' and their
-    mirrors: two convolutions. An origin patch is its own mirror, so with one the product is p q and, unless
-    both are, its mirror; a product standing with its mirror whose box holds the origin is summed with it.
+    mirrors: two convolutions. The origin patches sum to a self-conjugate field, so with one origin factor the
+    product is p q and its mirror, with two it is p q alone. A product standing with its mirror whose box holds
+    the origin is stored as two origin patches, itself and its mirror.
     """
     if abs(a.h - b.h) > 1e-15 * a.h:
         raise ValueError("patch fields have different sample spacings")
@@ -201,7 +204,7 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
     for pa in a.patches:
         va = materialize(pa, h)
         for pb in b.patches:
-            both = pa.contains_origin() and pb.contains_origin()
+            alone = pa.contains_origin() and pb.contains_origin()
             for q in (pb,) if pa.contains_origin() or pb.contains_origin() else (pb, _mirror(pb)):
                 vals = _fft_convolve(va, materialize(q, h)) * (h**2 / (2.0 * np.pi))
                 # fft-based convolution leaves rounding junk where exact zeros
@@ -209,14 +212,13 @@ def convolve(a: PatchField, b: PatchField) -> PatchField:
                 floor = 5e-16 * float(np.max(np.abs(vals)))
                 vals[np.abs(vals) < floor] = 0.0
                 p = _new_patch((pa.lo[0] + q.lo[0], pa.lo[1] + q.lo[1]), vals)
-                out.append(_summed([p, _mirror(p)], h) if p.contains_origin() and not both else p)
+                out += (p,) if alone or not p.contains_origin() else (p, _mirror(p))
     return PatchField(h, tuple(out))
 
 
-def _boxes_overlap(box: tuple[tuple[int, int], tuple[int, int]], q: Patch) -> bool:
-    """Whether the box (lo, hi) meets the box of q."""
-    (lo, hi), qh = box, q.hi()
-    return lo[0] <= qh[0] and q.lo[0] <= hi[0] and lo[1] <= qh[1] and q.lo[1] <= hi[1]
+def _boxes_overlap(p: Patch, q: Patch) -> bool:
+    ph, qh = p.hi(), q.hi()
+    return p.lo[0] <= qh[0] and q.lo[0] <= ph[0] and p.lo[1] <= qh[1] and q.lo[1] <= ph[1]
 
 
 def _trim(p: Patch) -> Patch | None:
@@ -238,56 +240,43 @@ def _trim(p: Patch) -> Patch | None:
     return _new_patch((p.lo[0] + r0, p.lo[1] + c0), p.values[r0 : r1 + 1, c0 : c1 + 1], p.origin_power)
 
 
-def _box(terms: list[Patch]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(lo, hi) of the smallest box holding every term."""
-    los, his = zip(*((q.lo, q.hi()) for q in terms))
-    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-
-
-def _summed(terms: list[Patch], h: float) -> Patch:
-    """The terms added on the smallest box holding them."""
-    if len(terms) == 1:
-        return terms[0]
-    # factor onto the lowest power present so folded exponents stay >= 0
-    p_star = min(q.origin_power for q in terms)
-    (lo0, lo1), (hi0, hi1) = _box(terms)
-    vals = np.zeros((hi0 - lo0 + 1, hi1 - lo1 + 1), dtype=np.complex128)
-    for q in terms:
-        sl = (slice(q.lo[0] - lo0, q.lo[0] - lo0 + q.values.shape[0]),
-              slice(q.lo[1] - lo1, q.lo[1] - lo1 + q.values.shape[1]))
-        if q.origin_power == p_star:
-            vals[sl] += q.values
-        else:
-            vals[sl] += q.values * _radial_weight(*q.axes(h), float(q.origin_power - p_star))
-    return _new_patch((lo0, lo1), vals, p_star)
-
-
 def coalesce(u: PatchField) -> PatchField:
     """Merge overlapping patches so quadrature never double-counts a region.
 
-    A patch joins each group its box meets and, mirrored, each group its mirror meets. A group whose box holds
-    the origin stands alone, and its terms are every member and mirror; any other stands with its mirror.
+    The patches and their mirrors are merged, so groups off the origin come in mirror pairs; of each pair the
+    group whose box centre (lo + hi) / 2 is lexicographically positive is kept, to stand with its mirror.
     """
-    groups: list[tuple[bool, list[Patch]]] = []  # (stands alone, terms)
-    for raw in u.patches:
-        p = _trim(raw)
-        if p is None:
+    groups: list[list[Patch]] = []
+    for p in filter(None, map(_trim, _terms(u.patches))):
+        hits = [g for g in groups if any(_boxes_overlap(p, q) for q in g)]
+        merged = [p]
+        for g in hits:
+            merged.extend(g)
+            groups.remove(g)
+        groups.append(merged)
+    out = []
+    for g in groups:
+        lo0 = min(q.lo[0] for q in g)
+        lo1 = min(q.lo[1] for q in g)
+        hi0 = max(q.hi()[0] for q in g)
+        hi1 = max(q.hi()[1] for q in g)
+        if not (lo0 <= 0 <= hi0 and lo1 <= 0 <= hi1) and (lo0 + hi0, lo1 + hi1) < (0, 0):
             continue
-        boxes = (p.lo, p.hi()), ((-p.hi()[0], -p.hi()[1]), (-p.lo[0], -p.lo[1]))  # p's box and its mirror's
-        meets = [tuple(any(_boxes_overlap(box, q) for q in ts) for box in boxes) for _, ts in groups]
-        hits = [(g, direct) for g, (direct, mirrored) in zip(groups, meets) if direct or mirrored]
-        kept = [g for g, m in zip(groups, meets) if not any(m)]
-        whole = [p] if p.contains_origin() else []  # terms standing alone, the others with their mirrors
-        paired = [] if whole else [p]
-        for (alone, ts), direct in hits:
-            if alone:
-                whole += ts
+        if len(g) == 1:
+            out.append(g[0])
+            continue
+        # factor onto the lowest power present so folded exponents stay >= 0
+        p_star = min(q.origin_power for q in g)
+        vals = np.zeros((hi0 - lo0 + 1, hi1 - lo1 + 1), dtype=np.complex128)
+        for q in g:
+            sl = (slice(q.lo[0] - lo0, q.lo[0] - lo0 + q.values.shape[0]),
+                  slice(q.lo[1] - lo1, q.lo[1] - lo1 + q.values.shape[1]))
+            if q.origin_power == p_star:
+                vals[sl] += q.values
             else:
-                paired += ts if direct else map(_mirror, ts)
-        (lo0, lo1), (hi0, hi1) = _box(paired + whole)
-        alone = lo0 <= 0 <= hi0 and lo1 <= 0 <= hi1
-        groups = kept + [(alone, _terms(paired) + whole if alone else paired)]
-    return PatchField(u.h, tuple(_summed(terms, u.h) for _, terms in groups))
+                vals[sl] += q.values * _radial_weight(*q.axes(u.h), float(q.origin_power - p_star))
+        out.append(_new_patch((lo0, lo1), vals, p_star))
+    return PatchField(u.h, tuple(out))
 
 
 # -- norm quadrature ------------------------------------------------------

@@ -229,9 +229,9 @@ class TestConvolve:
         np.testing.assert_allclose(minus.values[0, 0], 2.0 * -3.0j * H * H / (2 * np.pi))
 
     def test_commutative(self):
-        """a * b = b * a, for a product whose box holds the origin."""
+        """a * b = b * a."""
         a = bump_pair(H, 64)
-        b = gauss_field(H, half_width=1.0)
+        b = gauss_field(H, half_width=2.0)
         ab = to_dense(convolve(a, b))
         ba = to_dense(convolve(b, a))
         np.testing.assert_allclose(ab[1], ba[1], atol=1e-15 * np.max(np.abs(ab[1])))
@@ -700,6 +700,13 @@ class TestMirrorExpansion:
         got, ref = to_torus(u, g), ref_to_torus(u, g)
         assert got.half.shape == ref.half.shape
         np.testing.assert_allclose(got.half, ref.half, rtol=0, atol=1e-15 * np.max(np.abs(ref.half)))
+
+    def test_product_about_the_origin(self):
+        """A product standing with its mirror whose box holds the origin is stored as itself and its mirror, two
+        origin patches, so it needs no box wider than the two (10 here, past the width-8 discipline)."""
+        x, y = convolve(bump_pair(H, 64), gauss_field(H, half_width=2.0)).patches
+        assert x.contains_origin() and y.contains_origin()
+        assert y.lo == (-x.hi()[0], -x.hi()[1]) and np.array_equal(y.values, np.conj(x.values[::-1, ::-1]))
 
 
 def _boxes_meet(p, q):
