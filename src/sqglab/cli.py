@@ -2,8 +2,8 @@
 
 One flat JSON config per run is the source of truth; any top-level scalar
 key can be overridden by a flag of the same name. Exit codes: 0 success,
-1 usage or configuration error, 2 smallness-gate refusal, 3 iteration cap
-without convergence.
+1 usage or configuration error, 2 smallness-gate refusal, 3 no convergence
+(an iteration cap, or a top-level solve that stalls above the target).
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ _EXPERIMENTS = {
         "torus": (bool, False), "outdir": (str, "out_nonuniform"),
     }),
     "rlcheck": (run_rlcheck, {
-        **_SPEC, "alpha": (_float, 0.4), "n_min": (int, 1), "n_max": (int, 12),
+        **_SPEC, "n_min": (int, 1), "n_max": (int, 12),
         "outdir": (str, "out_rlcheck"),
     }),
     "ineq-scan": (run_inequality_scan, {

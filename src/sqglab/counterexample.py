@@ -63,11 +63,17 @@ class CounterexampleSpec:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"carrier level n must be an integer >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if not 0.0 < self.h_xi <= 1.0 / 16.0:
-            raise ValueError(f"h_xi must lie in (0, 1/16], got {self.h_xi}")
-        m = 1.0 / self.h_xi
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError(f"1/h_xi must be an integer, got {m}")
+        _samples_per_unit(self.h_xi)
+
+
+def _samples_per_unit(h_xi: float) -> int:
+    """1/h_xi for a patch sample spacing h_xi, which must lie in (0, 1/16] and divide the unit."""
+    if not 0.0 < h_xi <= 1.0 / 16.0:
+        raise ValueError(f"h_xi must lie in (0, 1/16], got {h_xi}")
+    m = 1.0 / h_xi
+    if abs(m - round(m)) > 1e-9:
+        raise ValueError(f"1/h_xi must be an integer, got {m}")
+    return round(m)
 
 
 # -- one-dimensional profile ------------------------------------------------
@@ -114,10 +120,9 @@ class PhiProfile:
         return complex(array[j])
 
 
-def build_phi(spec: CounterexampleSpec) -> PhiProfile:
-    """Sample the bump transform and derive product transforms by convolution."""
-    h = spec.h_xi
-    m = round(1.0 / h)
+def build_phi(h: float) -> PhiProfile:
+    """Sample the bump transform at spacing h and derive product transforms by convolution."""
+    m = _samples_per_unit(h)
     phi = phi_hat_at(h * np.arange(-2 * m, 2 * m + 1)).astype(np.complex128)
     conv_scale = h / (2.0 * np.pi)
     phi2 = np.convolve(phi, phi, mode="full") * conv_scale
@@ -148,7 +153,7 @@ def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, Patc
     g_n = delta 2^{-(2-2a)n} (-Delta)^a [ Phi(x) sin(2^n x_1) ],
     h_n = delta 2^{-(1-2a)n} (-Delta)^{a+1/2} Phi,  Phi(x) = phi(x_1) phi(x_2).
     """
-    prof = build_phi(spec)
+    prof = build_phi(spec.h_xi)
     a = spec.alpha
     n = spec.n
 
@@ -211,7 +216,7 @@ def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
     """
     if spec.n < 3:
         raise ValueError("carrier level n >= 3 required: the carrier boxes must clear the origin block")
-    prof = build_phi(spec)
+    prof = build_phi(spec.h_xi)
     a = spec.alpha
     s_crit = 2.0 - 2.0 * a
     _, g, h = build_forces(spec)

@@ -169,13 +169,9 @@ def run_continuity(config: dict) -> int:
         raise ConfigError(f"need 0 <= j_min <= j_max, got ({j_min}, {j_max})")
 
     theta_inf, _ = outer_iterate(f_inf, cfg)
-
-    def one(j: int):
-        f_j = f_inf + (2.0**-j) * g
-        theta_j, _ = outer_iterate(f_j, cfg)
-        return (j, *astuple(GapRecord.between(f_j, f_inf, theta_j, theta_inf, cfg.alpha)))
-
-    rows = [one(j) for j in range(j_min, j_max + 1)]
+    forces = ((j, f_inf + (2.0**-j) * g) for j in range(j_min, j_max + 1))
+    rows = [(j, *astuple(GapRecord.between(f_j, f_inf, outer_iterate(f_j, cfg)[0], theta_inf, cfg.alpha)))
+            for j, f_j in forces]
     _publish(config, "continuity", {"continuity.csv": _csv(("j", *(f.name for f in fields(GapRecord))), rows)})
     return 0
 
@@ -213,12 +209,8 @@ def run_rlcheck(config: dict) -> int:
     n_min, n_max = int(config["n_min"]), int(config["n_max"])
     if n_min < 1 or n_max < n_min:
         raise ConfigError(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
-    spec = CounterexampleSpec(delta=1.0, alpha=float(config["alpha"]), n=n_min, h_xi=float(config["h_xi"]))
-    prof = build_phi(spec)
-    rows = []
-    for n in range(n_min, n_max + 1):
-        rec = riemann_lebesgue_check(prof, n)
-        rows.append((n, rec.value, rec.limit, rec.rel_dev))
+    prof = build_phi(float(config["h_xi"]))
+    rows = [(n, *astuple(riemann_lebesgue_check(prof, n))) for n in range(n_min, n_max + 1)]
     _publish(config, "rlcheck", {"rlcheck.csv": _csv(("n", "value", "limit", "rel_dev"), rows)})
     return 0
 

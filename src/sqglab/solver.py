@@ -62,7 +62,7 @@ class SmallnessError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap hit; carries the best iterate found so far (CLI exit 3)."""
+    """Iteration cap hit or a stalled top-level solve; carries the best iterate found so far (CLI exit 3)."""
 
     def __init__(self, message: str, best: SpectralField | None = None, residual_rel: float | None = None):
         super().__init__(message)
@@ -70,23 +70,23 @@ class ConvergenceError(RuntimeError):
         self.residual_rel = residual_rel
 
 
+_SMALLNESS_THRESHOLD = 0.1  # the gate: a linear solve needs ||v||_{H^{2-2alpha}} at most this for coercivity
+_GMRES_RESTART, _GMRES_STEPS = 50, 400  # a linear solve's GMRES budget: Arnoldi steps, in cycles of 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float
     inner_tol: float = 1e-10
     outer_tol: float = 1e-7
-    max_inner: int = 400
     max_outer: int = 60
-    smallness_threshold: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigError(f"alpha must lie in (0, 1/2], got {self.alpha}")
-        for name in ("inner_tol", "outer_tol", "smallness_threshold"):
+        for name in ("inner_tol", "outer_tol", "max_outer"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ConfigError("iteration caps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -295,10 +295,10 @@ def _linear_solve_info(
     if N > grid.dealias_level:
         raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
     vnorm = 0.0 if v is None else velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
-    if not vnorm <= cfg.smallness_threshold:  # a NaN norm is refused too
+    if not vnorm <= _SMALLNESS_THRESHOLD:  # a NaN norm is refused too
         raise SmallnessError(
             f"||v||_H^{2 - 2 * cfg.alpha:g} = {vnorm:.6g} at N={N} exceeds the smallness threshold "
-            f"{cfg.smallness_threshold:g}; coercivity is not guaranteed"
+            f"{_SMALLNESS_THRESHOLD:g}; coercivity is not guaranteed"
         )
 
     # The unknowns are the real and imaginary parts of the half-disk modes
@@ -323,16 +323,16 @@ def _linear_solve_info(
     # A x0 from adv0, x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
     ax0 = None if adv0 is None else (
         x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0).view(np.float64)
-    restart = min(50, b_vec.size)
+    restart = min(_GMRES_RESTART, b_vec.size)
     x, rnorm, info["inner_iters"], converged = gmres(matvec, b_vec, x_start, ax0, rtol=cfg.inner_tol, restart=restart,
-                                                     maxiter=max(1, math.ceil(cfg.max_inner / restart)))
+                                                     maxiter=math.ceil(_GMRES_STEPS / restart))
     rel = info["inner_residual"] = float(rnorm / np.linalg.norm(b_vec))
 
     theta = field_of(x)
     if not converged:
         raise ConvergenceError(
-            f"linear solve did not reach inner_tol={cfg.inner_tol:g} within {cfg.max_inner} iterations "
-            f"(relative residual {rel:.3e})",
+            f"linear solve did not reach inner_tol={cfg.inner_tol:g} within the GMRES budget of {_GMRES_STEPS} "
+            f"Arnoldi steps (relative residual {rel:.3e})",
             best=theta,
             residual_rel=rel,
         )
@@ -389,7 +389,8 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
 
     Each solve starts from the last iterate (nested iteration, see _nested_start); every residual before
     a top-level solve takes its product at that solve's P, which hands GMRES A theta when the start is
-    theta, and a solve that returns its start theta changes no bit of it and keeps its residual.
+    theta, and a solve that returns its start theta changes no bit of it and keeps its residual. A
+    top-level solve that does so above the target cannot progress, and is a ConvergenceError at once.
     """
     grid = f.grid
     schedule = default_schedule(grid)
@@ -405,16 +406,17 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     report = SolveReport(alpha=cfg.alpha)
 
     # theta_1 is the first level's solve from the zero field with no velocity
-    N, theta, res, v, adv = schedule[0] - 1, field_from_modes(grid, {}), math.inf, None, None
+    N, theta, res, v, adv, unchanged = schedule[0] - 1, field_from_modes(grid, {}), math.inf, None, None, False
     try:  # an overflow is refused where it happens, before an inf or NaN reaches the next smallness gate
         with np.errstate(over="raise", invalid="raise"):
             while not (N == n_top and res <= target):
-                if len(report.steps) >= cfg.max_outer:
+                stalled = unchanged and N == n_top
+                if stalled or len(report.steps) >= cfg.max_outer:
                     raise ConvergenceError(
-                        f"outer iteration cap {cfg.max_outer} hit with residual {res:.3e} (target {target:.3e})",
-                        best=theta,
-                        residual_rel=res / f_low if f_low > 0 else res,
-                    )
+                        (f"outer iteration stalled at inner_tol={cfg.inner_tol:g} (a top-level solve returns its start"
+                         " unchanged)" if stalled else f"outer iteration cap {cfg.max_outer} hit")
+                        + f" with residual {res:.3e} (target {target:.3e})",
+                        best=theta, residual_rel=res / f_low if f_low > 0 else res)
                 prev, N = N, min(N + 1, n_top)
                 b = _low_data(f, grid.level(N), cfg.alpha)  # the solve's right-hand side, and its start on the band
                 x0, from_theta = (None, False) if v is None else _nested_start(

@@ -179,7 +179,7 @@ class TestAcceptance:
     def test_oscillation_average_exactness(self):
         """rel_dev <= 1e-8 for n in 3..12 and > 1e-3 at n=1; under 5 s."""
         t0 = time.perf_counter()
-        prof = build_phi(CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=3, h_xi=H_XI))
+        prof = build_phi(H_XI)
         for n in range(3, 13):
             rec = riemann_lebesgue_check(prof, n)
             assert rec.rel_dev <= 1e-8, f"n={n}: rel_dev {rec.rel_dev:.3e}"

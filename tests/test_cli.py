@@ -135,6 +135,15 @@ class TestSolve:
         assert "no convergence" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unreached_inner_tol_exit(self, tmp_path, capsys):
+        """A linear solve that cannot reach inner_tol within the fixed GMRES budget exits with code 3, naming
+        inner_tol and the budget, before the output directory is made."""
+        rc = main(["solve", "--K", "64", "--force", "two_mode", "--inner_tol", "1e-30", "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "no convergence: linear solve did not reach inner_tol=1e-30 within the GMRES budget of 400" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestContinuity:
     """Vanishing-perturbation sweep."""
@@ -257,6 +266,44 @@ class TestNonuniform:
         assert "n=3" in capsys.readouterr().out
         header, rows = read_csv_rows(out / "nonuniform.csv")
         assert rows[0][header.index("full_gap")] == ""
+
+    def test_triangle_violation_warns(self, tmp_path, capsys, monkeypatch):
+        """A torus row whose solved gap, remainders and data distance sum below the patch g2_gap breaks the
+        triangle inequality; the run still writes its table and exits 0, with the violation a manifest warning.
+        The patch g2_gap is set to 100 d_crit here (the sum is about 2 d_crit), since the real one satisfies it."""
+        import dataclasses
+
+        import sqglab.counterexample as counterexample
+
+        decompose = counterexample.decompose_second_iterate
+        monkeypatch.setattr(counterexample, "decompose_second_iterate",
+                            lambda spec: dataclasses.replace(p := decompose(spec), g2_gap=100.0 * p.d_crit))
+        out = tmp_path / "run"
+        rc = main(["nonuniform", "--torus", "true", "--K", "512", "--L", "16pi", "--n_min", "3", "--n_max", "3",
+                   "--outdir", str(out)])
+        assert rc == 0
+        warnings = read_manifest(out)["warnings"]
+        assert len(warnings) == 1 and warnings[0].startswith("n=3: triangle inequality violated")
+        assert f"warning: {warnings[0]}" in capsys.readouterr().out
+        header, rows = read_csv_rows(out / "nonuniform.csv")
+        assert rows[0][header.index("full_gap")] != ""
+
+    def test_stalled_torus_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        """With inner_tol=1e-4 the K=1024, L=16pi torus solve of the n=3 force reaches its top level 4 and
+        stalls there, its solve returning its start with the residual 1.75e-7 above the target 7.8e-10. It
+        exits 3 at the second top-level solve, naming inner_tol, instead of after the 60-step outer cap."""
+        import sqglab.solver as solver
+
+        levels = []
+        solve = solver._linear_solve_info
+        monkeypatch.setattr(solver, "_linear_solve_info", lambda v, f, N, *a: levels.append(N) or solve(v, f, N, *a))
+        rc = main(["nonuniform", "--torus", "true", "--K", "1024", "--L", "16pi", "--n_min", "3", "--n_max", "3",
+                   "--inner_tol", "1e-4", "--outdir", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "outer iteration stalled at inner_tol=0.0001" in err and "with residual 1.750e-07" in err
+        assert levels == [1, 2, 3, 4, 4]
+        assert not (tmp_path / "run").exists()
 
     def test_torus_leg_error_exits_1(self, tmp_path, capsys, monkeypatch):
         """Only an unresolvable carrier becomes a warning; other torus errors fail the run."""
@@ -410,6 +457,29 @@ class TestIneqScan:
         with open(out / "lemma_checks.json") as fh:
             assert json.load(fh)["smoothing_scan"]["failures"] == 1
 
+    @pytest.mark.parametrize("broken, failures", [("interpolation", (10, 0)), ("scan_bound", (0, 1))])
+    def test_failed_checks_are_counted(self, tmp_path, capsys, monkeypatch, broken, failures):
+        """A draw that fails the interpolation bound, or a smoothing scan above its uniform bound, is counted in
+        lemma_checks.json, and either count alone fails the run with exit 1 after its artifacts are written."""
+        import types
+
+        import sqglab.experiments as experiments
+
+        if broken == "interpolation":
+            monkeypatch.setattr(experiments, "interpolation_check", lambda u, s, sigma, eps: types.SimpleNamespace(
+                holds=False))
+        else:
+            monkeypatch.setattr(experiments, "smoothing_limit_scan", lambda u, s, sigma, eps: [1.0] * len(eps))
+            monkeypatch.setattr(experiments, "scan_bound", lambda u, s, sigma: 0.5)
+        out = tmp_path / "run"
+        args = ["--K", "32", "--samples", "1", "--interp_samples", "10", "--cancel_samples", "1"]
+        assert main(["ineq-scan", *args, "--outdir", str(out)]) == 1
+        assert "unconditional inequality checks FAILED" in capsys.readouterr().out
+        with open(out / "lemma_checks.json") as fh:
+            checks = json.load(fh)
+        assert (checks["interpolation"]["failures"], checks["smoothing_scan"]["failures"]) == failures
+        assert checks["smoothing_scan"]["samples"] == 1
+
     def test_exponents_from_config_only(self, tmp_path, capsys):
         """Exponent lists load from JSON but have no flag form."""
         cfg = tmp_path / "cfg.json"
@@ -488,6 +558,44 @@ class TestConfigResolution:
         rc = main(["solve", "--config", str(cfg)])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--max_inner", "5"],
+        ["continuity", "--smallness_threshold", "0.2"],
+        ["rlcheck", "--alpha", "0.3"],
+    ])
+    def test_retired_settings_rejected(self, tmp_path, capsys, argv):
+        """The GMRES budget and the smallness threshold are fixed constants, and rlcheck's table does not depend
+        on alpha, so none of these is a key: as a flag or as a JSON config field each exits 1 before any output."""
+        from dataclasses import fields
+
+        from sqglab import SolverConfig
+        from sqglab.cli import _EXPERIMENTS
+
+        assert [f.name for f in fields(SolverConfig)] == ["alpha", "inner_tol", "outer_tol", "max_outer"]
+        assert sorted(_EXPERIMENTS["rlcheck"][1]) == ["h_xi", "n_max", "n_min", "outdir"]
+        name, flag, value = argv
+        out = tmp_path / "o"
+        assert main([*argv, "--outdir", str(out)]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: float(value)}))
+        assert main([name, "--config", str(cfg), "--outdir", str(out)]) == 1
+        assert f"unknown config field {flag[2:]!r} for experiment {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drivers_ignore_keys_the_solver_lacks(self, tmp_path):
+        """A driver config built outside the CLI may still carry the retired solver keys; the drivers read the
+        SolverConfig fields and ignore the rest, so such a run gives the CLI's artifacts."""
+        import sqglab.experiments as experiments
+
+        config = {"K": 32, "L": math.pi, "alpha": 0.4, "force": "two_mode", "amplitude": 1e-2,
+                  "perturbation": "single_mode", "perturbation_amplitude": 1e-2, "j_min": 1, "j_max": 2,
+                  "inner_tol": 1e-10, "outer_tol": 1e-7, "max_outer": 60}
+        assert experiments.run_continuity({**config, "outdir": str(tmp_path / "a")}) == 0
+        assert experiments.run_continuity({**config, "max_inner": 400, "smallness_threshold": 0.1,
+                                           "outdir": str(tmp_path / "b")}) == 0
+        assert (tmp_path / "a" / "continuity.csv").read_bytes() == (tmp_path / "b" / "continuity.csv").read_bytes()
 
     def test_experiment_name_checked(self, tmp_path, capsys):
         """A config written for one experiment cannot drive another."""

@@ -20,6 +20,7 @@ from sqglab.patches import patch_hs_norm
 
 DELTA = 0.02
 ALPHA = 0.4
+H_XI = CounterexampleSpec.h_xi  # the default patch sample spacing
 
 
 def spec_at(n, **kw):
@@ -44,7 +45,7 @@ def parts():
 
 @pytest.fixture(scope="module")
 def prof():
-    return build_phi(spec_at(3))
+    return build_phi(H_XI)
 
 
 class TestSpecValidation:
@@ -105,7 +106,7 @@ class TestPhiProfile:
 
     def test_array_extents(self):
         """Stored transforms cover [-2,2], [-4,4], [-8,8] at spacing h."""
-        prof = build_phi(spec_at(3))
+        prof = build_phi(H_XI)
         m = prof.m
         assert prof.phi.size == 4 * m + 1
         assert prof.phi2.size == 8 * m + 1
@@ -114,7 +115,7 @@ class TestPhiProfile:
 
     def test_product_transforms_consistent(self):
         """(phi^2)^ and (phi^4)^ invert to the pointwise powers of phi."""
-        prof = build_phi(spec_at(3))
+        prof = build_phi(H_XI)
         x = np.linspace(-6.0, 6.0, 41)
         phi_x = physical(prof, prof.phi, 2, x)
         np.testing.assert_allclose(physical(prof, prof.phi2, 4, x), phi_x**2, atol=1e-14)
@@ -122,7 +123,7 @@ class TestPhiProfile:
 
     def test_derivative_transform(self):
         """(phi phi')^ inverts to half the derivative of phi^2."""
-        prof = build_phi(spec_at(3))
+        prof = build_phi(H_XI)
         x = np.linspace(-4.0, 4.0, 31)
         dx = 1e-5
         num = (physical(prof, prof.phi2, 4, x + dx) - physical(prof, prof.phi2, 4, x - dx)) / (4 * dx)
@@ -130,15 +131,15 @@ class TestPhiProfile:
 
     def test_sample_lattice_rules(self):
         """sample() reads integer frequencies on the lattice and zeros outside the box on both sides."""
-        prof = build_phi(spec_at(3))
+        prof = build_phi(H_XI)
         assert prof.sample(prof.phi, 2, 0) == 1.0
         assert prof.sample(prof.phi, 2, 5) == 0.0
         assert prof.sample(prof.phi, 2, -3) == 0.0
 
     def test_quartic_mass_stable_under_refinement(self):
         """int phi^4 from the transform is stable to 1e-8 under h halving."""
-        coarse = build_phi(spec_at(3))
-        fine = build_phi(spec_at(3, h_xi=1.0 / 64.0))
+        coarse = build_phi(H_XI)
+        fine = build_phi(1.0 / 64.0)
         a = coarse.sample(coarse.phi4, 8, 0).real
         b = fine.sample(fine.phi4, 8, 0).real
         assert a > 0
@@ -151,7 +152,7 @@ class TestForces:
     def test_supports(self):
         """g sits in one carrier box at +2^n, standing with its mirror at -2^n, h in the centered box |xi_i| <= 2."""
         _, g, h = build_forces(spec_at(3))
-        carrier = 8 * build_phi(spec_at(3)).m
+        carrier = 8 * build_phi(H_XI).m
         (gp,) = g.patches
         assert gp.lo[0] == carrier - 2 * round(1 / g.h)
         assert gp.hi()[0] == carrier + 2 * round(1 / g.h)
@@ -174,7 +175,7 @@ class TestForces:
         patch on the xi_1 > 0 side, standing with its mirror, and h's origin patch is exactly self-conjugate."""
         for n in (3, 6):
             spec = spec_at(n)
-            prof = build_phi(spec)
+            prof = build_phi(spec.h_xi)
             b11 = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * ALPHA, 0.5)
             b12 = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * ALPHA, -0.5j)
             for u in (*build_forces(spec), b11, b12):

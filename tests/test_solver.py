@@ -365,6 +365,24 @@ class TestLinearSolve:
         with pytest.raises(SmallnessError, match="nan"):
             linear_solve(v, f, 2, SolverConfig(alpha=ALPHA))
 
+    def test_unreached_tolerance_carries_the_iterate(self):
+        """A solve that cannot reach inner_tol within the fixed GMRES budget raises ConvergenceError naming
+        inner_tol and the budget; it carries GMRES's last iterate, and residual_rel is that iterate's relative
+        residual ||b - A theta|| / ||b||."""
+        import sqglab.solver as solver
+
+        g = make_grid(32, np.pi)
+        rng = np.random.default_rng(41)
+        v = small_velocity(g, rng, ALPHA, size=0.09)
+        f = ball_field(g, rng, 3)
+        with pytest.raises(ConvergenceError, match="inner_tol=1e-30 within the GMRES budget of 400 Arnoldi") as err:
+            linear_solve(v, f, 3, SolverConfig(alpha=ALPHA, inner_tol=1e-30))
+        level = g.level(3)
+        b = solver._low_data(f, level, ALPHA).view(np.float64)
+        ab = solver._disk_values(apply_lax_milgram_operator(v, err.value.best, 3, ALPHA), level).view(np.float64)
+        assert err.value.residual_rel == np.linalg.norm(b - ab) / np.linalg.norm(b)
+        assert 0 < err.value.residual_rel < 1e-12
+
     def test_cutoff_beyond_band_rejected(self):
         """2^N beyond the dealias wavenumber is refused."""
         g = make_grid(32, np.pi)
@@ -422,7 +440,7 @@ class TestGmres:
         (40, 50, 8, 1e-10, False, 1.0, 0),  # one cycle
         (150, 10, 20, 1e-10, True, 1.0, 0),  # restarted, from a warm start
         (150, 5, 2, 1e-12, True, 1.0, 2),  # the cycle cap is hit
-        (6, 50, 4, 1e-14, False, 1.0, 0),  # the Krylov space is exhausted (breakdown)
+        (6, 50, 4, 1e-14, False, 1.0, 0),  # restart capped at n = 6; the residual estimate stops it
         (40, 50, 8, 1e-10, False, 1e-160, 0),  # squares underflow: the rotations scale as LAPACK's do
     ])
     def test_random_nonsymmetric(self, n, restart, maxiter, rtol, warm, scale, flag):
@@ -432,6 +450,23 @@ class TestGmres:
         b = scale * rng.standard_normal(n)
         x0 = scale * rng.standard_normal(n) if warm else np.zeros(n)
         assert assert_gmres_is_scipys(lambda x: A @ x, b, x0, rtol, restart, maxiter)[0] == flag
+
+    @pytest.mark.parametrize("diag, b, flag", [
+        ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0),  # x exact after two steps
+        ((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 0.0, 0.0), 3),  # b half in the kernel: no x solves it
+    ])
+    def test_exact_breakdown(self, monkeypatch, diag, b, flag):
+        """A diagonal A with b on two eigenvalues: the Krylov space closes after two steps, so the second step's
+        new direction vanishes (breakdown) and its rotation sees g == 0. On the invertible A the two steps give
+        x; on the singular A the rotated pivot is 0 too, its component is dropped and the solve stops unconverged."""
+        import sqglab.solver as solver
+
+        seen = []
+        givens = solver._givens
+        monkeypatch.setattr(solver, "_givens", lambda f, g: seen.append((f, g)) or givens(f, g))
+        A, b = np.diag(diag), np.array(b)
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(b.size), 1e-14, 50, 3)[0] == flag
+        assert len(seen) == 2 and seen[1][1] == 0 and (seen[1][0] == 0) == (flag != 0)
 
     def test_ill_conditioned(self):
         """Singular values from 1 to 1e-7: a cycle's residual estimate passes while b - A x does not, twice,
@@ -582,6 +617,26 @@ class TestOuterIterate:
             outer_iterate(f, SolverConfig(alpha=ALPHA, max_outer=1))
         assert err.value.best is not None
         assert err.value.residual_rel is not None and err.value.residual_rel > 0
+
+    def test_stalled_top_level_solve_stops_at_once(self, monkeypatch):
+        """A top-level solve that returns its start above the target returns it again at every later step. At
+        K=64 with inner_tol=1e-4, the two-mode force's first top-level solve passes GMRES's test at its start
+        with the residual 6.6e-7 above the target 5.6e-9: the loop raises ConvergenceError there, naming
+        inner_tol, the residual and the target, instead of running on to the outer cap."""
+        import sqglab.solver as solver
+
+        levels = []
+        solve = solver._linear_solve_info
+        monkeypatch.setattr(solver, "_linear_solve_info", lambda v, f, N, *a: levels.append(N) or solve(v, f, N, *a))
+        g = make_grid(64, np.pi)
+        amp = 1e-2
+        f = field_from_modes(g, {(1, 0): -0.5j * amp, (0, 2): 0.5 * amp})
+        stalled = r"outer iteration stalled at inner_tol=0.0001 .* with residual 6.609e-07 \(target 5.575e-09\)"
+        with pytest.raises(ConvergenceError, match=stalled) as err:
+            outer_iterate(f, SolverConfig(alpha=ALPHA, inner_tol=1e-4))
+        assert levels == [1, 2, 3, 4]
+        assert err.value.best.M == g.level(4).M
+        assert err.value.residual_rel == pytest.approx(6.609e-07 / hs_norm(f, -ALPHA), rel=1e-3)
 
     def test_nyquist_force_converges(self):
         """The schedule stops inside the dealias band, below the Nyquist line, so a force on that line converges."""
