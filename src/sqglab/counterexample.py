@@ -9,7 +9,8 @@ onto a lattice for the full nonlinear solves.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,11 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
-    """Parameters of the force pair (amplitude, dissipation order, carrier level)."""
+    """Parameters of the force family f_n: amplitude, dissipation order, patch sample spacing."""
 
     delta: float
     alpha: float
-    n: int
     h_xi: float = 1.0 / 32.0
 
     def __post_init__(self) -> None:
@@ -60,9 +60,6 @@ class CounterexampleSpec:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie strictly inside (0, 1/2), got {self.alpha}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"carrier level n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
         _samples_per_unit(self.h_xi)
 
 
@@ -138,25 +135,25 @@ def _separable(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
                half_w: tuple[int, int], n: int | None, amp: complex) -> PatchField:
     """amp fx(xi_1 - c) fy(xi_2) in the stored 2D convention, at c = 0 for n None, else at the carrier c = 2^n
     with its mirror conj(amp) fx(xi_1 + c) fy(xi_2): a real field, as fx and fy transform real profiles.
-    Patch corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit."""
+    A carrier patch stands for its mirror only off the origin, so its box must clear it, 2^n > half_w[0];
+    its corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit."""
     m = prof.m
-    top = (np.iinfo(np.int64).max // m - 8).bit_length() - 1
-    if n is not None and n > top:
-        raise ValueError(f"carrier level n={n} is past the largest level {top} of the int64 patch lattice")
-    lo = ((0 if n is None else 2**n * m) - half_w[0] * m, -half_w[1] * m)
+    low, top = half_w[0].bit_length(), (np.iinfo(np.int64).max // m - 8).bit_length() - 1
+    if n is not None and not (isinstance(n, Integral) and low <= n <= top):
+        raise ValueError(f"carrier level n must be an integer in [{low}, {top}], got {n}: the carrier box must "
+                         "clear the origin and fit the int64 patch lattice")
+    lo = ((0 if n is None else 2 ** int(n) * m) - half_w[0] * m, -half_w[1] * m)
     return PatchField(prof.h, (_new_patch(lo, amp * np.multiply.outer(fx, fy) / (2.0 * np.pi)),))
 
 
-def build_forces(spec: CounterexampleSpec) -> tuple[PatchField, PatchField, PatchField]:
-    """(f_n, g_n, h_n) with f_n = g_n + h_n.
+def build_forces(spec: CounterexampleSpec, n: int) -> tuple[PatchField, PatchField, PatchField]:
+    """(f_n, g_n, h_n) with f_n = g_n + h_n at the carrier level n >= 2.
 
     g_n = delta 2^{-(2-2a)n} (-Delta)^a [ Phi(x) sin(2^n x_1) ],
     h_n = delta 2^{-(1-2a)n} (-Delta)^{a+1/2} Phi,  Phi(x) = phi(x_1) phi(x_2).
     """
     prof = build_phi(spec.h_xi)
     a = spec.alpha
-    n = spec.n
-
     amp_g = spec.delta * 2.0 ** (-(2.0 - 2.0 * a) * n)
     g = apply_radial(_separable(prof, prof.phi, prof.phi, (2, 2), n, -0.5j * amp_g), 2.0 * a)
 
@@ -198,15 +195,15 @@ class SecondIterateParts:
     recon_rel: float
 
 
-def _closed_form(spec: CounterexampleSpec, prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
+def _closed_form(spec: CounterexampleSpec, n: int, prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
                  rate: float, amp: complex) -> PatchField:
     """delta^2 2^{-rate n} (-Delta)^{-a}[ fx(x_1) fy(x_2) (amp e^{i 2^n x_1} + conj(amp) e^{-i 2^n x_1}) ]."""
-    scale = spec.delta**2 * 2.0 ** (-rate * spec.n)
-    return apply_radial(_separable(prof, fx, fy, (4, 4), spec.n, amp * scale), -2.0 * spec.alpha)
+    scale = spec.delta**2 * 2.0 ** (-rate * n)
+    return apply_radial(_separable(prof, fx, fy, (4, 4), n, amp * scale), -2.0 * spec.alpha)
 
 
-def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
-    """Norms of the pieces of theta_2[f] - theta_2[g], with closed-form checks.
+def decompose_second_iterate(spec: CounterexampleSpec, n: int) -> SecondIterateParts:
+    """Norms of the pieces of theta_2[f_n] - theta_2[g_n], with closed-form checks.
 
     The advective cross term B[h,g] collapses in closed form: the two sine
     contributions cancel pointwise, leaving the cosine piece b11 exactly, so
@@ -214,12 +211,12 @@ def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
     relative distance between the generic convolution result and that
     closed form in the critical norm.
     """
-    if spec.n < 3:
+    if n < 3:
         raise ValueError("carrier level n >= 3 required: the carrier boxes must clear the origin block")
     prof = build_phi(spec.h_xi)
     a = spec.alpha
     s_crit = 2.0 - 2.0 * a
-    _, g, h = build_forces(spec)
+    _, g, h = build_forces(spec, n)
 
     d_low = patch_hs_norm(h, -a)
     d_crit = patch_hs_norm(h, 2.0 - 4.0 * a)
@@ -230,15 +227,15 @@ def decompose_second_iterate(spec: CounterexampleSpec) -> SecondIterateParts:
     gap = b_gh + b_hg + b_hh
 
     # b11 = delta^2 2^{-(2-4a)n} (-Delta)^{-a}[ phi^2(x_1) (phi phi')(x_2) cos(2^n x_1) ]
-    b11_field = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * a, 0.5)
+    b11_field = _closed_form(spec, n, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * a, 0.5)
     # b12 = delta^2 2^{-(3-4a)n} (-Delta)^{-a}[ (phi phi')(x_1) (phi phi')(x_2) sin(2^n x_1) ]
-    b12_field = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * a, -0.5j)
+    b12_field = _closed_form(spec, n, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * a, -0.5j)
     b11 = patch_hs_norm(b11_field, s_crit)
     b12 = patch_hs_norm(b12_field, s_crit)
     recon = patch_hs_norm(b_hg - b11_field, s_crit)
 
     return SecondIterateParts(
-        n=spec.n,
+        n=n,
         d_low=d_low,
         d_crit=d_crit,
         g2_gap=patch_hs_norm(gap, s_crit),
@@ -303,25 +300,27 @@ def nonuniform_experiment(
     the Picard remainders ||theta[.] - theta_2[.]|| in the critical norm;
     rows that do not fit keep empty cells and a warning is recorded. A level
     whose patch norms are not finite, or whose d_crit or g2_gap is 0, is a
-    ValueError: delta is too far from 1 for the float range.
+    ValueError: delta is too far from 1 for the float range. So is a grid
+    without a solver config, or a config without a grid.
     """
+    if (grid is None) != (cfg is None):
+        raise ValueError("the torus columns need both a grid and a solver config, or neither")
     rows: list[dict] = []
     warnings: list[str] = []
     s_crit = 2.0 - 2.0 * spec.alpha
     for n in n_values:
-        spec_n = replace(spec, n=int(n))
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                parts = decompose_second_iterate(spec_n)
+                parts = decompose_second_iterate(spec, n)
         except OverflowError:  # delta^2 past the float range
             parts = None
         ok = parts is not None and np.isfinite(astuple(parts)).all() and parts.d_crit > 0 and parts.g2_gap > 0
         if not ok:
             raise ValueError(f"delta={spec.delta:g}, n={n}: the gap norms overflow or underflow to 0")
         row = {col: getattr(parts, col, None) for col in NORM_TABLE_COLUMNS}
-        if grid is not None and cfg is not None:
+        if grid is not None:
             try:
-                f_n, g_n, _ = build_forces(spec_n)
+                f_n, g_n, _ = build_forces(spec, n)
                 f_t = to_torus(f_n, grid)
                 g_t = to_torus(g_n, grid)
                 theta_f, report = outer_iterate(f_t, cfg)

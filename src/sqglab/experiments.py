@@ -159,7 +159,8 @@ def run_solve(config: dict) -> int:
 
 
 def run_continuity(config: dict) -> int:
-    """Gap norms along f_j = f_inf + 2^{-j} g; emits continuity.csv."""
+    """Gap norms along f_j = f_inf + 2^{-j} g; emits continuity.csv. A level whose realized distance
+    ||f_j - f_inf|| is not 2^{-j} ||g||, since rounding swallowed the perturbation, is refused before any solve."""
     grid = _grid_from(config)
     cfg = _solver_from(config)
     f_inf = builtin_force(str(config["force"]), grid, float(config["amplitude"]))
@@ -167,6 +168,17 @@ def run_continuity(config: dict) -> int:
     j_min, j_max = int(config["j_min"]), int(config["j_max"])
     if j_min < 0 or j_max < j_min:
         raise ConfigError(f"need 0 <= j_min <= j_max, got ({j_min}, {j_max})")
+
+    # f_inf + 2^{-j} g rounds each coefficient to within eps/2 of f_inf's, so the realized distance is off 2^{-j} ||g||
+    # by a relative error growing like eps ||f_inf|| / (2^{-j} ||g||). Past sqrt(eps), more than half its digits are
+    # rounding, not the map; a distance of 0 or past the float range is refused too.
+    s_crit, rtol = 2.0 - 4.0 * cfg.alpha, math.sqrt(np.finfo(np.float64).eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(j_min, j_max + 1):
+            d, want = hs_norm(f_inf + (2.0**-j) * g - f_inf, s_crit), (2.0**-j) * hs_norm(g, s_crit)
+            if not (d > 0 and abs(d - want) <= rtol * want):
+                raise ConfigError(f"j={j}: the realized distance ||f_j - f_inf||_H^{s_crit:g} = {d!r} is 0 or off "
+                                  f"the intended 2^-j ||g|| = {want!r} by more than a relative {rtol:.1e}")
 
     theta_inf, _ = outer_iterate(f_inf, cfg)
     forces = ((j, f_inf + (2.0**-j) * g) for j in range(j_min, j_max + 1))
@@ -178,12 +190,7 @@ def run_continuity(config: dict) -> int:
 
 def run_nonuniform(config: dict) -> int:
     """Carrier-level sweep of the gap decomposition; emits the norm table."""
-    spec = CounterexampleSpec(
-        delta=float(config["delta"]),
-        alpha=float(config["alpha"]),
-        n=int(config["n_min"]),
-        h_xi=float(config["h_xi"]),
-    )
+    spec = CounterexampleSpec(delta=float(config["delta"]), alpha=float(config["alpha"]), h_xi=float(config["h_xi"]))
     n_min, n_max = int(config["n_min"]), int(config["n_max"])
     if n_max < n_min:
         raise ConfigError(f"need n_min <= n_max, got ({n_min}, {n_max})")

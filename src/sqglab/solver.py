@@ -283,12 +283,12 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, 
 
 def _linear_solve_info(
     v: VelocityField | None, f: SpectralField, N: int, cfg: SolverConfig,
-    x0: SpectralField | None = None, adv0: np.ndarray | None = None, b: np.ndarray | None = None,
+    x0: np.ndarray | None = None, adv0: np.ndarray | None = None, b: np.ndarray | None = None,
 ) -> tuple[SpectralField, dict]:
-    """theta and the solve's counters under SolveStep's names; v None is the zero velocity, for which
-    theta = (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step). GMRES starts
-    from x0 (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f (given, or computed here), and returns
-    a start that passes its test with inner_iters 0; adv0, x0's product at this solve's P, gives A x0 unapplied."""
+    """theta and the solve's counters under SolveStep's names; v None is the zero velocity, for which theta =
+    (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step). GMRES starts from x0, values on
+    the half disk (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f (given, or computed here), and
+    returns a start that passes its test with inner_iters 0; adv0, x0's product at this solve's P, gives A x0."""
     grid = f.grid
     if v is not None and v.grid != grid:
         raise ValueError("velocity and force live on different grids")
@@ -319,7 +319,7 @@ def _linear_solve_info(
         info["matvecs"] += 1
         return _disk_values(apply_lax_milgram_operator(v, field_of(x), N, cfg.alpha), level).view(np.float64)
 
-    x_start = b_vec if x0 is None else _disk_values(x0, level).view(np.float64)
+    x_start = b_vec if x0 is None else x0.view(np.float64)
     # A x0 from adv0, x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
     ax0 = None if adv0 is None else (
         x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0).view(np.float64)
@@ -367,13 +367,13 @@ def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: in
 
 
 def _nested_start(theta: SpectralField, b: np.ndarray, level: LevelTable,
-                  prev: LevelTable) -> tuple[SpectralField, bool]:
-    """The start of a solve at level after one at prev, theta on prev's disk and b = (-Delta)^{-alpha} P_N f on
-    the band beyond it, and whether that start is theta itself (the band carries no force)."""
+                  prev: LevelTable) -> tuple[np.ndarray, bool]:
+    """The start of a solve at level after one at prev as values on level's half disk, theta on prev's disk and
+    b = (-Delta)^{-alpha} P_N f on the band beyond it, and whether that start is theta itself (the band carries
+    no force)."""
     band = level.square.k2.ravel()[level.pos] > prev.bound
-    if not b[band].any():
-        return theta, True
-    return _level_field(theta.grid, level, np.where(band, b, _disk_values(theta, level))), False
+    values = _disk_values(theta, level)
+    return (values, True) if not b[band].any() else (np.where(band, b, values), False)
 
 
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:

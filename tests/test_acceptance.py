@@ -203,9 +203,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         ns = range(4, 11)
         parts = {
-            n: decompose_second_iterate(
-                CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=n, h_xi=H_XI)
-            )
+            n: decompose_second_iterate(CounterexampleSpec(delta=DELTA, alpha=ALPHA, h_xi=H_XI), n)
             for n in ns
         }
 
@@ -241,7 +239,7 @@ class TestAcceptance:
         ns = range(4, 11)
         for alpha in (0.05, 0.2, 0.45, 0.49):
             parts = {
-                n: decompose_second_iterate(CounterexampleSpec(delta=DELTA, alpha=alpha, n=n, h_xi=H_XI))
+                n: decompose_second_iterate(CounterexampleSpec(delta=DELTA, alpha=alpha, h_xi=H_XI), n)
                 for n in ns
             }
 
@@ -285,9 +283,9 @@ class TestAcceptance:
         s_crit = 2.0 - 2.0 * alpha
         ns = (3, 4, 5, 6)
         d_crit, nonlin, low = {}, {}, {}
+        spec = CounterexampleSpec(delta=DELTA, alpha=alpha, h_xi=H_XI)
         for n in ns:
-            spec = CounterexampleSpec(delta=DELTA, alpha=alpha, n=n, h_xi=H_XI)
-            f_patch, g_patch, _ = build_forces(spec)
+            f_patch, g_patch, _ = build_forces(spec, n)
             f_t = to_torus(f_patch, grid)
             g_t = to_torus(g_patch, grid)
             for name, u in (("f", f_t), ("g", g_t)):
@@ -300,7 +298,7 @@ class TestAcceptance:
             d_crit[n] = rec.d_crit
             nonlin[n] = hs_norm(theta_f - theta_g - fractional_laplacian(f_t - g_t, -alpha), s_crit)
             low[n] = rec.gap_low / rec.d_low
-            g2_gap = decompose_second_iterate(spec).g2_gap
+            g2_gap = decompose_second_iterate(spec, n).g2_gap
             rel = abs(nonlin[n] - g2_gap) / g2_gap
             assert rel <= 0.02, (
                 f"n={n}: torus nonlinear gap {nonlin[n]:.6e} and patch g2_gap {g2_gap:.6e} "

@@ -145,6 +145,22 @@ class TestSolve:
         assert not (tmp_path / "o").exists()
 
 
+def assert_refused_before_any_solve(tmp_path, capsys, monkeypatch, argv, j):
+    """continuity with argv exits 1 with one line naming level j and both distances, solves nothing and
+    makes no output directory."""
+    import sqglab.experiments as experiments
+
+    def no_solve(*args):
+        raise AssertionError("a solve was made")
+
+    monkeypatch.setattr(experiments, "outer_iterate", no_solve)
+    assert main(["continuity", *argv, "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"j={j}: the realized distance" in err and "intended 2^-j ||g||" in err, err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 class TestContinuity:
     """Vanishing-perturbation sweep."""
 
@@ -164,28 +180,26 @@ class TestContinuity:
         assert all(b < a for a, b in zip(gap_crit, gap_crit[1:]))
         assert set(read_manifest(out)["artifacts"]) == {"continuity.csv"}
 
-    def test_zero_perturbation(self, tmp_path):
-        """A vanishing perturbation gives an all-zero gap table."""
-        out = tmp_path / "run"
-        rc = main(
-            [
-                "continuity",
-                "--K",
-                "32",
-                "--perturbation_amplitude",
-                "0.0",
-                "--j_min",
-                "1",
-                "--j_max",
-                "2",
-                "--outdir",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        _, rows = read_csv_rows(out / "continuity.csv")
-        for row in rows:
-            assert all(float(cell) == 0.0 for cell in row[1:])
+    @pytest.mark.parametrize("argv, j", [
+        (["--K", "32", "--j_min", "1", "--j_max", "60"], 28),
+        (["--K", "16", "--j_min", "48", "--j_max", "56"], 48),
+    ])
+    def test_lost_perturbation_refused(self, tmp_path, capsys, monkeypatch, argv, j):
+        """A level whose realized distance ||f_j - f_inf|| is off 2^-j ||g|| by more than sqrt(eps) relative,
+        because f_inf + 2^-j g rounded the perturbation, exits 1 before any solve, naming the first such j and
+        both distances, and makes no output directory. At the default forces that first j is 28."""
+        assert_refused_before_any_solve(tmp_path, capsys, monkeypatch, argv, j)
+
+    def test_zero_perturbation(self, tmp_path, capsys, monkeypatch):
+        """A vanishing perturbation leaves every distance 0, so it is refused at j_min in the same way."""
+        argv = ["--K", "32", "--perturbation_amplitude", "0.0", "--j_min", "1", "--j_max", "2"]
+        assert_refused_before_any_solve(tmp_path, capsys, monkeypatch, argv, 1)
+
+    def test_distances_kept_through_j_20(self, tmp_path):
+        """Up to j = 20 the realized distances stay inside the tolerance, so the sweep runs."""
+        assert main(["continuity", "--K", "32", "--j_min", "18", "--j_max", "20", "--outdir", str(tmp_path / "o")]) == 0
+        _, rows = read_csv_rows(tmp_path / "o" / "continuity.csv")
+        np.testing.assert_allclose(np.diff(np.log2([float(r[2]) for r in rows])), -1.0, rtol=1e-8)
 
     def test_bad_range(self, tmp_path, capsys):
         """j_max below j_min is a configuration error."""
@@ -277,7 +291,7 @@ class TestNonuniform:
 
         decompose = counterexample.decompose_second_iterate
         monkeypatch.setattr(counterexample, "decompose_second_iterate",
-                            lambda spec: dataclasses.replace(p := decompose(spec), g2_gap=100.0 * p.d_crit))
+                            lambda spec, n: dataclasses.replace(p := decompose(spec, n), g2_gap=100.0 * p.d_crit))
         out = tmp_path / "run"
         rc = main(["nonuniform", "--torus", "true", "--K", "512", "--L", "16pi", "--n_min", "3", "--n_max", "3",
                    "--outdir", str(out)])
@@ -714,7 +728,7 @@ class TestConfigResolution:
         (["solve", "--force", "nope"], {}, "'nope'"),
         (["ineq-scan"], {"product_exponents": [1.5, 0, 0, 1.5]}, "s1 < 1"),
         (["continuity", "--L", "8pi"], {"K": 16}, "no room for P_1"),
-        (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "n=58 is past the largest level 57"),
+        (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "integer in [2, 57], got 58"),
         (["ineq-scan", "--interp_samples", "-5"], {}, "interp_samples=-5"),
         (["ineq-scan", "--cancel_samples", "-3"], {}, "cancel_samples=-3"),
         (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e100"], {}, "delta=1e+100, n=3"),
@@ -728,13 +742,18 @@ class TestConfigResolution:
         (["solve", "--K", "16", "--amplitude", "1e160"], {}, "norm overflows"),
         (["solve", "--K", "16", "--amplitude", "1e154"], {}, "outer step at N=1 leaves the float range"),
         (["solve", "--K", "16", "--amplitude", "1e150"], {}, "outer step at N=1 leaves the float range"),
-        (["continuity", "--K", "16", "--amplitude", "1e300"], {}, "norm overflows"),
+        (["continuity", "--K", "16", "--amplitude", "1e160", "--perturbation_amplitude", "1e153", "--j_max", "1"],
+         {}, "norm overflows"),
+        (["continuity", "--K", "16", "--amplitude", "1e300"], {}, "j=1: the realized distance ||f_j - f_inf||"),
+        (["continuity", "--K", "16", "--amplitude", "1e160", "--perturbation_amplitude", "1e160"], {},
+         "j=1: the realized distance ||f_j - f_inf||_H^0.4 = inf"),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
         """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
         lattice, a negative sample count, gap norms, probe ratios or a grid past the float range, a force
-        whose norm underflows, or a force whose norms or solve steps overflow exit 1 with one line on stderr
-        and make no output directory."""
+        whose norm underflows, a force whose norms or solve steps overflow, or a continuity perturbation that
+        the force rounds away or whose distance overflows exit 1 with one line on stderr and make no output
+        directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1

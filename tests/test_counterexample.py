@@ -1,5 +1,6 @@
 """Tests for the carrier-force construction and its norm decomposition."""
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,15 +17,13 @@ from sqglab.counterexample import (
     riemann_lebesgue_check,
     _closed_form,
 )
-from sqglab.patches import patch_hs_norm
+from sqglab.norms import hs_norm
+from sqglab.patches import coalesce, patch_hs_norm, to_torus
 
 DELTA = 0.02
 ALPHA = 0.4
 H_XI = CounterexampleSpec.h_xi  # the default patch sample spacing
-
-
-def spec_at(n, **kw):
-    return CounterexampleSpec(delta=kw.pop("delta", DELTA), alpha=kw.pop("alpha", ALPHA), n=n, **kw)
+SPEC = CounterexampleSpec(delta=DELTA, alpha=ALPHA)
 
 
 def fitted_slope(ns, values):
@@ -40,7 +39,7 @@ def physical(prof, array, half_width, x):
 
 @pytest.fixture(scope="module")
 def parts():
-    return {n: decompose_second_iterate(spec_at(n)) for n in range(3, 11)}
+    return {n: decompose_second_iterate(SPEC, n) for n in range(3, 11)}
 
 
 @pytest.fixture(scope="module")
@@ -54,28 +53,37 @@ class TestSpecValidation:
     def test_amplitude_positive(self):
         """delta must be positive."""
         with pytest.raises(ValueError):
-            CounterexampleSpec(delta=0.0, alpha=ALPHA, n=3)
+            CounterexampleSpec(delta=0.0, alpha=ALPHA)
 
     def test_alpha_strictly_subcritical(self):
         """alpha = 1/2 is excluded; the gap construction needs alpha < 1/2."""
         with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=0.5, n=3)
+            CounterexampleSpec(delta=DELTA, alpha=0.5)
         with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=0.0, n=3)
+            CounterexampleSpec(delta=DELTA, alpha=0.0)
 
     def test_carrier_level_integer(self):
-        """n must be an integer >= 1."""
-        with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=0)
-        with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=2.5)
+        """The carrier level is an argument of build_forces, an integer from 2, where g's carrier box
+        [2^n - 2, 2^n + 2] clears the origin, to the top of the int64 patch lattice. At n = 1 the box would
+        touch xi_1 = 0 and be read as an origin patch without its mirror."""
+        with pytest.raises(ValueError, match="clear the origin"):
+            build_forces(SPEC, 1)
+        for n in (0, -3, 2.5, 3.0, 58):
+            with pytest.raises(ValueError, match=r"carrier level n must be an integer in \[2, 57\]"):
+                build_forces(SPEC, n)
+        (gp,) = build_forces(SPEC, 2)[1].patches
+        assert gp.lo[0] > 0
+
+    def test_fields(self):
+        """The spec holds the family's parameters; the carrier level is an argument of what builds a member."""
+        assert [f.name for f in fields(CounterexampleSpec)] == ["delta", "alpha", "h_xi"]
 
     def test_sample_spacing_resolved(self):
         """h_xi must resolve the transition band and divide the unit."""
         with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=3, h_xi=1.0 / 10.0)
+            CounterexampleSpec(delta=DELTA, alpha=ALPHA, h_xi=1.0 / 10.0)
         with pytest.raises(ValueError):
-            CounterexampleSpec(delta=DELTA, alpha=ALPHA, n=3, h_xi=3.0 / 64.0)
+            CounterexampleSpec(delta=DELTA, alpha=ALPHA, h_xi=3.0 / 64.0)
 
 
 class TestPhiProfile:
@@ -151,7 +159,7 @@ class TestForces:
 
     def test_supports(self):
         """g sits in one carrier box at +2^n, standing with its mirror at -2^n, h in the centered box |xi_i| <= 2."""
-        _, g, h = build_forces(spec_at(3))
+        _, g, h = build_forces(SPEC, 3)
         carrier = 8 * build_phi(H_XI).m
         (gp,) = g.patches
         assert gp.lo[0] == carrier - 2 * round(1 / g.h)
@@ -164,7 +172,7 @@ class TestForces:
         """The |xi|^{2 alpha + 1} multiplier kills the zero frequency."""
         from sqglab.patches import materialize
 
-        _, _, h = build_forces(spec_at(3))
+        _, _, h = build_forces(SPEC, 3)
         (hp,) = h.patches
         vals = materialize(hp, h.h)
         i0 = -hp.lo[0]
@@ -173,12 +181,11 @@ class TestForces:
     def test_forces_are_hermitian(self):
         """The three forces and the closed-form b11 and b12 are real fields by construction: each carrier is one
         patch on the xi_1 > 0 side, standing with its mirror, and h's origin patch is exactly self-conjugate."""
+        prof = build_phi(H_XI)
         for n in (3, 6):
-            spec = spec_at(n)
-            prof = build_phi(spec.h_xi)
-            b11 = _closed_form(spec, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * ALPHA, 0.5)
-            b12 = _closed_form(spec, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * ALPHA, -0.5j)
-            for u in (*build_forces(spec), b11, b12):
+            b11 = _closed_form(SPEC, n, prof, prof.phi2, prof.phi_dphi, 2.0 - 4.0 * ALPHA, 0.5)
+            b12 = _closed_form(SPEC, n, prof, prof.phi_dphi, prof.phi_dphi, 3.0 - 4.0 * ALPHA, -0.5j)
+            for u in (*build_forces(SPEC, n), b11, b12):
                 for p in u.patches:
                     if p.contains_origin():
                         assert p.lo == tuple(-x for x in p.hi())
@@ -186,9 +193,19 @@ class TestForces:
                     else:
                         assert p.lo[0] > 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_carrier_sampled_with_its_mirror(self, n):
+        """On K = 256, L = 8 pi the sampled g_n has the L2 norm of its coalesced field, whose patch is trimmed
+        off the origin: the torus holds the carrier and its mirror."""
+        grid = make_grid(256, 8 * np.pi)
+        _, g, _ = build_forces(SPEC, n)
+        want = hs_norm(to_torus(coalesce(g), grid), 0.0)
+        assert want > 0
+        np.testing.assert_allclose(hs_norm(to_torus(g, grid), 0.0), want, rtol=1e-14)
+
     def test_f_splits_into_g_plus_h(self):
         """f carries exactly the patches of g and h."""
-        f, g, h = build_forces(spec_at(3))
+        f, g, h = build_forces(SPEC, 3)
         assert len(f.patches) == len(g.patches) + len(h.patches)
         np.testing.assert_allclose(
             patch_hs_norm(f, -ALPHA) ** 2,
@@ -200,7 +217,7 @@ class TestForces:
         """||g_n|| in the data norms stays comparable over n."""
         vals = []
         for n in range(3, 11):
-            _, g, _ = build_forces(spec_at(n))
+            _, g, _ = build_forces(SPEC, n)
             vals.append((patch_hs_norm(g, -ALPHA) + patch_hs_norm(g, 2 - 4 * ALPHA)) / DELTA)
         assert max(vals) <= 1.25 * min(vals)
         tail = vals[-3:]
@@ -210,7 +227,7 @@ class TestForces:
         """||h_n|| scales by exactly 2^{-(1-2 alpha)} per carrier level."""
         prev = None
         for n in range(3, 8):
-            _, _, h = build_forces(spec_at(n))
+            _, _, h = build_forces(SPEC, n)
             cur = patch_hs_norm(h, 2 - 4 * ALPHA)
             if prev is not None:
                 np.testing.assert_allclose(cur / prev, 2.0 ** -(1 - 2 * ALPHA), rtol=1e-12)
@@ -218,8 +235,8 @@ class TestForces:
 
     def test_amplitude_is_linear_in_delta(self):
         """Doubling delta doubles every force norm."""
-        _, g1, h1 = build_forces(spec_at(4, delta=0.01))
-        _, g2, h2 = build_forces(spec_at(4, delta=0.02))
+        _, g1, h1 = build_forces(CounterexampleSpec(0.01, ALPHA), 4)
+        _, g2, h2 = build_forces(CounterexampleSpec(0.02, ALPHA), 4)
         np.testing.assert_allclose(patch_hs_norm(g2, 0.3), 2 * patch_hs_norm(g1, 0.3), rtol=1e-12)
         np.testing.assert_allclose(patch_hs_norm(h2, 0.3), 2 * patch_hs_norm(h1, 0.3), rtol=1e-12)
 
@@ -230,7 +247,7 @@ class TestDecomposition:
     def test_small_carrier_rejected(self):
         """Levels below n=3 would collide with the origin block."""
         with pytest.raises(ValueError, match="n >= 3"):
-            decompose_second_iterate(spec_at(2))
+            decompose_second_iterate(SPEC, 2)
 
     def test_closed_form_reconstruction(self, parts):
         """The generic convolution B[h,g] matches the closed form b11."""
@@ -247,7 +264,7 @@ class TestDecomposition:
                 return _transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        decompose_second_iterate(spec_at(3))
+        decompose_second_iterate(SPEC, 3)
         assert calls == ["fftn", "fftn", "ifftn"] * 6
 
     def test_b2_equals_b12(self, parts):
@@ -264,8 +281,8 @@ class TestDecomposition:
 
     def test_near_critical_rate(self):
         """Close to alpha = 1/2 the data distance decays almost not at all."""
-        lo = decompose_second_iterate(spec_at(4, alpha=0.49))
-        hi = decompose_second_iterate(spec_at(8, alpha=0.49))
+        lo = decompose_second_iterate(CounterexampleSpec(DELTA, 0.49), 4)
+        hi = decompose_second_iterate(CounterexampleSpec(DELTA, 0.49), 8)
         slope = np.log2(hi.d_crit / lo.d_crit) / 4.0
         np.testing.assert_allclose(slope, -0.02, atol=1e-9)
 
@@ -310,8 +327,8 @@ class TestDecomposition:
 
     def test_gap_scales_quadratically_in_delta(self):
         """The b-pieces are quadratic in delta, the data pieces linear."""
-        a = decompose_second_iterate(spec_at(5, delta=0.01))
-        b = decompose_second_iterate(spec_at(5, delta=0.02))
+        a = decompose_second_iterate(CounterexampleSpec(0.01, ALPHA), 5)
+        b = decompose_second_iterate(CounterexampleSpec(0.02, ALPHA), 5)
         np.testing.assert_allclose(b.d_crit / a.d_crit, 2.0, rtol=1e-12)
         np.testing.assert_allclose(b.b11 / a.b11, 4.0, rtol=1e-12)
         np.testing.assert_allclose(b.bgh / a.bgh, 4.0, rtol=1e-12)
@@ -371,7 +388,7 @@ class TestNormTable:
 
     def test_patch_columns_pinned(self):
         """The patch-only columns of the default table stay within 1e-13 relative of their pinned values."""
-        table = nonuniform_experiment(spec_at(3), tuple(range(3, 11)))
+        table = nonuniform_experiment(SPEC, tuple(range(3, 11)))
         for row in table.rows:
             d_low, d_crit, g2_gap, b11, b12, bgh = self.PINNED[row["n"]]
             want = {"d_low": d_low, "d_crit": d_crit, "g2_gap": g2_gap, "b11": b11, "b12": b12, "b2": b12, "bgh": bgh}
@@ -380,7 +397,7 @@ class TestNormTable:
 
     def test_patch_only_rows(self):
         """Without a grid the torus columns stay empty."""
-        table = nonuniform_experiment(spec_at(3), (3, 4, 5))
+        table = nonuniform_experiment(SPEC, (3, 4, 5))
         assert [r["n"] for r in table.rows] == [3, 4, 5]
         for row in table.rows:
             assert row["full_gap"] is None and row["rem_f"] is None and row["rem_g"] is None
@@ -392,7 +409,7 @@ class TestNormTable:
         optional cells."""
         from sqglab.cli import main
 
-        table = nonuniform_experiment(spec_at(3), (3, 4))
+        table = nonuniform_experiment(SPEC, (3, 4))
         argv = ["nonuniform", "--delta", str(DELTA), "--alpha", str(ALPHA), "--n_min", "3", "--n_max", "4"]
         assert main(argv + ["--outdir", str(tmp_path)]) == 0
         with open(tmp_path / "nonuniform.csv", newline="") as fh:
@@ -407,7 +424,7 @@ class TestNormTable:
         """Feasible levels get solved gaps; infeasible ones get warnings."""
         grid = make_grid(512, 16 * np.pi)
         cfg = SolverConfig(alpha=ALPHA)
-        table = nonuniform_experiment(spec_at(3), (3, 4), grid=grid, cfg=cfg)
+        table = nonuniform_experiment(SPEC, (3, 4), grid=grid, cfg=cfg)
         row3, row4 = table.rows
         assert row3["full_gap"] is not None
         np.testing.assert_allclose(row3["full_gap"], row3["d_crit"], rtol=1e-3)
@@ -416,9 +433,15 @@ class TestNormTable:
         assert row4["full_gap"] is None
         assert any("n=4" in w for w in table.warnings)
 
+    def test_half_torus_configuration_refused(self):
+        """A grid without a solver config, or a config without a grid, is refused rather than skipped."""
+        for kw in ({"grid": make_grid(512, 16 * np.pi)}, {"cfg": SolverConfig(alpha=ALPHA)}):
+            with pytest.raises(ValueError, match="both a grid and a solver config"):
+                nonuniform_experiment(SPEC, (3,), **kw)
+
     def test_non_lipschitz_signature(self):
         """gap/data ratio in the critical norm grows with the carrier level."""
-        table = nonuniform_experiment(spec_at(3), (3, 6))
+        table = nonuniform_experiment(SPEC, (3, 6))
         r3, r6 = table.rows
         ratio3 = r3["g2_gap"] / r3["d_crit"]
         ratio6 = r6["g2_gap"] / r6["d_crit"]

@@ -135,7 +135,7 @@ class TestPatchGeometry:
         uu = convolve(u, u)
         derived = (
             3.0 * u, apply_radial(u, -0.8), apply_radial(gauss_field(H), -0.8), mul_i_xi(u, 0),
-            uu, coalesce(uu + uu), *build_forces(CounterexampleSpec(0.02, 0.4, 3)),
+            uu, coalesce(uu + uu), *build_forces(CounterexampleSpec(0.02, 0.4), 3),
         )
         for field in (PatchField(H, (given,)), *derived):
             assert all(not p.values.flags.writeable for p in field.patches)
@@ -272,7 +272,7 @@ class TestConvolve:
         two FFT codes whose round-off differs, so the bound is FFT round-off:
         max|diff| <= 1e-14 max|ref| (measured: at most 8e-16 of max|ref|).
         """
-        f, _, _ = build_forces(CounterexampleSpec(delta=0.02, alpha=0.4, n=3))
+        f, _, _ = build_forces(CounterexampleSpec(delta=0.02, alpha=0.4), 3)
         forces = [materialize(p, f.h) for p in f.patches]
         assert {v.shape for v in forces} == {(129, 129)}
         rng = np.random.default_rng(0)
@@ -497,7 +497,7 @@ class TestOriginBlockReference:
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.4, 0.45])
     def test_bilinear_B(self, alpha):
         """Coalesced B[h,h] in the critical norm; B[g,h] sits on the carrier boxes."""
-        _, g, h = build_forces(CounterexampleSpec(0.02, alpha, 3))
+        _, g, h = build_forces(CounterexampleSpec(0.02, alpha), 3)
         s_crit = 2.0 - 2.0 * alpha
         hh = coalesce(patch_bilinear_B(h, h, alpha)).patches
         assert any(p.contains_origin() for p in hh)
@@ -519,7 +519,7 @@ class TestSplineMatrices:
         axis around the origin, so the degree min(5, len - 1) takes every value 1..5; the points are the
         origin block's Gauss grid over those cells, half a cell past each end included (FITPACK clamps there).
         """
-        _, _, h = build_forces(CounterexampleSpec(0.02, 0.4, n))
+        _, _, h = build_forces(CounterexampleSpec(0.02, 0.4), n)
         patches = [p for p in coalesce(patch_bilinear_B(h, h, 0.4)).patches if p.contains_origin()]
         assert patches
         gx, _ = _leggauss(_GL_NODES)
@@ -590,7 +590,7 @@ class TestToTorus:
     def test_forces_match_full_lattice_scatter(self, alpha, n, K):
         """The carrier forces land on the band's half square bit for bit as through the K x K scatter."""
         g = make_grid(K, 16 * np.pi)  # the n = 4 force reaches |xi| = 18, past K = 512's cutoff 10.6
-        for u in build_forces(CounterexampleSpec(0.02, alpha, n)):
+        for u in build_forces(CounterexampleSpec(0.02, alpha), n):
             assert_same_field(to_torus(u, g), ref_to_torus(u, g))
 
     @pytest.mark.parametrize("amp", [1.0, 0.3 - 0.7j])
@@ -604,7 +604,7 @@ class TestToTorus:
     def test_memory_stays_at_band_size(self):
         """One K = 2048 sampling of the n = 7 force stays within the dealias band's 15 MiB half square and change."""
         g = make_grid(2048, 2 * np.pi)
-        f, _, _ = build_forces(CounterexampleSpec(0.02, 0.4, 7))
+        f, _, _ = build_forces(CounterexampleSpec(0.02, 0.4), 7)
         tracemalloc.start()
         try:
             to_torus(f, g)
@@ -621,7 +621,7 @@ class TestToTorus:
         and 2.3x above them. B[h, h] cannot be sampled: its origin patch carries a negative power.
         """
         alpha = 0.4
-        _, g, h = build_forces(CounterexampleSpec(0.02, alpha, 3))
+        _, g, h = build_forces(CounterexampleSpec(0.02, alpha), 3)
         grid = make_grid(1024, 16 * np.pi)
         s_crit = 2.0 - 2.0 * alpha
         for a, b in ((g, h), (h, g)):

@@ -75,8 +75,8 @@ def unseeded_outer_loop(f, cfg):
     x0 and every step evaluates its residual. Each solve starts from theta on the previous level's disk
     and from b = (-Delta)^{-alpha} P_N f on the band beyond it, and the residual closing the level below
     the top takes its product at the top radius, so at the top solve's transform size. Returns theta, the
-    steps and, per step, the x0 that outer_iterate seeds from the previous residual's product (None where
-    it does not)."""
+    steps and, per step, the field of the x0 that outer_iterate seeds from the previous residual's product
+    (None where it does not)."""
     import sqglab.solver as solver
 
     grid = f.grid
@@ -105,9 +105,9 @@ def unseeded_outer_loop(f, cfg):
         level = grid.level(N)
         b = solver._low_data(f, level, a)
         band = level.square.k2.ravel()[level.pos] > grid.level(prev).bound
-        x0 = _level_field(grid, level, np.where(band, b, solver._disk_values(theta, level)))
+        x0 = np.where(band, b, solver._disk_values(theta, level))
         new, info = solver._linear_solve_info(velocity_from_theta(theta), f, N, cfg, x0=x0)
-        seeds.append(x0 if N == n_top and not b[band].any() else None)
+        seeds.append(_level_field(grid, level, x0) if N == n_top and not b[band].any() else None)
         diff = hs_norm(new - theta, a)
         theta = new
         res = residual_norm(theta, N)
@@ -327,7 +327,7 @@ class TestLinearSolve:
         f = ball_field(g, rng, 3)
         level = g.level(3)
         b = fractional_laplacian(project_low(f, 3), -ALPHA)
-        for x0 in (None, 0.5 * b):  # the default start b, and a warm start
+        for x0 in (None, solver._disk_values(0.5 * b, level)):  # the default start b, and a warm start
             calls.clear()
             theta, info = solver._linear_solve_info(v, f, 3, SolverConfig(alpha=ALPHA), x0=x0)
             # one restart cycle: b - A x0, one product per iteration, b - A x at the end
@@ -400,7 +400,7 @@ class TestLinearSolve:
         v = small_velocity(g, rng, ALPHA)
         f = ball_field(g, rng, 2)
         cold = linear_solve(v, f, 2, cfg)
-        warm, _ = solver._linear_solve_info(v, f, 2, cfg, x0=cold)  # the outer iteration's warm start
+        warm, _ = solver._linear_solve_info(v, f, 2, cfg, x0=solver._disk_values(cold, g.level(2)))  # a warm start
         scale = np.max(np.abs(cold.coeffs))
         np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-8 * scale)
 
