@@ -131,17 +131,23 @@ def build_phi(h: float) -> PhiProfile:
 
 # -- force construction ------------------------------------------------------
 
+def _check_carrier_level(m: int, half_w: int, n) -> None:
+    """Refuse a carrier level n unless its box of half width half_w clears the origin, 2^n > half_w, to stand for
+    its mirror, and its corners, int64 indices at m samples a unit reaching 8 units past 2^n, fit: (2^n + 8) m."""
+    low, top = half_w.bit_length(), (np.iinfo(np.int64).max // m - 8).bit_length() - 1
+    if not (isinstance(n, Integral) and low <= n <= top):
+        raise ValueError(f"carrier level n must be an integer in [{low}, {top}], got {n}: the carrier box must "
+                         "clear the origin and fit the int64 patch lattice")
+
+
 def _separable(prof: PhiProfile, fx: np.ndarray, fy: np.ndarray,
                half_w: tuple[int, int], n: int | None, amp: complex) -> PatchField:
     """amp fx(xi_1 - c) fy(xi_2) in the stored 2D convention, at c = 0 for n None, else at the carrier c = 2^n
-    with its mirror conj(amp) fx(xi_1 + c) fy(xi_2): a real field, as fx and fy transform real profiles.
-    A carrier patch stands for its mirror only off the origin, so its box must clear it, 2^n > half_w[0];
-    its corners are int64 sample indices reaching 8 units past the carrier, so (2^n + 8) m must fit."""
+    (see _check_carrier_level) with its mirror conj(amp) fx(xi_1 + c) fy(xi_2): a real field, as fx and fy
+    transform real profiles."""
     m = prof.m
-    low, top = half_w[0].bit_length(), (np.iinfo(np.int64).max // m - 8).bit_length() - 1
-    if n is not None and not (isinstance(n, Integral) and low <= n <= top):
-        raise ValueError(f"carrier level n must be an integer in [{low}, {top}], got {n}: the carrier box must "
-                         "clear the origin and fit the int64 patch lattice")
+    if n is not None:
+        _check_carrier_level(m, half_w[0], n)
     lo = ((0 if n is None else 2 ** int(n) * m) - half_w[0] * m, -half_w[1] * m)
     return PatchField(prof.h, (_new_patch(lo, amp * np.multiply.outer(fx, fy) / (2.0 * np.pi)),))
 
@@ -305,6 +311,8 @@ def nonuniform_experiment(
     """
     if (grid is None) != (cfg is None):
         raise ValueError("the torus columns need both a grid and a solver config, or neither")
+    for n in n_values:  # every level's forces fit the patch lattice, before any level runs
+        _check_carrier_level(_samples_per_unit(spec.h_xi), 2, n)
     rows: list[dict] = []
     warnings: list[str] = []
     s_crit = 2.0 - 2.0 * spec.alpha

@@ -175,21 +175,20 @@ def _slot(m1: int, m2: int, K: int) -> tuple[int, int]:
 def _close(grid: GridSpec, sq: np.ndarray) -> np.ndarray:
     """Make the half square sq (row m1 + M, column m2), or each of a stack of them, a real field, in place.
 
-    On the self-conjugate columns (m2 = 0, and m2 = K/2 at M = K/2) the
-    m1 < 0 entries become the conjugates of the m1 > 0 ones and the
-    self-conjugate modes (m1 = 0, and row -K/2 at M = K/2) their real parts;
-    the zero mode is dropped. Entries that already hold those values keep
-    their bits, so exactly Hermitian data round-trip byte for byte.
+    On the self-conjugate columns (m2 = 0, and m2 = K/2 at M = K/2) the m1 < 0 entries become the conjugates
+    of the m1 > 0 ones and the self-conjugate modes (m1 = 0, and row -K/2 at M = K/2) their real parts; the
+    zero mode is dropped. Entries that already hold those values keep their bits, so exactly Hermitian data
+    round-trip byte for byte.
     """
     M = sq.shape[-1] - 1
     nyquist = M == grid.K // 2
     top = M - nyquist  # largest m1 > 0 whose partner row is stored
     for j in (0, M) if nyquist else (0,):
-        want, neg = np.conj(sq[..., M + top : M : -1, j]), sq[..., M - top : M, j]
-        sq[..., M - top : M, j] = np.where(neg == want, neg, want)
-        rows = [0, M] if nyquist else [M]
-        own = sq[..., rows, j]
-        sq[..., rows, j] = np.where(own.imag == 0, own, own.real)
+        neg, want = sq[..., M - top : M, j], np.conj(sq[..., M + top : M : -1, j])
+        np.copyto(neg, want, where=neg != want)
+        if nyquist:  # below it the only self-conjugate mode is the zero mode, dropped next
+            own = sq[..., [0, M], j]
+            sq[..., [0, M], j] = np.where(own.imag == 0, own, own.real)
     sq[..., M, 0] = 0.0
     return sq
 
@@ -354,8 +353,9 @@ def heat_smooth(u: SpectralField, eps: float) -> SpectralField:
 # reaches the grid through one inverse real transform, pruned to the
 # columns that hold modes (a velocity keeps its samples for the next
 # product of the same size); each product returns through one forward real
-# transform, pruned to the kept columns, as a half square, which _close
-# completes, so the result is a real field by construction. P is 5-smooth,
+# transform, pruned to the kept columns, as an open half square: advect,
+# pointwise_product and the probes' products close it with _close, and
+# _advect_level reads only the half disk, which _close leaves. P is 5-smooth,
 # as scipy.fft.next_fast_len(..., real=True) picks it. Half squares may carry
 # leading axes, a stack of fields (the probes' draws), each transformed alone.
 # Radii beyond what can reach a kept mode are cut first, and Mo never
@@ -413,26 +413,24 @@ def _half_square(x: np.ndarray, mo: int) -> np.ndarray:
 def _quadratic(
     grid: GridSpec, a: np.ndarray | VelocityField, b: np.ndarray, radii: tuple[int, int], mo: int
 ) -> np.ndarray:
-    """Half square, of radius at most mo, of a dealiased mean-free quadratic term.
+    """Half square, of radius at most mo, of a dealiased quadratic term, not closed (see above).
 
-    a a half square: the product a b. a a VelocityField: div(a b), which
-    is a . grad(b) since div a = 0; this divergence form takes one inverse
-    transform (of b) and two forward ones, as a's samples are kept on a.
-    b is a half square; radii are the mode radii of a and b. Leading axes
-    of a half square a broadcast against b's, which the result keeps.
+    a a half square: the product a b. a a VelocityField: div(a b), which is a . grad(b) since div a = 0; this
+    divergence form takes one inverse transform (of b) and two forward ones, as a's samples are kept on a. b is
+    a half square; radii are the mode radii of a and b. Leading axes of a half square a broadcast against b's,
+    which the result keeps.
     """
-    ma, mb, m, P = _product_size(radii[0], radii[1], min(mo, grid.dealias_index))
+    mo = min(mo, grid.dealias_index)
+    ma, mb, m, P = _product_size(radii[0], radii[1], mo)
     if P == 0:
         return np.zeros((*b.shape[:-2], 1, 1), dtype=np.complex128)
     t = _samples(b, mb, P)
     if isinstance(a, VelocityField):
         v1, v2 = a._sampled(ma, P)
-        dk = grid.dk
-        sq = _half_square(v1 * t, m) * (1j * dk * np.arange(-m, m + 1)[:, None])
-        sq += _half_square(v2 * t, m) * (1j * dk * np.arange(m + 1))
-    else:
-        sq = _half_square(np.multiply(t, _samples(a, ma, P), out=t), m)
-    return _close(grid, sq)
+        k = grid.square(mo).kx[mo - m : mo + m + 1]  # the kept radius's table: a level holds it, none is made per m
+        sq = _half_square(v1 * t, m) * (1j * k[:, None])
+        return np.add(sq, _half_square(v2 * t, m) * (1j * k[m:]), out=sq)
+    return _half_square(np.multiply(t, _samples(a, ma, P), out=t), m)
 
 
 def _check_product_inputs(u: SpectralField, w: SpectralField) -> None:
@@ -453,11 +451,8 @@ def _velocity_radius(v: VelocityField) -> int:
 
 
 def _advect_level(v: VelocityField, theta: SpectralField, level: LevelTable, theta_radius: int | None = None) -> np.ndarray:
-    """P_N (v . grad(theta)) as values on the half disk of ``level``.
-
-    theta_radius, when given, replaces the measured support radius of theta
-    (the caller has checked theta lies in that band).
-    """
+    """P_N (v . grad(theta)) as values on the half disk of ``level``; theta_radius, when given, replaces the
+    measured support radius of theta (the caller has checked theta lies in that band)."""
     _check_advect_inputs(v, theta)
     rb = theta.max_mode_index() if theta_radius is None else theta_radius
     sq = _quadratic(theta.grid, v, theta.half, (_velocity_radius(v), rb), level.M)
@@ -473,7 +468,7 @@ def advect(v: VelocityField, theta: SpectralField) -> SpectralField:
     _check_advect_inputs(v, theta)
     g = theta.grid
     radii = (_velocity_radius(v), theta.max_mode_index())
-    return _new(g, _quadratic(g, v, theta.half, radii, g.dealias_index))
+    return _new(g, _close(g, _quadratic(g, v, theta.half, radii, g.dealias_index)))
 
 
 def rescale(u: SpectralField, a: float) -> SpectralField:
@@ -505,4 +500,4 @@ def pointwise_product(u: SpectralField, w: SpectralField) -> SpectralField:
     _check_product_inputs(u, w)
     g = u.grid
     radii = (u.max_mode_index(), w.max_mode_index())
-    return _new(g, _quadratic(g, u.half, w.half, radii, g.dealias_index))
+    return _new(g, _close(g, _quadratic(g, u.half, w.half, radii, g.dealias_index)))

@@ -115,7 +115,7 @@ def _stream(seed: int, purpose: str, i: int) -> np.random.Generator:
 def _products(grid: GridSpec, f: np.ndarray, g: np.ndarray, s1: float | None = None) -> np.ndarray:
     """Dealiased f g, or given s1 [(-Delta)^{s1/2}, f] g (whose two products share f's samples), pair by pair."""
     b = g if s1 is None else np.stack((g, g * grid.square(g.shape[-1] - 1).radial_power(s1)))
-    fb = _quadratic(grid, f, b, (_support_radius(f), _support_radius(b)), grid.dealias_index)
+    fb = _close(grid, _quadratic(grid, f, b, (_support_radius(f), _support_radius(b)), grid.dealias_index))
     return fb if s1 is None else fb[0] * grid.square(fb.shape[-1] - 1).radial_power(s1) - fb[1]
 
 

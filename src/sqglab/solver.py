@@ -166,18 +166,22 @@ def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
     return _disk_values(f, level) * level.radial_power(-2.0 * alpha)
 
 
+def _own_projection(theta: SpectralField, level: LevelTable) -> bool:
+    """Whether theta is stored at the level's mode radius with no mode off its disk, as a solve there returns it."""
+    return theta.M == level.M and not theta.half.ravel()[level.off].any()
+
+
 def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, alpha: float) -> SpectralField:
     """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta)) for theta in the range of P_N."""
-    grid = theta.grid
-    level = grid.level(N)
+    level = theta.grid.level(N)
     inside = theta
-    if theta.M != level.M or theta.half.ravel()[level.off].any():  # not already its own projection
+    if not _own_projection(theta, level):
         inside = project_low(theta, N)
         off = np.max(np.abs((theta - inside).half))
         if off > 1e-12 * max(off, np.max(np.abs(inside.half))):
             raise ValueError(f"field carries modes outside the range of P_{N}")
     adv = _advect_level(v, inside, level, theta_radius=level.M)
-    return _level_field(grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
+    return _level_field(theta.grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
 
 # LAPACK's dlartg range limits: |f|, |g| inside (2^-511, 2^510.5) need no scaling
@@ -348,21 +352,22 @@ def linear_solve(v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig) 
 def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int | None = None) -> ResidualRecord:
     """r = (-Delta)^alpha theta + v.grad(theta) - f with v induced by theta.
 
-    With project_N the nonlinearity and force are truncated to P_N, matching
-    the equation the outer iteration actually solves. A theta stored at the
-    mode radius of P_N, as a solve at that level returns it, takes its
-    product at that radius, the transform size of the level's solves; v is
-    stored at theta's support radius.
+    With project_N the nonlinearity and force are truncated to P_N, matching the equation the outer iteration
+    actually solves. A theta stored at the mode radius of P_N, as a solve at that level returns it, takes its
+    product at that radius, the transform size of the level's solves, and if it is its own projection r is
+    made on the half disk alone; v is stored at theta's support radius.
     """
     v = velocity_from_theta(_new(theta.grid, _resize(theta.half, theta.max_mode_index())))
     if project_N is None:
-        values, adv = None, advect(v, theta)
+        values, r = None, fractional_laplacian(theta, alpha) + advect(v, theta) - f
     else:
         level = theta.grid.level(project_N)
         values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
-        adv = _level_field(theta.grid, level, values)
-        f = project_low(f, project_N)
-    r = fractional_laplacian(theta, alpha) + adv - f
+        if _own_projection(theta, level):  # the same operations as below, on the half disk alone
+            r = _level_field(theta.grid, level, _disk_values(theta, level) * level.radial_power(2.0 * alpha) + values
+                             - _disk_values(f, level))
+        else:
+            r = fractional_laplacian(theta, alpha) + _level_field(theta.grid, level, values) - project_low(f, project_N)
     return ResidualRecord(r, hs_norm(r, -alpha), v, values)
 
 

@@ -19,6 +19,7 @@ from sqglab import (
     VelocityField,
     advect,
     apply_lax_milgram_operator,
+    default_schedule,
     fractional_laplacian,
     make_grid,
     picard_theta1,
@@ -28,7 +29,16 @@ from sqglab import (
     theta2,
     velocity_from_theta,
 )
-from sqglab.field import _half_square, _next_fast_len, _samples
+from sqglab.field import (
+    _advect_level,
+    _close,
+    _half_square,
+    _next_fast_len,
+    _quadratic,
+    _resize,
+    _samples,
+    _velocity_radius,
+)
 from lattice_tables import Lattice, low_pass_mask
 
 ALPHA = 0.4
@@ -134,6 +144,20 @@ class TestAgainstFullLattice:
         out = advect(v, theta).coeffs
         assert_matches(out, ref_advect(v, theta, form))
         assert_hermitian(out)
+
+    def test_level_values_need_no_closing(self, K, L, n_theta, n_v):
+        """On the half disk of every level, _advect_level's open half square holds the bits of the closed one;
+        closing changes it only off the disk."""
+        g, theta, v = self.fields(K, L, n_theta, n_v)
+        radii = (_velocity_radius(v), theta.max_mode_index())
+        changed = False
+        for N in range(default_schedule(g)[0], g.dealias_level + 1):
+            level = g.level(N)
+            sq = _quadratic(g, v, theta.half, radii, level.M)
+            closed = _close(g, sq.copy())
+            assert _advect_level(v, theta, level).tobytes() == _resize(closed, level.M).ravel()[level.pos].tobytes()
+            changed |= sq.tobytes() != closed.tobytes()
+        assert changed
 
     def test_pointwise_product(self, K, L, n_theta, n_v):
         """u w matches the reference, including factors of different bands."""

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,23 @@ class TestNonuniform:
         rc = main(["nonuniform", "--n_min", "5", "--n_max", "3", "--outdir", str(tmp_path / "o")])
         assert rc == 1
         assert "n_min" in capsys.readouterr().err
+
+    def test_range_past_the_patch_lattice_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        """A level range whose top is past the int64 patch lattice (57 at h_xi = 1/32) exits 1 within a
+        second, naming the bound, before any level runs, and makes no output directory."""
+        import sqglab.counterexample as counterexample
+
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(counterexample, "decompose_second_iterate", no_level)
+        start = time.perf_counter()
+        rc = main(["nonuniform", "--n_min", "3", "--n_max", "58", "--outdir", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "integer in [2, 57], got 58" in err and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRlcheck:

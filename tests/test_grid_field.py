@@ -19,6 +19,7 @@ from sqglab import (
     to_physical,
     velocity_from_theta,
 )
+from sqglab.field import _close
 from lattice_tables import Lattice, low_pass_mask, translate, x_axis
 
 ALPHA = 0.4
@@ -190,6 +191,70 @@ class TestFieldConstruction:
         w = sine_x1(make_grid(32, np.pi))
         with pytest.raises(ValueError):
             _ = u + w
+
+
+def close_oracle(grid, sq):
+    """_close as it was written before its lean form: the m2 = 0 partners through np.where and the real part
+    of every self-conjugate mode, the zero mode included, taken on every layout."""
+    M = sq.shape[-1] - 1
+    nyquist = M == grid.K // 2
+    top = M - nyquist
+    for j in (0, M) if nyquist else (0,):
+        want, neg = np.conj(sq[..., M + top : M : -1, j]), sq[..., M - top : M, j]
+        sq[..., M - top : M, j] = np.where(neg == want, neg, want)
+        rows = [0, M] if nyquist else [M]
+        own = sq[..., rows, j]
+        sq[..., rows, j] = np.where(own.imag == 0, own, own.real)
+    sq[..., M, 0] = 0.0
+    return sq
+
+
+class TestClose:
+    """_close against the formula it replaced, bit for bit."""
+
+    GRID = make_grid(16, np.pi)
+
+    @staticmethod
+    def stack(rng, shape, M):
+        return rng.standard_normal((*shape, 2 * M + 1, M + 1)) + 1j * rng.standard_normal((*shape, 2 * M + 1, M + 1))
+
+    def assert_same_bits(self, sq):
+        want = close_oracle(self.GRID, sq.copy())
+        got = sq.copy()
+        assert _close(self.GRID, got) is got
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", [0, 1, 3, 5, 7, 8])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_random_stacks(self, M, shape):
+        """Random half squares, alone and in stacks, below and at the Nyquist radius M = K/2 = 8."""
+        self.assert_same_bits(self.stack(np.random.default_rng(10 * M + len(shape)), shape, M))
+
+    @pytest.mark.parametrize("M", [5, 8])
+    def test_signed_zeros_and_nans(self, M):
+        """Signed zeros and NaNs on column 0 (and on column K/2 at the Nyquist radius), on either side of
+        each pair and on the self-conjugate modes, close as the oracle closes them."""
+        rng = np.random.default_rng(M)
+        specials = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.nan, complex(1.0, np.nan),
+                             complex(np.nan, -0.0), 2.0, complex(2.0, -0.0), 0.5j])
+        sq = self.stack(rng, (4,), M)
+        for j in (0, M) if M == 8 else (0,):
+            sq[..., j] = rng.choice(specials, size=sq[..., j].shape)
+        self.assert_same_bits(sq)
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_hermitian_input_keeps_its_bytes(self, M):
+        """A closed half square, and one whose partners differ from the conjugates only in the sign of a
+        zero, are left byte for byte as they are."""
+        closed = close_oracle(self.GRID, self.stack(np.random.default_rng(M), (2,), M))
+        signed = closed.copy()
+        signed[..., M + 1, 0] = signed[..., M + 1, 0].real  # an imaginary +0, whose conjugate is -0
+        signed[..., M - 1, 0] = signed[..., M + 1, 0]  # its partner, stored with +0
+        for hermitian in (closed, signed):
+            got = hermitian.copy()
+            _close(self.GRID, got)
+            assert got.tobytes() == hermitian.tobytes()
+            self.assert_same_bits(hermitian)
 
 
 class TestFractionalLaplacian:

@@ -34,7 +34,8 @@ from sqglab import (
     velocity_from_theta,
     velocity_hs_norm,
 )
-from sqglab.field import _advect_level, _level_field
+from sqglab.field import _advect_level, _level_field, _new, _resize
+from sqglab.solver import _own_projection
 from lattice_tables import Lattice, cauchy_constant, low_pass_mask, x_axis
 
 ALPHA = 0.4
@@ -552,6 +553,45 @@ class TestResidual:
         theta = field_from_modes(g, {(1, 0): -0.5j})
         f = field_from_modes(g, {(1, 0): -0.55j})
         np.testing.assert_allclose(residual(theta, f, ALPHA).r_norm, 0.1 * np.pi * np.sqrt(2), rtol=1e-12)
+
+    @staticmethod
+    def field_formula(theta, f, alpha, N):
+        """r and its norm as residual built them on the whole half square before the half-disk form."""
+        v = velocity_from_theta(_new(theta.grid, _resize(theta.half, theta.max_mode_index())))
+        level = theta.grid.level(N)
+        values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
+        r = fractional_laplacian(theta, alpha) + _level_field(theta.grid, level, values) - project_low(f, N)
+        return r, hs_norm(r, -alpha)
+
+    def test_half_disk_form_matches_the_field_formula(self):
+        """On outer_iterate's iterates, which are their own projections, residual builds r on the half disk,
+        and r and its norm keep the field formula's bits; a theta with modes past the level takes the field
+        formula itself."""
+        g = make_grid(64, np.pi)
+        f = disk_filling_force(g)
+        theta, _ = outer_iterate(f, SolverConfig(alpha=ALPHA))
+        top = default_schedule(g)[-1]
+        below = project_low(project_low(theta, top - 1), top)  # the level below, taken to the top radius
+        wide = ball_field(g, np.random.default_rng(3), top) * 1e-2
+        for u, N, own in ((theta, top, True), (below, top, True), (wide, top - 1, False)):
+            assert _own_projection(u, g.level(N)) is own
+            rec = residual(u, f, ALPHA, project_N=N)
+            r, r_norm = self.field_formula(u, f, ALPHA, N)
+            assert rec.r_field.half.tobytes() == r.half.tobytes()
+            assert rec.r_norm == r_norm
+
+    def test_half_disk_form_on_a_shear(self):
+        """A force of m2 = 0 modes alone has real coefficients that advection never mixes: there the half-disk
+        r, closed by _close, can carry -0 where the field formula's arithmetic left +0 in the imaginary part
+        of an m2 = 0 partner, and keeps its bits in every other entry and in its norm."""
+        g = make_grid(32, np.pi)
+        f = field_from_modes(g, {(1, 0): 2e-3, (2, 0): 1e-3})
+        theta, _ = outer_iterate(f, SolverConfig(alpha=ALPHA))
+        top = default_schedule(g)[-1]
+        rec = residual(theta, f, ALPHA, project_N=top)
+        r, r_norm = self.field_formula(theta, f, ALPHA, top)
+        assert (rec.r_field.half + 0.0).tobytes() == (r.half + 0.0).tobytes()  # -0 + 0 = +0
+        assert rec.r_norm == r_norm
 
 
 class TestOuterIterate:
