@@ -166,20 +166,28 @@ def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
     return _disk_values(f, level) * level.radial_power(-2.0 * alpha)
 
 
-def _own_projection(theta: SpectralField, level: LevelTable) -> bool:
-    """Whether theta is stored at the level's mode radius with no mode off its disk, as a solve there returns it."""
-    return theta.M == level.M and not theta.half.ravel()[level.off].any()
+def _range_of_P(N: int, theta: SpectralField | None, f: SpectralField | None = None) -> tuple[LevelTable, bool]:
+    """The level of P_N, checking the truncated problem's domain: 2^N in the dealias band, theta and f on one grid,
+    theta's content off the disk within 1e-12 of its largest modulus; and whether theta is its own projection."""
+    grid = (theta or f).grid
+    if N > grid.dealias_level:
+        raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
+    level = grid.level(N)
+    if theta is None:
+        return level, False
+    theta._require_same_grid(f or theta)
+    own = theta.M == level.M  # stored at the level's radius, as a solve there returns it
+    off = theta.half.ravel()[level.off] if own else theta.half[grid.square(theta.M).k2 > level.bound]
+    stray = off.any()
+    if stray and np.max(np.abs(off)) > 1e-12 * np.max(np.abs(theta.half)):
+        raise ValueError(f"field carries modes outside the range of P_{N}")
+    return level, own and not stray
 
 
 def apply_lax_milgram_operator(v: VelocityField, theta: SpectralField, N: int, alpha: float) -> SpectralField:
-    """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta)) for theta in the range of P_N."""
-    level = theta.grid.level(N)
-    inside = theta
-    if not _own_projection(theta, level):
-        inside = project_low(theta, N)
-        off = np.max(np.abs((theta - inside).half))
-        if off > 1e-12 * max(off, np.max(np.abs(inside.half))):
-            raise ValueError(f"field carries modes outside the range of P_{N}")
+    """A theta = theta + (-Delta)^{-alpha} P_N (v . grad(theta)) for theta in the range of P_N (see _range_of_P)."""
+    level, own = _range_of_P(N, theta)
+    inside = theta if own else project_low(theta, N)
     adv = _advect_level(v, inside, level, theta_radius=level.M)
     return _level_field(theta.grid, level, _disk_values(inside, level) + level.radial_power(-2.0 * alpha) * adv)
 
@@ -293,11 +301,9 @@ def _linear_solve_info(
     (-Delta)^{-alpha} P_N f with nothing solved (the outer iteration's first step). GMRES starts from x0, values on
     the half disk (outer_iterate's nested start), or from b = (-Delta)^{-alpha} P_N f (given, or computed here), and
     returns a start that passes its test with inner_iters 0; adv0, x0's product at this solve's P, gives A x0."""
-    grid = f.grid
-    if v is not None and v.grid != grid:
+    if v is not None and v.grid != f.grid:
         raise ValueError("velocity and force live on different grids")
-    if N > grid.dealias_level:
-        raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
+    level, _ = _range_of_P(N, None, f)
     vnorm = 0.0 if v is None else velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
     if not vnorm <= _SMALLNESS_THRESHOLD:  # a NaN norm is refused too
         raise SmallnessError(
@@ -308,10 +314,8 @@ def _linear_solve_info(
     # The unknowns are the real and imaginary parts of the half-disk modes
     # (a complex array viewed as float64); their partners follow by
     # conjugation, so every iterate is a real field and A is real-linear.
-    level = grid.level(N)
-
     def field_of(x: np.ndarray) -> SpectralField:
-        return _level_field(grid, level, np.ascontiguousarray(x).view(np.complex128))
+        return _level_field(f.grid, level, np.ascontiguousarray(x).view(np.complex128))
 
     b_vec = (_low_data(f, level, cfg.alpha) if b is None else b).view(np.float64)
     info = {"inner_iters": 0, "inner_residual": 0.0, "matvecs": 0,
@@ -345,29 +349,25 @@ def _linear_solve_info(
 
 def linear_solve(v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig) -> SpectralField:
     """Solve the truncated linear problem (-Delta)^alpha theta + P_N(v.grad theta) = P_N f."""
-    theta, _ = _linear_solve_info(v, f, N, cfg)
-    return theta
+    return _linear_solve_info(v, f, N, cfg)[0]
 
 
 def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int | None = None) -> ResidualRecord:
     """r = (-Delta)^alpha theta + v.grad(theta) - f with v induced by theta.
 
     With project_N the nonlinearity and force are truncated to P_N, matching the equation the outer iteration
-    actually solves. A theta stored at the mode radius of P_N, as a solve at that level returns it, takes its
-    product at that radius, the transform size of the level's solves, and if it is its own projection r is
-    made on the half disk alone; v is stored at theta's support radius.
+    actually solves: theta lies in the range of P_N (see _range_of_P) and r is made on the level's half disk. A theta
+    stored at the level's mode radius, as a solve there returns it, takes its product at that radius, the transform
+    size of the level's solves, and any other at its support radius; v is stored at theta's support radius.
     """
     v = velocity_from_theta(_new(theta.grid, _resize(theta.half, theta.max_mode_index())))
     if project_N is None:
         values, r = None, fractional_laplacian(theta, alpha) + advect(v, theta) - f
     else:
-        level = theta.grid.level(project_N)
+        level, _ = _range_of_P(project_N, theta, f)
         values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
-        if _own_projection(theta, level):  # the same operations as below, on the half disk alone
-            r = _level_field(theta.grid, level, _disk_values(theta, level) * level.radial_power(2.0 * alpha) + values
-                             - _disk_values(f, level))
-        else:
-            r = fractional_laplacian(theta, alpha) + _level_field(theta.grid, level, values) - project_low(f, project_N)
+        r = _level_field(theta.grid, level, _disk_values(theta, level) * level.radial_power(2.0 * alpha) + values
+                         - _disk_values(f, level))
     return ResidualRecord(r, hs_norm(r, -alpha), v, values)
 
 
@@ -477,7 +477,7 @@ def theta2(a: SpectralField, alpha: float, project_N: int | None = None) -> Spec
     """
     if project_N is None:
         return picard_theta1(a, alpha) - bilinear_B(a, a, alpha)
+    level, _ = _range_of_P(project_N, None, a)
     t1 = picard_theta1(project_low(a, project_N), alpha)
-    level = a.grid.level(project_N)
     adv = _advect_level(velocity_from_theta(t1), t1, level) * level.radial_power(-2.0 * alpha)
     return t1 - _level_field(a.grid, level, adv)

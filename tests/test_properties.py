@@ -145,7 +145,7 @@ def public_outputs(u, w):
         "bilinear_B": bilinear_B(u, w, 0.4),
         "theta2": theta2(u, 0.4, project_N=2),
         "apply_lax_milgram_operator": apply_lax_milgram_operator(velocity_from_theta(w), low, 2, 0.4),
-        "residual": residual(u, w, 0.4, project_N=2).r_field,
+        "residual": residual(low, w, 0.4, project_N=2).r_field,
     }
 
 

@@ -35,7 +35,6 @@ from sqglab import (
     velocity_hs_norm,
 )
 from sqglab.field import _advect_level, _level_field, _new, _resize
-from sqglab.solver import _own_projection
 from lattice_tables import Lattice, cauchy_constant, low_pass_mask, x_axis
 
 ALPHA = 0.4
@@ -206,6 +205,26 @@ class TestLaxMilgramOperator:
         theta = field_from_modes(g, {(5, 0): -0.5j})
         with pytest.raises(ValueError, match="P_2"):
             apply_lax_milgram_operator(zero_velocity(g), theta, 2, ALPHA)
+
+
+class TestRangeOfP:
+    """Every door into the truncated problem takes the same domain: 2^N inside the dealias band."""
+
+    @pytest.mark.parametrize("door", ["apply_lax_milgram_operator", "residual", "theta2", "linear_solve"])
+    def test_level_past_the_dealias_band_refused(self, door):
+        """At K=32, L=pi the products stop at the dealias index 10, short of the disk of P_4 (index 16), so N=4
+        is refused at every door with linear_solve's message."""
+        g = make_grid(32, np.pi)
+        assert g.dealias_level == 3
+        theta = field_from_modes(g, {(1, 0): -0.5j, (2, 1): 0.2})
+        calls = {
+            "apply_lax_milgram_operator": lambda: apply_lax_milgram_operator(zero_velocity(g), theta, 4, ALPHA),
+            "residual": lambda: residual(theta, theta, ALPHA, project_N=4),
+            "theta2": lambda: theta2(theta, ALPHA, project_N=4),
+            "linear_solve": lambda: linear_solve(zero_velocity(g), theta, 4, SolverConfig(alpha=ALPHA)),
+        }
+        with pytest.raises(ValueError, match=r"2\^4 exceeds the top dealias level 2\^3"):
+            calls[door]()
 
 
 class TestLinearSolve:
@@ -564,21 +583,47 @@ class TestResidual:
         return r, hs_norm(r, -alpha)
 
     def test_half_disk_form_matches_the_field_formula(self):
-        """On outer_iterate's iterates, which are their own projections, residual builds r on the half disk,
-        and r and its norm keep the field formula's bits; a theta with modes past the level takes the field
-        formula itself."""
+        """On outer_iterate's iterates, which are their own projections, r and its norm keep the field formula's
+        bits; a theta with modes past the level lies outside the range of P_N and is refused."""
         g = make_grid(64, np.pi)
         f = disk_filling_force(g)
         theta, _ = outer_iterate(f, SolverConfig(alpha=ALPHA))
         top = default_schedule(g)[-1]
         below = project_low(project_low(theta, top - 1), top)  # the level below, taken to the top radius
         wide = ball_field(g, np.random.default_rng(3), top) * 1e-2
-        for u, N, own in ((theta, top, True), (below, top, True), (wide, top - 1, False)):
-            assert _own_projection(u, g.level(N)) is own
-            rec = residual(u, f, ALPHA, project_N=N)
-            r, r_norm = self.field_formula(u, f, ALPHA, N)
+        for u in (theta, below):
+            rec = residual(u, f, ALPHA, project_N=top)
+            r, r_norm = self.field_formula(u, f, ALPHA, top)
             assert rec.r_field.half.tobytes() == r.half.tobytes()
             assert rec.r_norm == r_norm
+        with pytest.raises(ValueError, match=f"outside the range of P_{top - 1}"):
+            residual(wide, f, ALPHA, project_N=top - 1)
+
+    @pytest.mark.parametrize("K", [64, 256])
+    def test_every_outer_residual_matches_the_field_formula(self, K, monkeypatch):
+        """Every residual outer_iterate evaluates, the lower levels' iterates stored below the top radius among
+        them, keeps the field formula's r (up to the sign of zero) and norm."""
+        import sqglab.solver as solver
+
+        calls = []
+        evaluate = solver.residual
+        monkeypatch.setattr(solver, "residual", lambda *args: calls.append((args, evaluate(*args))) or calls[-1][1])
+        g = make_grid(K, np.pi)
+        outer_iterate(disk_filling_force(g), SolverConfig(alpha=ALPHA))
+        assert any(theta.M < g.level(N).M for (theta, _, _, N), _ in calls)
+        for (theta, f_, alpha, N), rec in calls:
+            r, r_norm = self.field_formula(theta, f_, alpha, N)
+            assert (rec.r_field.half + 0.0).tobytes() == (r.half + 0.0).tobytes()  # -0 + 0 = +0
+            assert rec.r_norm == r_norm
+
+    def test_force_on_another_grid_refused(self):
+        """theta and f must share a grid, whether theta is stored at the level's radius or not."""
+        g, other = make_grid(32, np.pi), make_grid(32, 2 * np.pi)
+        f = field_from_modes(other, {(1, 0): -0.5j})
+        small = field_from_modes(g, {(1, 0): -0.5j, (2, 1): 0.2})
+        for theta in (project_low(small, 2), small):
+            with pytest.raises(ValueError, match="different grids"):
+                residual(theta, f, ALPHA, project_N=2)
 
     def test_half_disk_form_on_a_shear(self):
         """A force of m2 = 0 modes alone has real coefficients that advection never mixes: there the half-disk
@@ -966,6 +1011,7 @@ class TestScalingCovariance:
         adv = advect(velocity_from_theta(theta), theta)
         f_exact = fractional_laplacian(theta, ALPHA) + project_low(adv, 4)
         f_z = rescale(f_exact, 4 * ALPHA - 1.0)
-        scaled = residual(theta_z, f_z, ALPHA, project_N=4).r_norm
+        # the rescale maps P_4 to the disk of P_5 on the half-period grid, which holds theta_z
+        scaled = residual(theta_z, f_z, ALPHA, project_N=5).r_norm
         factor = 2.0 ** (4 * ALPHA - 1.0) * 2.0 ** (-(1 + ALPHA))
         assert scaled <= (base * factor + 1e-13) * 1.001
