@@ -169,7 +169,7 @@ def _low_data(f: SpectralField, level: LevelTable, alpha: float) -> np.ndarray:
 def _range_of_P(N: int, theta: SpectralField | None, f: SpectralField | None = None) -> tuple[LevelTable, bool]:
     """The level of P_N, checking the truncated problem's domain: 2^N in the dealias band, theta and f on one grid,
     theta's content off the disk within 1e-12 of its largest modulus; and whether theta is its own projection."""
-    grid = (theta or f).grid
+    grid = (f if theta is None else theta).grid
     if N > grid.dealias_level:
         raise ValueError(f"2^{N} exceeds the top dealias level 2^{grid.dealias_level}")
     level = grid.level(N)
