@@ -40,7 +40,6 @@ from .solver import (
     SolveStep,
     SolverConfig,
     apply_lax_milgram_operator,
-    bilinear_B,
     default_schedule,
     linear_solve,
     outer_iterate,

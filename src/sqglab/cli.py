@@ -1,7 +1,7 @@
 """Command-line driver.
 
-One flat JSON config per run is the source of truth; any top-level scalar
-key can be overridden by a flag of the same name. Exit codes: 0 success,
+One flat JSON config per run is the source of truth; every key can be
+overridden by a flag of the same name. Exit codes: 0 success,
 1 usage or configuration error, 2 smallness-gate refusal, 3 no convergence
 (an iteration cap, or a top-level solve that stalls above the target).
 """
@@ -89,11 +89,6 @@ _EXPERIMENTS = {
     }),
 }
 
-# list-valued keys settable only through the JSON config, never by flag: key -> number of entries
-_JSON_ONLY_KEYS = {
-    "ineq-scan": {"product_exponents": 4, "commutator_exponents": 6},
-}
-
 # JSON values each key type accepts: the value must already have the type,
 # except that an integer is a valid float and a length may be "16pi"
 _JSON_TYPES = {
@@ -111,7 +106,7 @@ def build_parser() -> _Parser:
 
     for name, (_, schema) in _EXPERIMENTS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override its scalar keys")
+        p.add_argument("--config", help="JSON config file; flags override its keys")
         for key, (typ, _) in schema.items():
             if typ is bool:
                 p.add_argument(f"--{key}", type=_parse_bool, default=None, metavar="BOOL")
@@ -136,8 +131,6 @@ def _parse_bool(text: str) -> bool:
 def _resolve_config(name: str, args: argparse.Namespace) -> dict:
     schema = _EXPERIMENTS[name][1]
     config = {key: default for key, (_, default) in schema.items() if default is not MISSING}
-    lists = _JSON_ONLY_KEYS.get(name, {})
-    allowed = set(schema) | set(lists)
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -153,9 +146,9 @@ def _resolve_config(name: str, args: argparse.Namespace) -> dict:
                 if val != name:
                     raise ConfigError(f"config names experiment {val!r} but {name!r} was requested")
                 continue
-            if key not in allowed:
+            if key not in schema:
                 raise ConfigError(f"unknown config field {key!r} for experiment {name!r}")
-            config[key] = _json_value(key, schema[key][0], val) if key in schema else _json_list(key, lists[key], val)
+            config[key] = _json_value(key, schema[key][0], val)
     for key in schema:
         val = getattr(args, key, None)
         if val is not None:
@@ -172,13 +165,6 @@ def _json_value(key: str, typ, val):
         return typ(val)
     except (OverflowError, argparse.ArgumentTypeError) as exc:  # a non-finite length, an integer past the float range
         raise ConfigError(f"config field {key!r}: {exc}") from exc
-
-
-def _json_list(key: str, length: int, val) -> list:
-    """A JSON-only list value: exactly ``length`` numbers, each checked as a float key's value."""
-    if not isinstance(val, list) or len(val) != length:
-        raise ConfigError(f"config field {key!r} must be a list of {length} numbers, got {json.dumps(val)}")
-    return [_json_value(key, _float, x) for x in val]
 
 
 def main(argv=None) -> int:

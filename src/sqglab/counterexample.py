@@ -217,8 +217,7 @@ def decompose_second_iterate(spec: CounterexampleSpec, n: int) -> SecondIterateP
     relative distance between the generic convolution result and that
     closed form in the critical norm.
     """
-    if n < 3:
-        raise ValueError("carrier level n >= 3 required: the carrier boxes must clear the origin block")
+    _check_carrier_level(_samples_per_unit(spec.h_xi), 4, n)  # the closed forms' boxes, the widest a level places
     prof = build_phi(spec.h_xi)
     a = spec.alpha
     s_crit = 2.0 - 2.0 * a
@@ -311,8 +310,8 @@ def nonuniform_experiment(
     """
     if (grid is None) != (cfg is None):
         raise ValueError("the torus columns need both a grid and a solver config, or neither")
-    for n in n_values:  # every level's forces fit the patch lattice, before any level runs
-        _check_carrier_level(_samples_per_unit(spec.h_xi), 2, n)
+    for n in n_values:  # every level's boxes clear the origin and fit the patch lattice, before any level runs
+        _check_carrier_level(_samples_per_unit(spec.h_xi), 4, n)
     rows: list[dict] = []
     warnings: list[str] = []
     s_crit = 2.0 - 2.0 * spec.alpha

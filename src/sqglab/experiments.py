@@ -29,6 +29,8 @@ from .counterexample import (
 from .field import SpectralField, field_from_modes, velocity_from_theta
 from .grid import GridSpec, make_grid
 from .inequalities import (
+    _check_commutator_exponents,
+    _check_product_exponents,
     _stream,
     cancellation_probe,
     commutator_operating_point,
@@ -237,15 +239,16 @@ def run_inequality_scan(config: dict) -> int:
     if min(n_interp, n_cancel) < 0:
         raise ConfigError(f"sample counts must be >= 0, got interp_samples={n_interp}, cancel_samples={n_cancel}")
 
-    prod_exps = config.get("product_exponents")
-    if prod_exps is None:
-        prod_exps = product_operating_point(alpha)
-    comm_exps = config.get("commutator_exponents")
-    if comm_exps is None:
-        comm_exps = commutator_operating_point(alpha)
+    points = {"product": product_operating_point(alpha), "commutator": commutator_operating_point(alpha)}
+    for kind, check in (("product", _check_product_exponents), ("commutator", _check_commutator_exponents)):
+        try:  # alpha alone fixes both operating points: it is held to both lemmas before any draw
+            check(points[kind])
+        except ValueError as exc:
+            raise ConfigError(f"alpha={alpha:g} puts the {kind} probe outside its lemma: {exc}; "
+                              "ineq-scan runs for 0 < alpha < 3/4") from None
     probes = {
-        "product": run_product_probe(grid, tuple(prod_exps), samples, seed),
-        "commutator": run_commutator_probe(grid, tuple(comm_exps), samples, seed),
+        "product": run_product_probe(grid, points["product"], samples, seed),
+        "commutator": run_commutator_probe(grid, points["commutator"], samples, seed),
     }
     artifacts = {}
     for name, probe in probes.items():

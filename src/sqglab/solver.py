@@ -24,7 +24,6 @@ from .field import (
     _product_size,
     _resize,
     _velocity_radius,
-    advect,
     field_from_modes,
     fractional_laplacian,
     project_low,
@@ -47,7 +46,6 @@ __all__ = [
     "outer_iterate",
     "residual",
     "picard_theta1",
-    "bilinear_B",
     "theta2",
     "default_schedule",
 ]
@@ -119,13 +117,13 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ResidualRecord:
-    """r = (-Delta)^alpha theta + v . grad(theta) - f, its H^{-alpha} norm, the velocity v = v(theta) and,
-    for a truncated residual, P_N(v . grad(theta)) as values on the level's half disk (None otherwise)."""
+    """r = (-Delta)^alpha theta + P_N(v . grad(theta)) - P_N f, its H^{-alpha} norm, the velocity v = v(theta) and
+    P_N(v . grad(theta)) as values on the level's half disk."""
 
     r_field: SpectralField
     r_norm: float
     v: VelocityField
-    adv: np.ndarray | None
+    adv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -352,22 +350,19 @@ def linear_solve(v: VelocityField, f: SpectralField, N: int, cfg: SolverConfig) 
     return _linear_solve_info(v, f, N, cfg)[0]
 
 
-def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int | None = None) -> ResidualRecord:
-    """r = (-Delta)^alpha theta + v.grad(theta) - f with v induced by theta.
+def residual(theta: SpectralField, f: SpectralField, alpha: float, project_N: int) -> ResidualRecord:
+    """r = (-Delta)^alpha theta + P_N(v.grad theta) - P_N f with v induced by theta, the residual of the equation
+    the outer iteration solves at top level N.
 
-    With project_N the nonlinearity and force are truncated to P_N, matching the equation the outer iteration
-    actually solves: theta lies in the range of P_N (see _range_of_P) and r is made on the level's half disk. A theta
-    stored at the level's mode radius, as a solve there returns it, takes its product at that radius, the transform
-    size of the level's solves, and any other at its support radius; v is stored at theta's support radius.
+    theta lies in the range of P_N (see _range_of_P) and r is made on the level's half disk. A theta stored at the
+    level's mode radius, as a solve there returns it, takes its product at that radius, the transform size of the
+    level's solves, and any other at its support radius; v is stored at theta's support radius.
     """
+    level, _ = _range_of_P(project_N, theta, f)
     v = velocity_from_theta(_new(theta.grid, _resize(theta.half, theta.max_mode_index())))
-    if project_N is None:
-        values, r = None, fractional_laplacian(theta, alpha) + advect(v, theta) - f
-    else:
-        level, _ = _range_of_P(project_N, theta, f)
-        values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
-        r = _level_field(theta.grid, level, _disk_values(theta, level) * level.radial_power(2.0 * alpha) + values
-                         - _disk_values(f, level))
+    values = _advect_level(v, theta, level, level.M if theta.M == level.M else None)
+    r = _level_field(theta.grid, level, _disk_values(theta, level) * level.radial_power(2.0 * alpha) + values
+                     - _disk_values(f, level))
     return ResidualRecord(r, hs_norm(r, -alpha), v, values)
 
 
@@ -461,22 +456,9 @@ def picard_theta1(a: SpectralField, alpha: float) -> SpectralField:
     return fractional_laplacian(a, -alpha)
 
 
-def bilinear_B(a: SpectralField, b: SpectralField, alpha: float) -> SpectralField:
-    """B[a,b] = (-Delta)^{-alpha}[ v(theta_1[a]) . grad(theta_1[b]) ]."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    v = velocity_from_theta(picard_theta1(a, alpha))
-    return fractional_laplacian(advect(v, picard_theta1(b, alpha)), -alpha)
-
-
-def theta2(a: SpectralField, alpha: float, project_N: int | None = None) -> SpectralField:
-    """Second iterate theta_1[a] - B[a,a].
-
-    With project_N the iterates are those of the P_N-truncated problem, so
-    the result is comparable to outer_iterate output at top level N.
-    """
-    if project_N is None:
-        return picard_theta1(a, alpha) - bilinear_B(a, a, alpha)
+def theta2(a: SpectralField, alpha: float, project_N: int) -> SpectralField:
+    """Second iterate theta_1[a] - B[a,a] of the P_N-truncated problem, B[a,b] = (-Delta)^{-alpha} P_N[ v(theta_1[a])
+    . grad(theta_1[b]) ] with theta_1 = (-Delta)^{-alpha} P_N a: comparable to outer_iterate output at top level N."""
     level, _ = _range_of_P(project_N, None, a)
     t1 = picard_theta1(project_low(a, project_N), alpha)
     adv = _advect_level(velocity_from_theta(t1), t1, level) * level.radial_power(-2.0 * alpha)

@@ -3,11 +3,13 @@
 The library keeps only half-square and level tables (GridSpec.square and
 GridSpec.level). Tests that check it against references on the whole K x K
 lattice read the wavenumber arrays from here; the physical sample axis, the
-radial low-pass mask, translations and the Cauchy tail constant of a solve
-report live here too, since no run needs them.
+radial low-pass mask, translations, the Cauchy tail constant of a solve
+report and the untruncated Picard iterates live here too, since no run needs
+them.
 """
 import numpy as np
 
+from sqglab import advect, fractional_laplacian, picard_theta1, velocity_from_theta
 from sqglab.field import _new
 
 
@@ -65,3 +67,17 @@ def cauchy_constant(report, factor=0.75):
         tail = 2.0 ** (-a * prev.n / 2.0)
         c = max(c, (cur.diff_h_alpha - factor * prev.diff_h_alpha) / tail)
     return c
+
+
+def bilinear_B(a, b, alpha):
+    """The torus B[a,b] = (-Delta)^{-alpha}[ v(theta_1[a]) . grad(theta_1[b]) ], untruncated: the oracle of the
+    patch B (counterexample.patch_bilinear_B)."""
+    if a.grid != b.grid:
+        raise ValueError("fields live on different grids")
+    v = velocity_from_theta(picard_theta1(a, alpha))
+    return fractional_laplacian(advect(v, picard_theta1(b, alpha)), -alpha)
+
+
+def theta2_full(a, alpha):
+    """The untruncated second Picard iterate theta_1[a] - B[a,a]."""
+    return picard_theta1(a, alpha) - bilinear_B(a, a, alpha)

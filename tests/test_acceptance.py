@@ -39,13 +39,12 @@ from sqglab import (
     sample_band_limited,
     scan_bound,
     smoothing_limit_scan,
-    theta2,
     to_torus,
     velocity_from_theta,
     velocity_hs_norm,
 )
 from sqglab.experiments import builtin_force
-from lattice_tables import Lattice, cauchy_constant, low_pass_mask
+from lattice_tables import Lattice, cauchy_constant, low_pass_mask, theta2_full
 
 ALPHA = 0.4
 DELTA = 0.02
@@ -268,11 +267,15 @@ class TestAcceptance:
         the linear response (-Delta)^{-a}(f - g), whose critical norm is d_crit
         itself, so gap_crit / d_crit is 1 + O(delta) at every feasible n. The
         signature lives in the nonlinear part
-        G_n = ||theta[f] - theta[g] - (-Delta)^{-a}(f - g)||_{2-2a}, which equals
-        the patch second-iterate gap g2_gap up to O(delta^3); the two backends
-        must agree to 2%. d_crit decays exactly like 2^{-(1-2a)n}, so
-        G_6 / d_crit_6 >= 2^{3(1-2a)} G_3 / d_crit_3 says that G_n does not
-        decay from n=3 to n=6. The low ratio gap_low / d_low stays within 2x.
+        G_n = ||theta[f] - theta[g] - (-Delta)^{-a}(f - g)||_{2-2a}, which the
+        patch second-iterate gap g2_gap approximates; the two backends must
+        agree to 2%. At L=2pi their difference is the torus lattice
+        (periodization) error, not an O(delta^3) remainder: at a = 0.4, n = 3
+        it is 5.161e-3, 5.160e-3 and 5.159e-3 of g2_gap at delta = 0.02, 0.01
+        and 0.005, flat in delta, and 1.08e-4 at L=4pi. d_crit decays exactly
+        like 2^{-(1-2a)n}, so G_6 / d_crit_6 >= 2^{3(1-2a)} G_3 / d_crit_3
+        says that G_n does not decay from n=3 to n=6. The low ratio
+        gap_low / d_low stays within 2x.
         Both alphas are checked with the same bounds: at a = 0.2 the backends
         agree to 0.29-0.48% and the growth is 3.97 against the floor 3.48.
         """
@@ -324,7 +327,7 @@ class TestAcceptance:
         rems = []
         for delta in deltas:
             theta, _ = outer_iterate(delta * a, SolverConfig(alpha=ALPHA, outer_tol=1e-9))
-            rems.append(hs_norm(theta - theta2(delta * a, ALPHA), 2.0 - 2.0 * ALPHA))
+            rems.append(hs_norm(theta - theta2_full(delta * a, ALPHA), 2.0 - 2.0 * ALPHA))
         slope = float(np.polyfit(np.log2(deltas), np.log2(rems), 1)[0])
         assert slope >= 2.7, f"remainder slope {slope:.4f} below 2.7"
         assert time.perf_counter() - t0 < 180.0

@@ -354,7 +354,7 @@ class TestNonuniform:
         assert time.perf_counter() - start < 1.0
         assert rc == 1
         err = capsys.readouterr().err
-        assert "integer in [2, 57], got 58" in err and len(err.splitlines()) == 1, err
+        assert "integer in [3, 57], got 58" in err and len(err.splitlines()) == 1, err
         assert not (tmp_path / "o").exists()
 
 
@@ -513,7 +513,8 @@ class TestIneqScan:
         assert checks["smoothing_scan"]["samples"] == 1
 
     def test_exponents_from_config_only(self, tmp_path, capsys):
-        """Exponent lists load from JSON but have no flag form."""
+        """The probes run at alpha's operating points, which no key sets: an exponent list in a JSON config is
+        an unknown field and has no flag form, and each exits 1 before any output."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
@@ -529,12 +530,30 @@ class TestIneqScan:
             )
         )
         rc = main(["ineq-scan", "--config", str(cfg)])
-        assert rc == 0
-        with open(tmp_path / "run" / "product_probe.json") as fh:
-            assert json.load(fh)["exponents"] == [0.5, 0.5, 0.5, 0.5]
-        rc = main(["ineq-scan", "--product_exponents", "0.5,0.5,0.5,0.5"])
+        assert rc == 1
+        assert "unknown config field 'product_exponents' for experiment 'ineq-scan'" in capsys.readouterr().err
+        rc = main(["ineq-scan", "--product_exponents", "0.5,0.5,0.5,0.5", "--outdir", str(tmp_path / "run")])
         assert rc == 1
         assert "product_exponents" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("alpha, kind", [("0", "commutator"), ("0.75", "commutator"), ("1.5", "product"),
+                                             ("-0.2", "commutator")])
+    def test_alpha_outside_the_probes_refused(self, tmp_path, capsys, monkeypatch, alpha, kind):
+        """ineq-scan runs for 0 < alpha < 3/4, where both operating points meet their lemma's hypotheses; any
+        other alpha exits 1 before any draw with one line naming alpha, the probe and the range, and makes no
+        output directory."""
+        from sqglab import inequalities
+
+        def no_draws(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(inequalities, "_draws", no_draws)
+        assert main(["ineq-scan", "--K", "32", "--alpha", alpha, "--outdir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"alpha={float(alpha):g} puts the {kind} probe outside its lemma" in err, err
+        assert "ineq-scan runs for 0 < alpha < 3/4" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestNorms:
@@ -734,19 +753,20 @@ class TestConfigResolution:
         ("commutator_exponents", [0.1, 0.2, 0.3, 0.4]),
     ])
     def test_malformed_exponent_list_rejected(self, tmp_path, capsys, key, value):
-        """An exponent list holds exactly 4 (product) or 6 (commutator) numbers; else exit 1 naming the key."""
+        """The exponent lists are no keys: whatever value a JSON config gives one, it exits 1 naming the unknown
+        field."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value, "K": 32, "outdir": str(tmp_path / "o")}))
         assert main(["ineq-scan", "--config", str(cfg)]) == 1
-        assert f"config field {key!r}" in capsys.readouterr().err
+        assert f"unknown config field {key!r} for experiment 'ineq-scan'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, config, named", [
         (["continuity", "--force", "nope"], {}, "'nope'"),
         (["solve", "--force", "nope"], {}, "'nope'"),
-        (["ineq-scan"], {"product_exponents": [1.5, 0, 0, 1.5]}, "s1 < 1"),
+        (["ineq-scan"], {"alpha": 1.5}, "alpha=1.5"),
         (["continuity", "--L", "8pi"], {"K": 16}, "no room for P_1"),
-        (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "integer in [2, 57], got 58"),
+        (["nonuniform", "--n_min", "58", "--n_max", "58"], {}, "integer in [3, 57], got 58"),
         (["ineq-scan", "--interp_samples", "-5"], {}, "interp_samples=-5"),
         (["ineq-scan", "--cancel_samples", "-3"], {}, "cancel_samples=-3"),
         (["nonuniform", "--n_min", "3", "--n_max", "3", "--delta", "1e100"], {}, "delta=1e+100, n=3"),
@@ -765,13 +785,14 @@ class TestConfigResolution:
         (["continuity", "--K", "16", "--amplitude", "1e300"], {}, "j=1: the realized distance ||f_j - f_inf||"),
         (["continuity", "--K", "16", "--amplitude", "1e160", "--perturbation_amplitude", "1e160"], {},
          "j=1: the realized distance ||f_j - f_inf||_H^0.4 = inf"),
+        (["nonuniform", "--n_min", "2", "--n_max", "3"], {}, "integer in [3, 57], got 2"),
     ])
     def test_refusal_leaves_no_outdir(self, tmp_path, capsys, argv, config, named):
-        """An unknown force, invalid probe exponents, a band with no level, a carrier level past the patch
-        lattice, a negative sample count, gap norms, probe ratios or a grid past the float range, a force
-        whose norm underflows, a force whose norms or solve steps overflow, or a continuity perturbation that
-        the force rounds away or whose distance overflows exit 1 with one line on stderr and make no output
-        directory."""
+        """An unknown force, an alpha outside the probes' lemmas, a band with no level, a carrier level below the
+        closed forms' boxes or past the patch lattice, a negative sample count, gap norms, probe ratios or a grid
+        past the float range, a force whose norm underflows, a force whose norms or solve steps overflow, or a
+        continuity perturbation that the force rounds away or whose distance overflows exit 1 with one line on
+        stderr and make no output directory."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 32, **config}))
         assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1

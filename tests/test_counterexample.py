@@ -245,8 +245,9 @@ class TestDecomposition:
     """Second-iterate gap pieces and their carrier-level rates."""
 
     def test_small_carrier_rejected(self):
-        """Levels below n=3 would collide with the origin block."""
-        with pytest.raises(ValueError, match="n >= 3"):
+        """Levels below n=3 would collide with the origin block: the closed forms' boxes of half width 4 need
+        2^n > 4, by the one carrier-level rule."""
+        with pytest.raises(ValueError, match=r"carrier level n must be an integer in \[3, 57\], got 2"):
             decompose_second_iterate(SPEC, 2)
 
     def test_closed_form_reconstruction(self, parts):

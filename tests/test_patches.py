@@ -7,7 +7,7 @@ import scipy.signal
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma
 
-from sqglab import SpectralField, bilinear_B, hs_norm, make_grid
+from sqglab import SpectralField, hs_norm, make_grid
 from sqglab.counterexample import CounterexampleSpec, build_forces, patch_bilinear_B
 from sqglab.patches import (
     _BLOCK_RADIUS,
@@ -31,7 +31,7 @@ from sqglab.patches import (
     riesz_perp_velocity,
     to_torus,
 )
-from lattice_tables import Lattice
+from lattice_tables import Lattice, bilinear_B
 
 H = 1.0 / 32.0
 

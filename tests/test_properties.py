@@ -9,7 +9,6 @@ from sqglab import (
     SpectralField,
     advect,
     apply_lax_milgram_operator,
-    bilinear_B,
     dealias,
     field_from_modes,
     field_from_physical,
@@ -27,7 +26,7 @@ from sqglab import (
     to_physical,
     velocity_from_theta,
 )
-from lattice_tables import Lattice, translate
+from lattice_tables import Lattice, bilinear_B, translate
 
 GRID = make_grid(32, np.pi)
 

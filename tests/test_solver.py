@@ -17,7 +17,6 @@ from sqglab import (
     SpectralField,
     advect,
     apply_lax_milgram_operator,
-    bilinear_B,
     default_schedule,
     field_from_modes,
     fractional_laplacian,
@@ -35,7 +34,7 @@ from sqglab import (
     velocity_hs_norm,
 )
 from sqglab.field import _advect_level, _level_field, _new, _resize
-from lattice_tables import Lattice, cauchy_constant, low_pass_mask, x_axis
+from lattice_tables import Lattice, bilinear_B, cauchy_constant, low_pass_mask, theta2_full, x_axis
 
 ALPHA = 0.4
 
@@ -542,36 +541,37 @@ class TestGmres:
 
 
 class TestResidual:
-    """The nonlinear defect (-Delta)^alpha theta + v.grad theta - f."""
+    """The nonlinear defect (-Delta)^alpha theta + P_N(v.grad theta) - P_N f. On K=32, L=pi the level 3 holds
+    every mode the untruncated cases touch, so there it is the untruncated defect."""
 
     def test_exact_single_mode_solution(self):
         """theta = sin(x1) solves the problem with f = sin(x1) exactly."""
         g = make_grid(32, np.pi)
         theta = field_from_modes(g, {(1, 0): -0.5j})
-        rec = residual(theta, theta, ALPHA)
+        rec = residual(theta, theta, ALPHA, project_N=3)
         assert rec.r_norm <= 1e-14
 
     def test_zero_fields(self):
         """Zero data has zero residual."""
         g = make_grid(32, np.pi)
         zero = field_from_modes(g, {})
-        assert residual(zero, zero, ALPHA).r_norm == 0.0
+        assert residual(zero, zero, ALPHA, project_N=3).r_norm == 0.0
 
     def test_projection_restricts_force(self):
-        """With project_N the force outside the ball does not count."""
+        """The force outside the ball of P_N does not count, and inside it does."""
         g = make_grid(32, np.pi)
         theta = field_from_modes(g, {(1, 0): -0.5j})
         f_extra = field_from_modes(g, {(1, 0): -0.5j, (7, 0): 0.3})
         rec = residual(theta, f_extra, ALPHA, project_N=2)
         assert rec.r_norm <= 1e-14
-        assert residual(theta, f_extra, ALPHA).r_norm > 0.1
+        assert residual(theta, f_extra, ALPHA, project_N=3).r_norm > 0.1
 
     def test_detects_wrong_amplitude(self):
         """A miscaled candidate leaves a first-order residual."""
         g = make_grid(32, np.pi)
         theta = field_from_modes(g, {(1, 0): -0.5j})
         f = field_from_modes(g, {(1, 0): -0.55j})
-        np.testing.assert_allclose(residual(theta, f, ALPHA).r_norm, 0.1 * np.pi * np.sqrt(2), rtol=1e-12)
+        np.testing.assert_allclose(residual(theta, f, ALPHA, project_N=3).r_norm, 0.1 * np.pi * np.sqrt(2), rtol=1e-12)
 
     @staticmethod
     def field_formula(theta, f, alpha, N):
@@ -952,11 +952,12 @@ class TestPicardIterates:
         )
 
     def test_theta2_combines_iterates(self):
-        """theta2 = theta_1 - B[a, a]."""
+        """theta2 = theta_1 - B[a, a], truncated at a level whose disk holds every mode of a and of the product."""
         g = make_grid(32, np.pi)
         a = field_from_modes(g, {(1, 0): 0.5, (0, 1): 0.5})
-        out = theta2(a, ALPHA)
-        expected = picard_theta1(a, ALPHA) - bilinear_B(a, a, ALPHA)
+        out = theta2(a, ALPHA, project_N=2)
+        expected = theta2_full(a, ALPHA)
+        assert expected.max_mode_index() <= 2
         np.testing.assert_allclose(out.coeffs, expected.coeffs, atol=1e-15)
 
 
