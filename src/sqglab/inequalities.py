@@ -187,6 +187,7 @@ class EstimateProbe:
 
 def _run_probe(kind, grid, exponents, samples, seed) -> EstimateProbe:
     """Worst ratio over sample pairs drawn on the band (1, dealias_k/2], evaluated a stack of draws at a time."""
+    (_check_product_exponents if kind == "product" else _check_commutator_exponents)(exponents)  # before any draw
     if samples < 1:
         raise ValueError("samples must be at least 1")
     k_min, k_max = 1.0, grid.dealias_k / 2.0

@@ -69,7 +69,7 @@ class ConvergenceError(RuntimeError):
 
 
 _SMALLNESS_THRESHOLD = 0.1  # the gate: a linear solve needs ||v||_{H^{2-2alpha}} at most this for coercivity
-_GMRES_RESTART, _GMRES_STEPS = 50, 400  # a linear solve's GMRES budget: Arnoldi steps, in cycles of 50
+_GMRES_STEPS = 50  # a linear solve's GMRES budget: one cycle of at most this many Arnoldi steps
 
 
 @dataclass(frozen=True)
@@ -209,16 +209,15 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(fs) / d, gs / r, r * u
 
 
-def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, *, rtol: float, restart: int,
-          maxiter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A x = b, A x = matvec(x).
+def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, *, rtol: float,
+          steps: int) -> tuple[np.ndarray, float, int, bool]:
+    """One cycle of GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A x = b, A x = matvec(x).
 
-    The arithmetic, stopping tests and counts are those of scipy.sparse.linalg.gmres with atol=0 and no
-    preconditioner: at most maxiter cycles of at most restart Arnoldi steps (modified Gram-Schmidt,
-    Givens rotations), and scipy's inner tolerance control (gh-8400), which tightens a cycle's target
-    when the residual estimate passed but the true residual b - A x did not. ax0 is A x0 when the caller
-    already has it. matvec must return a new array. Returns (x, ||b - A x||, Arnoldi steps, converged):
-    the norm is that of the true residual of the returned x, and converged means it is <= rtol ||b||.
+    The arithmetic, stopping test and counts are those of the first cycle of scipy.sparse.linalg.gmres with
+    restart=steps, atol=0 and no preconditioner: at most steps Arnoldi steps (modified Gram-Schmidt, Givens
+    rotations), stopped early when the residual estimate reaches rtol ||b|| or the Krylov space closes. ax0 is
+    A x0 when the caller already has it. matvec must return a new array. Returns (x, ||b - A x||, Arnoldi steps, converged): the norm is that of the
+    true residual of the returned x, and converged means it is <= rtol ||b||.
     """
     x = np.array(x0, dtype=np.float64)
     bnrm2 = np.linalg.norm(b)
@@ -226,69 +225,56 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, 
         return b, bnrm2, 0, True
     atol = rtol * bnrm2
     eps = np.finfo(np.float64).eps
-    restart = min(restart, b.size)
-    ptol_max_factor = 1.0
-    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    v = np.empty((restart + 1, b.size))
-    h = np.zeros((restart, restart + 1))  # column col of the Hessenberg matrix is row col of h
-    givens = np.zeros((restart, 2))
+    steps = min(steps, b.size)
+    ptol = bnrm2 * min(1.0, atol / bnrm2)
+    v = np.empty((steps + 1, b.size))
+    h = np.zeros((steps, steps + 1))  # column col of the Hessenberg matrix is row col of h
+    givens = np.zeros((steps, 2))
     if ax0 is None:
         ax0 = matvec(x) if x.any() else 0.0
     r = b - ax0
     rnorm = np.linalg.norm(r)
-    steps = 0
     if rnorm < atol:
-        return x, rnorm, steps, True
-    for _ in range(maxiter):
-        v[0] = r * (1 / rnorm)
-        S = np.zeros(restart + 1)  # the rotated right-hand side ||r|| e_1
-        S[0] = rnorm
-        breakdown = False
-        for col in range(restart):
-            w = matvec(v[col])
-            h0 = np.linalg.norm(w)
-            for k in range(col + 1):
-                h[col, k] = hk = np.dot(v[k], w)
-                w -= hk * v[k]
-            h1 = h[col, col + 1] = np.linalg.norm(w)
-            v[col + 1] = w
-            if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
-                h[col, col + 1] = 0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
-            givens[col] = c, s
+        return x, rnorm, 0, True
+    v[0] = r * (1 / rnorm)
+    S = np.zeros(steps + 1)  # the rotated right-hand side ||r|| e_1
+    S[0] = rnorm
+    breakdown = False
+    for col in range(steps):
+        w = matvec(v[col])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            h[col, k] = hk = np.dot(v[k], w)
+            w -= hk * v[k]
+        h1 = h[col, col + 1] = np.linalg.norm(w)
+        v[col + 1] = w
+        if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
             h[col, col + 1] = 0
-            S[col], S[col + 1] = c * S[col], -s * S[col]
-            presid = abs(S[col + 1])
-            steps += 1
-            if presid <= ptol or breakdown:
-                break
-        if h[col, col] == 0:
-            S[col] = 0
-        y = S[: col + 1].copy()
-        for k in range(col, 0, -1):  # back substitution on the rotated triangle
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[: col + 1]
-        r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:  # the estimate passed and the true residual did not
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+            breakdown = True
         else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, rnorm, steps, bool(rnorm <= atol)
+            v[col + 1] *= 1 / h1
+        for k in range(col):
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
+        givens[col] = c, s
+        h[col, col + 1] = 0
+        S[col], S[col + 1] = c * S[col], -s * S[col]
+        if abs(S[col + 1]) <= ptol or breakdown:
+            break
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[: col + 1].copy()
+    for k in range(col, 0, -1):  # back substitution on the rotated triangle
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x += y @ v[: col + 1]
+    rnorm = np.linalg.norm(b - matvec(x))
+    return x, rnorm, col + 1, bool(rnorm <= atol)
 
 
 def _linear_solve_info(
@@ -329,9 +315,8 @@ def _linear_solve_info(
     # A x0 from adv0, x0's product P_N(v . grad(x0)) on the half disk, made at this solve's transform size
     ax0 = None if adv0 is None else (
         x_start.view(np.complex128) + level.radial_power(-2.0 * cfg.alpha) * adv0).view(np.float64)
-    restart = min(_GMRES_RESTART, b_vec.size)
-    x, rnorm, info["inner_iters"], converged = gmres(matvec, b_vec, x_start, ax0, rtol=cfg.inner_tol, restart=restart,
-                                                     maxiter=math.ceil(_GMRES_STEPS / restart))
+    x, rnorm, info["inner_iters"], converged = gmres(matvec, b_vec, x_start, ax0, rtol=cfg.inner_tol,
+                                                     steps=_GMRES_STEPS)
     rel = info["inner_residual"] = float(rnorm / np.linalg.norm(b_vec))
 
     theta = field_of(x)

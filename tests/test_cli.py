@@ -142,7 +142,7 @@ class TestSolve:
         rc = main(["solve", "--K", "64", "--force", "two_mode", "--inner_tol", "1e-30", "--outdir", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "no convergence: linear solve did not reach inner_tol=1e-30 within the GMRES budget of 400" in err
+        assert "no convergence: linear solve did not reach inner_tol=1e-30 within the GMRES budget of 50" in err
         assert not (tmp_path / "o").exists()
 
 

@@ -69,6 +69,28 @@ class TestExponentValidation:
         with pytest.raises(ValueError, match="s3 < 2"):
             commutator_estimate_ratio(f, f, (1.0, 1.5, 2.5, 0.0, 1.6, 0.9))
 
+    @pytest.mark.parametrize("probe, ratio, exponents", [
+        (run_product_probe, product_estimate_ratio, (1.5, 0.0, 0.0, 1.5)),
+        (run_commutator_probe, commutator_estimate_ratio, (1.0, -0.5, 0.25, 0.25, 0.25, 0.25)),
+    ])
+    def test_probe_refuses_before_drawing(self, probe, ratio, exponents, monkeypatch):
+        """A probe refuses a bad exponent tuple with the ratio function's message before any draw is made."""
+        draws, stacks = inequalities._draws, []
+
+        def counted(*args):
+            for sq in draws(*args):
+                stacks.append(sq.shape)
+                yield sq
+
+        monkeypatch.setattr(inequalities, "_draws", counted)
+        f = cos_mode(GRID, 1, 0)
+        with pytest.raises(ValueError) as expected:
+            ratio(f, f, exponents)
+        with pytest.raises(ValueError) as err:
+            probe(GRID, exponents, 200, 0)
+        assert str(err.value) == str(expected.value)
+        assert stacks == []
+
     def test_zero_inputs_rejected(self):
         """A vanishing right-hand side has no ratio."""
         z = field_from_modes(GRID, {})

@@ -349,7 +349,7 @@ class TestLinearSolve:
         for x0 in (None, solver._disk_values(0.5 * b, level)):  # the default start b, and a warm start
             calls.clear()
             theta, info = solver._linear_solve_info(v, f, 3, SolverConfig(alpha=ALPHA), x0=x0)
-            # one restart cycle: b - A x0, one product per iteration, b - A x at the end
+            # one cycle: b - A x0, one product per iteration, b - A x at the end
             assert info["inner_iters"] < 50
             assert info["matvecs"] == len(calls) == info["inner_iters"] + 2
             b_vec = solver._disk_values(b, level).view(np.float64)
@@ -394,7 +394,7 @@ class TestLinearSolve:
         rng = np.random.default_rng(41)
         v = small_velocity(g, rng, ALPHA, size=0.09)
         f = ball_field(g, rng, 3)
-        with pytest.raises(ConvergenceError, match="inner_tol=1e-30 within the GMRES budget of 400 Arnoldi") as err:
+        with pytest.raises(ConvergenceError, match="inner_tol=1e-30 within the GMRES budget of 50 Arnoldi") as err:
             linear_solve(v, f, 3, SolverConfig(alpha=ALPHA, inner_tol=1e-30))
         level = g.level(3)
         b = solver._low_data(f, level, ALPHA).view(np.float64)
@@ -424,10 +424,11 @@ class TestLinearSolve:
         np.testing.assert_allclose(warm.coeffs, cold.coeffs, atol=1e-8 * scale)
 
 
-def assert_gmres_is_scipys(matvec, b, x0, rtol, restart, maxiter):
-    """solver.gmres and scipy's gmres on one system: the same matvec count, Arnoldi steps equal to scipy's
-    callback count, converged exactly when scipy's flag is 0, a returned norm that is ||b - A x|| to the
-    bit, and iterates within 1e-12 of the largest entry. Returns scipy's flag and counts."""
+def assert_gmres_is_scipys(matvec, b, x0, rtol, steps):
+    """solver.gmres and the first cycle of scipy's gmres (restart=steps, maxiter=1) on one system: the same
+    matvec count, Arnoldi steps equal to scipy's callback count, converged exactly when scipy's flag is 0, a
+    returned norm that is ||b - A x|| to the bit, and iterates within 1e-12 of the largest entry. Returns scipy's
+    flag and counts."""
     import sqglab.solver as solver
 
     counts = {"matvec": 0, "callback": 0}
@@ -441,38 +442,38 @@ def assert_gmres_is_scipys(matvec, b, x0, rtol, restart, maxiter):
 
     x_ref, flag = scipy.sparse.linalg.gmres(
         scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=mv, dtype=np.float64), b, x0=x0,
-        rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, callback=cb, callback_type="pr_norm",
+        rtol=rtol, atol=0.0, restart=steps, maxiter=1, callback=cb, callback_type="pr_norm",
     )
     ref = dict(counts)
     counts["matvec"] = 0
-    x, rnorm, steps, converged = solver.gmres(mv, b, x0, rtol=rtol, restart=restart, maxiter=maxiter)
-    assert (counts["matvec"], steps, converged) == (ref["matvec"], ref["callback"], flag == 0)
+    x, rnorm, taken, converged = solver.gmres(mv, b, x0, rtol=rtol, steps=steps)
+    assert (counts["matvec"], taken, converged) == (ref["matvec"], ref["callback"], flag == 0)
     assert rnorm == np.linalg.norm(b - matvec(x))
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
     return flag, ref
 
 
 class TestGmres:
-    """The solver's restarted GMRES against scipy.sparse.linalg.gmres, the call it replaces."""
+    """The solver's one-cycle GMRES against the first cycle of scipy.sparse.linalg.gmres, the call it replaces."""
 
-    @pytest.mark.parametrize("n,restart,maxiter,rtol,warm,scale,flag", [
-        (40, 50, 8, 1e-10, False, 1.0, 0),  # one cycle
-        (150, 10, 20, 1e-10, True, 1.0, 0),  # restarted, from a warm start
-        (150, 5, 2, 1e-12, True, 1.0, 2),  # the cycle cap is hit
-        (6, 50, 4, 1e-14, False, 1.0, 0),  # restart capped at n = 6; the residual estimate stops it
-        (40, 50, 8, 1e-10, False, 1e-160, 0),  # squares underflow: the rotations scale as LAPACK's do
+    @pytest.mark.parametrize("n,steps,rtol,warm,scale,flag", [
+        (40, 50, 1e-10, False, 1.0, 0),  # converged within the cycle
+        (150, 50, 1e-10, True, 1.0, 0),  # from a warm start
+        (150, 5, 1e-12, True, 1.0, 1),  # the step cap is hit
+        (6, 50, 1e-14, False, 1.0, 0),  # steps capped at n = 6; the residual estimate stops it
+        (40, 50, 1e-10, False, 1e-160, 0),  # squares underflow: the rotations scale as LAPACK's do
     ])
-    def test_random_nonsymmetric(self, n, restart, maxiter, rtol, warm, scale, flag):
+    def test_random_nonsymmetric(self, n, steps, rtol, warm, scale, flag):
         """Random real nonsymmetric systems."""
-        rng = np.random.default_rng(n + restart)
+        rng = np.random.default_rng(n + steps)
         A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
         b = scale * rng.standard_normal(n)
         x0 = scale * rng.standard_normal(n) if warm else np.zeros(n)
-        assert assert_gmres_is_scipys(lambda x: A @ x, b, x0, rtol, restart, maxiter)[0] == flag
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, x0, rtol, steps)[0] == flag
 
     @pytest.mark.parametrize("diag, b, flag", [
         ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0),  # x exact after two steps
-        ((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 0.0, 0.0), 3),  # b half in the kernel: no x solves it
+        ((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 0.0, 0.0), 1),  # b half in the kernel: no x solves it
     ])
     def test_exact_breakdown(self, monkeypatch, diag, b, flag):
         """A diagonal A with b on two eigenvalues: the Krylov space closes after two steps, so the second step's
@@ -484,23 +485,23 @@ class TestGmres:
         givens = solver._givens
         monkeypatch.setattr(solver, "_givens", lambda f, g: seen.append((f, g)) or givens(f, g))
         A, b = np.diag(diag), np.array(b)
-        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(b.size), 1e-14, 50, 3)[0] == flag
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(b.size), 1e-14, 50)[0] == flag
         assert len(seen) == 2 and seen[1][1] == 0 and (seen[1][0] == 0) == (flag != 0)
 
     def test_ill_conditioned(self):
-        """Singular values from 1 to 1e-7: a cycle's residual estimate passes while b - A x does not, twice,
-        so scipy's inner tolerance control tightens the next cycle's target."""
+        """Singular values from 1 to 1e-7: at the 20th step the residual estimate passes while b - A x does not,
+        so the solve ends unconverged, as scipy's first cycle does."""
         rng = np.random.default_rng(1)
         U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         A = U @ np.diag(np.logspace(0, -7, 20)) @ V.T
         b = rng.standard_normal(20)
-        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(20), 1e-10, 50, 20)[0] == 0
+        assert assert_gmres_is_scipys(lambda x: A @ x, b, np.zeros(20), 1e-10, 50)[0] == 1
 
-    @pytest.mark.parametrize("restart,maxiter", [(50, 8), (10, 20), (5, 2)])
-    def test_given_ax0(self, restart, maxiter):
+    @pytest.mark.parametrize("steps", [50, 5])
+    def test_given_ax0(self, steps):
         """Handing GMRES A x0 gives the bits of x and of the residual norm it gets by computing A x0, with one
-        product fewer: in one cycle, restarted, and when the cycle cap is hit."""
+        product fewer: converged within the cycle, and when the step cap is hit."""
         import sqglab.solver as solver
 
         rng = np.random.default_rng(3)
@@ -514,14 +515,15 @@ class TestGmres:
                 products.append(None)
                 return A @ x
 
-            x, rnorm, steps, converged = solver.gmres(matvec, b, x0, ax0, rtol=1e-12, restart=restart, maxiter=maxiter)
-            runs.append((x.tobytes(), rnorm, steps, converged, len(products)))
-        (x, rnorm, steps, converged, products), given = runs
-        assert given == (x, rnorm, steps, converged, products - 1)
+            x, rnorm, taken, converged = solver.gmres(matvec, b, x0, ax0, rtol=1e-12, steps=steps)
+            runs.append((x.tobytes(), rnorm, taken, converged, len(products)))
+        (x, rnorm, taken, converged, products), given = runs
+        assert given == (x, rnorm, taken, converged, products - 1)
 
-    @pytest.mark.parametrize("restart", [50, 2])
-    def test_lax_milgram_system(self, restart):
-        """The K=64 Lax-Milgram system of one linear solve, in one cycle and restarted every 2 iterations."""
+    @pytest.mark.parametrize("steps", [50, 2])
+    def test_lax_milgram_system(self, steps):
+        """The K=64 Lax-Milgram system of one linear solve: converged within the 50-step cycle, and stopped
+        unconverged by a 2-step cap."""
         import sqglab.solver as solver
 
         g = make_grid(64, np.pi)
@@ -535,9 +537,8 @@ class TestGmres:
             return solver._disk_values(apply_lax_milgram_operator(v, theta, 4, ALPHA), level).view(np.float64)
 
         b = solver._low_data(f, level, ALPHA).view(np.float64)
-        flag, counts = assert_gmres_is_scipys(matvec, b, b, 1e-10, restart, 100)
-        assert flag == 0
-        assert (counts["callback"] > restart) == (restart == 2)
+        flag, counts = assert_gmres_is_scipys(matvec, b, b, 1e-10, steps)
+        assert (flag == 0) == (counts["callback"] < steps) == (steps == 50)
 
 
 class TestResidual:
@@ -880,6 +881,19 @@ class TestOuterIterate:
         assert len(reports) == 7 and all(r.converged for r in reports)
         assert sum(s.matvecs for r in reports for s in r.steps) <= 126
         assert sum(s.inner_iters for r in reports for s in r.steps) <= 70
+
+    def test_gmres_headroom(self):
+        """README's `continuity --K 128` forces f_inf and f_1 = f_inf + g/2 and `solve --K 256 --force two_mode`
+        take at most 4 GMRES iterations per solve (measured); the bound 8 leaves the one 50-step cycle far
+        above them, so a change that drives a solve toward it fails here before a run exits 3."""
+        from sqglab.experiments import builtin_force
+
+        coarse, fine = make_grid(128, np.pi), make_grid(256, np.pi)
+        f_inf = builtin_force("two_mode", coarse, 1e-2)
+        f_1 = f_inf + 0.5 * builtin_force("single_mode", coarse, 1e-2)
+        forces = (f_inf, f_1, builtin_force("two_mode", fine, 1e-2))
+        iters = [s.inner_iters for f in forces for s in outer_iterate(f, SolverConfig(alpha=0.4))[1].steps]
+        assert 0 < max(iters) <= 8
 
     @pytest.mark.parametrize("L, levels", [("1e-12", [42, 43]), ("1e-20", [69, 70])])
     def test_tiny_period_walks_no_empty_level(self, tmp_path, L, levels):
