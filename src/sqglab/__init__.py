@@ -48,7 +48,6 @@ from .solver import (
     theta2,
 )
 from .patches import (
-    FrequencyOverflowError,
     Patch,
     PatchField,
     patch_hs_norm,

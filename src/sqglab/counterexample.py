@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid import GridSpec
 from .patches import (
-    FrequencyOverflowError,
     PatchField,
     _new_patch,
     apply_radial,
@@ -285,7 +284,7 @@ NORM_TABLE_COLUMNS = ("n", "d_low", "d_crit", "g2_gap", "b11", "b12", "b2", "bgh
 
 @dataclass
 class NormTable:
-    """Per-carrier-level norms; torus columns are None where not computable."""
+    """Per-carrier-level norms; the torus columns are None in a table without a torus."""
 
     rows: list[dict]
     warnings: list[str]
@@ -294,24 +293,29 @@ class NormTable:
 def nonuniform_experiment(
     spec: CounterexampleSpec,
     n_values: tuple[int, ...],
-    grid: GridSpec | None = None,
-    cfg: SolverConfig | None = None,
+    torus: tuple[GridSpec, SolverConfig] | None = None,
 ) -> NormTable:
     """Decomposition norms over a range of carrier levels, plus torus solves.
 
-    Patch-side columns are always filled. When a grid and solver config are
-    given, rows whose frequencies fit inside the dealias band also get the
-    solved gap ||theta[f] - theta[g]|| (the gap_crit of their GapRecord) and
-    the Picard remainders ||theta[.] - theta_2[.]|| in the critical norm;
-    rows that do not fit keep empty cells and a warning is recorded. A level
+    Patch-side columns are always filled. Given a torus, a (grid, solver
+    config) pair, every row also gets the solved gap ||theta[f] - theta[g]||
+    (the gap_crit of its GapRecord) and the Picard remainders
+    ||theta[.] - theta_2[.]|| in the critical norm. Every level is checked
+    before the first one runs: its boxes must clear the origin and fit the
+    patch lattice, and with a torus its forces must lie inside the grid's
+    dealias band; a level that does not is a ValueError naming it. A level
     whose patch norms are not finite, or whose d_crit or g2_gap is 0, is a
-    ValueError: delta is too far from 1 for the float range. So is a grid
-    without a solver config, or a config without a grid.
+    ValueError too: delta is too far from 1 for the float range.
     """
-    if (grid is None) != (cfg is None):
-        raise ValueError("the torus columns need both a grid and a solver config, or neither")
-    for n in n_values:  # every level's boxes clear the origin and fit the patch lattice, before any level runs
+    forces = {}
+    for n in n_values:  # every level is checked, and with a torus sampled on its grid, before the first one runs
         _check_carrier_level(_samples_per_unit(spec.h_xi), 4, n)
+        if torus is not None:
+            f_n, g_n, _ = build_forces(spec, n)
+            try:
+                forces[n] = to_torus(f_n, torus[0]), to_torus(g_n, torus[0])
+            except ValueError as exc:  # content past the dealias band, or a lattice spacing off the patch spacing
+                raise ValueError(f"n={n}: {exc}") from None
     rows: list[dict] = []
     warnings: list[str] = []
     s_crit = 2.0 - 2.0 * spec.alpha
@@ -325,24 +329,19 @@ def nonuniform_experiment(
         if not ok:
             raise ValueError(f"delta={spec.delta:g}, n={n}: the gap norms overflow or underflow to 0")
         row = {col: getattr(parts, col, None) for col in NORM_TABLE_COLUMNS}
-        if grid is not None:
-            try:
-                f_n, g_n, _ = build_forces(spec, n)
-                f_t = to_torus(f_n, grid)
-                g_t = to_torus(g_n, grid)
-                theta_f, report = outer_iterate(f_t, cfg)
-                theta_g, _ = outer_iterate(g_t, cfg)
-                row["full_gap"] = GapRecord.between(f_t, g_t, theta_f, theta_g, cfg.alpha).gap_crit
-                n_top = report.steps[-1].n  # a converged solve ends on the schedule top
-                row["rem_f"] = hs_norm(theta_f - theta2(f_t, cfg.alpha, project_N=n_top), s_crit)
-                row["rem_g"] = hs_norm(theta_g - theta2(g_t, cfg.alpha, project_N=n_top), s_crit)
-                slack = row["full_gap"] + row["rem_f"] + row["rem_g"] + parts.d_crit
-                if slack < parts.g2_gap * (1.0 - 1e-6):
-                    warnings.append(
-                        f"n={n}: triangle inequality violated: gap+remainders+data = {slack:.6g} "
-                        f"below the second-iterate gap {parts.g2_gap:.6g}"
-                    )
-            except FrequencyOverflowError as exc:
-                warnings.append(f"n={n}: torus columns skipped: {exc}")
+        if torus is not None:
+            (f_t, g_t), cfg = forces[n], torus[1]
+            theta_f, report = outer_iterate(f_t, cfg)
+            theta_g, _ = outer_iterate(g_t, cfg)
+            row["full_gap"] = GapRecord.between(f_t, g_t, theta_f, theta_g, cfg.alpha).gap_crit
+            n_top = report.steps[-1].n  # a converged solve ends on the schedule top
+            row["rem_f"] = hs_norm(theta_f - theta2(f_t, cfg.alpha, project_N=n_top), s_crit)
+            row["rem_g"] = hs_norm(theta_g - theta2(g_t, cfg.alpha, project_N=n_top), s_crit)
+            slack = row["full_gap"] + row["rem_f"] + row["rem_g"] + parts.d_crit
+            if slack < parts.g2_gap * (1.0 - 1e-6):
+                warnings.append(
+                    f"n={n}: triangle inequality violated: gap+remainders+data = {slack:.6g} "
+                    f"below the second-iterate gap {parts.g2_gap:.6g}"
+                )
         rows.append(row)
     return NormTable(rows=rows, warnings=warnings)

@@ -196,13 +196,8 @@ def run_nonuniform(config: dict) -> int:
     n_min, n_max = int(config["n_min"]), int(config["n_max"])
     if n_max < n_min:
         raise ConfigError(f"need n_min <= n_max, got ({n_min}, {n_max})")
-    grid = None
-    cfg = None
-    if bool(config.get("torus", False)):
-        grid = _grid_from(config)
-        cfg = _solver_from(config)
-
-    table = nonuniform_experiment(spec, tuple(range(n_min, n_max + 1)), grid=grid, cfg=cfg)
+    torus = (_grid_from(config), _solver_from(config)) if bool(config.get("torus", False)) else None
+    table = nonuniform_experiment(spec, tuple(range(n_min, n_max + 1)), torus)
     plot_rows = [(row["n"], math.log2(row["d_crit"]), math.log2(row["g2_gap"])) for row in table.rows]
     _publish(config, "nonuniform", {
         "nonuniform.csv": _csv(NORM_TABLE_COLUMNS, ([row[col] for col in NORM_TABLE_COLUMNS] for row in table.rows)),

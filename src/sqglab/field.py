@@ -281,7 +281,7 @@ def field_from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     scale = float(np.max(np.abs(h)))
     if not np.isfinite(scale):
         raise ValueError(f"samples must be finite (largest transform modulus {scale})")
-    if abs(h[0, 0]) > 1e-12 * max(1.0, scale):
+    if abs(h[0, 0]) > _HERM_TOL * scale:  # the constructor's rule, relative at every amplitude
         raise ValueError(f"samples have nonzero mean {h[0, 0]:.3e}; subtract it first")
     return _new(grid, _close(grid, np.pad(np.fft.fftshift(h, axes=0), ((0, 1), (0, 0)))))
 

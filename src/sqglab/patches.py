@@ -30,7 +30,6 @@ from .grid import GridSpec
 __all__ = [
     "Patch",
     "PatchField",
-    "FrequencyOverflowError",
     "apply_radial",
     "mul_i_xi",
     "riesz_perp_velocity",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 _MAX_SIDE = 8.0  # frequency-box side limit; all constructed objects fit in it
-
-
-class FrequencyOverflowError(ValueError):
-    """Patch content lies beyond the torus dealias cutoff."""
 
 
 @dataclass(frozen=True)
@@ -437,8 +432,7 @@ def to_torus(u: PatchField, grid: GridSpec) -> SpectralField:
             x_ax, y_ax = p.axes(u.h)
             reach = max(np.abs(x_ax[nz.any(axis=1)]).max(), np.abs(y_ax[nz.any(axis=0)]).max())
             if reach > cutoff * (1.0 + 1e-12):
-                raise FrequencyOverflowError(f"patch content reaches |xi| = {reach:g}, "
-                                             f"beyond the dealias cutoff {cutoff:g}")
+                raise ValueError(f"patch content reaches |xi| = {reach:g}, beyond the dealias cutoff {cutoff:g}")
         hi = p.hi()
         # lattice indices j*r inside [lo, hi] and the band's half square (content off the band is zero)
         m0 = np.arange(max(int(np.ceil(p.lo[0] / r)), -Md), min(int(np.floor(hi[0] / r)), Md) + 1)

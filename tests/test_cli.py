@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -108,6 +109,19 @@ class TestSolve:
         rc = main(["solve", "--K", "64", "--force_file", str(path), "--outdir", str(tmp_path / "o")])
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_physical_force_file_with_a_mean_refused(self, tmp_path, capsys):
+        """A physical SQGF force whose samples a(1 + cos x) carry a mean is refused at any amplitude a, even one
+        below 1e-12, with exit 1 and no output directory."""
+        grid = make_grid(32, math.pi)
+        x = -grid.L + 2.0 * grid.L * np.arange(32) / 32
+        path = tmp_path / "force.sqgf"
+        header = struct.pack("<4sIIId8x", b"SQGF", 1, 32, 1, grid.L)
+        path.write_bytes(header + (1e-13 * (1.0 + np.cos(x))[:, None] * np.ones(32)).astype("<f8").tobytes())
+        rc = main(["solve", "--K", "32", "--force_file", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{path}: samples have nonzero mean" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_smallness_gate_exit(self, tmp_path, capsys):
@@ -255,32 +269,23 @@ class TestNonuniform:
         np.testing.assert_allclose(float(row["full_gap"]), float(row["d_crit"]), rtol=1e-3)
         assert float(row["rem_f"]) < 1e-6 * float(row["d_crit"])
 
-    def test_unresolvable_carrier_warns(self, tmp_path, capsys):
-        """Carriers past the dealias cutoff skip torus columns with a warning."""
-        out = tmp_path / "run"
-        rc = main(
-            [
-                "nonuniform",
-                "--torus",
-                "true",
-                "--K",
-                "256",
-                "--L",
-                "16pi",
-                "--n_min",
-                "3",
-                "--n_max",
-                "3",
-                "--outdir",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        warnings = read_manifest(out)["warnings"]
-        assert len(warnings) == 1 and "n=3" in warnings[0]
-        assert "n=3" in capsys.readouterr().out
-        header, rows = read_csv_rows(out / "nonuniform.csv")
-        assert rows[0][header.index("full_gap")] == ""
+    def test_unresolvable_carrier_refused(self, tmp_path, capsys, monkeypatch):
+        """A level whose force leaves the grid's dealias band (K=1024, L=16pi holds n <= 4, cutoff 21.3125) exits 1
+        before any level runs: no decomposition or solve starts, no output directory is made, and stderr has one
+        line naming the level and the cutoff."""
+        import sqglab.counterexample as counterexample
+
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(counterexample, "decompose_second_iterate", no_level)
+        monkeypatch.setattr(counterexample, "outer_iterate", no_level)
+        rc = main(["nonuniform", "--torus", "true", "--K", "1024", "--L", "16pi", "--n_min", "3", "--n_max", "6",
+                   "--outdir", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "n=5: " in err and "dealias cutoff 21.3125" in err, err
+        assert not (tmp_path / "run").exists()
 
     def test_triangle_violation_warns(self, tmp_path, capsys, monkeypatch):
         """A torus row whose solved gap, remainders and data distance sum below the patch g2_gap breaks the
@@ -321,7 +326,7 @@ class TestNonuniform:
         assert not (tmp_path / "run").exists()
 
     def test_torus_leg_error_exits_1(self, tmp_path, capsys, monkeypatch):
-        """Only an unresolvable carrier becomes a warning; other torus errors fail the run."""
+        """A torus error other than an unresolvable carrier fails the run too, naming the level."""
         import sqglab.counterexample as counterexample
 
         def broken(u, grid):
@@ -331,7 +336,8 @@ class TestNonuniform:
         rc = main(["nonuniform", "--torus", "true", "--K", "256", "--L", "16pi",
                    "--n_min", "3", "--n_max", "3", "--outdir", str(tmp_path / "run")])
         assert rc == 1
-        assert "integer multiple" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n=3: " in err and "integer multiple" in err, err
         assert not (tmp_path / "run").exists()
 
     def test_bad_range(self, tmp_path, capsys):
@@ -874,6 +880,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "sqglab.cli", "rlcheck", "--n_max", "3", "--outdir", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         )
         assert proc.returncode == 0
         assert (out / "rlcheck.csv").exists()

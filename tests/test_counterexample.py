@@ -421,24 +421,27 @@ class TestNormTable:
         assert rows[1][-1] == "" and rows[1][-2] == "" and rows[1][-3] == ""
         assert float(rows[1][2]) == table.rows[0]["d_crit"]
 
-    def test_torus_columns_where_feasible(self):
-        """Feasible levels get solved gaps; infeasible ones get warnings."""
-        grid = make_grid(512, 16 * np.pi)
-        cfg = SolverConfig(alpha=ALPHA)
-        table = nonuniform_experiment(SPEC, (3, 4), grid=grid, cfg=cfg)
-        row3, row4 = table.rows
-        assert row3["full_gap"] is not None
-        np.testing.assert_allclose(row3["full_gap"], row3["d_crit"], rtol=1e-3)
-        assert row3["rem_f"] <= 1e-6 * row3["d_crit"]
-        assert row3["rem_g"] <= 1e-6 * row3["d_crit"]
-        assert row4["full_gap"] is None
-        assert any("n=4" in w for w in table.warnings)
+    def test_torus_row_pinned(self):
+        """A level the grid holds (n=3 at K=512, L=16pi) gets its solved gap and Picard remainders; the values are
+        pinned bit for bit."""
+        table = nonuniform_experiment(SPEC, (3,), (make_grid(512, 16 * np.pi), SolverConfig(alpha=ALPHA)))
+        (row,) = table.rows
+        assert (row["full_gap"], row["rem_f"], row["rem_g"]) == (0.010352248991012399, 4.24280338732772e-09,
+                                                                 3.0610068145696104e-19)
+        assert table.warnings == []
 
-    def test_half_torus_configuration_refused(self):
-        """A grid without a solver config, or a config without a grid, is refused rather than skipped."""
-        for kw in ({"grid": make_grid(512, 16 * np.pi)}, {"cfg": SolverConfig(alpha=ALPHA)}):
-            with pytest.raises(ValueError, match="both a grid and a solver config"):
-                nonuniform_experiment(SPEC, (3,), **kw)
+    def test_torus_level_past_the_band_refused(self, monkeypatch):
+        """A level whose force leaves the dealias band (n=4 reaches |xi| = 18 past K=512's cutoff 10.6) is a
+        ValueError naming it, raised before any level is decomposed or solved."""
+        import sqglab.counterexample as counterexample
+
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(counterexample, "decompose_second_iterate", no_level)
+        monkeypatch.setattr(counterexample, "outer_iterate", no_level)
+        with pytest.raises(ValueError, match=r"^n=4: patch content reaches .* beyond the dealias cutoff"):
+            nonuniform_experiment(SPEC, (3, 4), (make_grid(512, 16 * np.pi), SolverConfig(alpha=ALPHA)))
 
     def test_non_lipschitz_signature(self):
         """gap/data ratio in the critical norm grows with the carrier level."""

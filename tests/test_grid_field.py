@@ -163,6 +163,18 @@ class TestFieldConstruction:
         with pytest.raises(ValueError, match="mean"):
             field_from_physical(g, np.ones((16, 16)))
 
+    def test_physical_mean_rejected_at_every_amplitude(self):
+        """The mean check is relative, as the constructor's is: samples a(1 + cos x) are refused at a = 1, 1e-6
+        and 1e-13, and zero-mean samples are taken at amplitudes down to 1e-200."""
+        g = make_grid(32, np.pi)
+        X, Y = meshgrid(g)
+        for a in (1.0, 1e-6, 1e-13):
+            with pytest.raises(ValueError, match="nonzero mean"):
+                field_from_physical(g, a * (1.0 + np.cos(X)))
+        for a in (1e-2, 1e-13, 1e-200):
+            u = field_from_physical(g, a * (np.cos(X) + 0.3 * np.sin(2 * Y)))
+            assert u.mode(1, 0) == pytest.approx(0.5 * a, rel=1e-12, abs=0)
+
     def test_parseval(self):
         """(2L)^2 sum |u_k|^2 equals the physical L^2 integral."""
         g = make_grid(64, np.pi)

@@ -13,7 +13,6 @@ from sqglab.patches import (
     _BLOCK_RADIUS,
     _GL_NODES,
     _fft_convolve,
-    FrequencyOverflowError,
     Patch,
     PatchField,
     _leggauss,
@@ -573,10 +572,10 @@ class TestToTorus:
             to_torus(spike(H, (64, 0), 1.0), g)
 
     def test_frequency_overflow_detected(self):
-        """Content beyond the dealias cutoff raises FrequencyOverflowError."""
+        """Content beyond the dealias cutoff is a ValueError naming its reach and the cutoff."""
         g = make_grid(64, 16 * np.pi)  # dealias_k = 21/16
         u = spike(H, (1024, 0), 1.0)  # xi = +-32
-        with pytest.raises(FrequencyOverflowError):
+        with pytest.raises(ValueError, match=r"reaches \|xi\| = 32, beyond the dealias cutoff 1.3125"):
             to_torus(u, g)
 
     def test_zero_mode_dropped(self):
