@@ -27,7 +27,7 @@ from .patches import (
     to_torus,
 )
 from .norms import hs_norm
-from .solver import GapRecord, SolverConfig, outer_iterate, theta2
+from .solver import GapRecord, SolverConfig, default_schedule, outer_iterate, theta2
 
 __all__ = [
     "CounterexampleSpec",
@@ -330,11 +330,10 @@ def nonuniform_experiment(
             raise ValueError(f"delta={spec.delta:g}, n={n}: the gap norms overflow or underflow to 0")
         row = {col: getattr(parts, col, None) for col in NORM_TABLE_COLUMNS}
         if torus is not None:
-            (f_t, g_t), cfg = forces[n], torus[1]
-            theta_f, report = outer_iterate(f_t, cfg)
-            theta_g, _ = outer_iterate(g_t, cfg)
+            (f_t, g_t), (grid, cfg) = forces[n], torus
+            theta_f, theta_g = outer_iterate(f_t, cfg)[0], outer_iterate(g_t, cfg)[0]
             row["full_gap"] = GapRecord.between(f_t, g_t, theta_f, theta_g, cfg.alpha).gap_crit
-            n_top = report.steps[-1].n  # a converged solve ends on the schedule top
+            n_top = default_schedule(grid)[-1]  # the problem solved is P_{n_top}'s, at whatever level a solve stops
             row["rem_f"] = hs_norm(theta_f - theta2(f_t, cfg.alpha, project_N=n_top), s_crit)
             row["rem_g"] = hs_norm(theta_g - theta2(g_t, cfg.alpha, project_N=n_top), s_crit)
             slack = row["full_gap"] + row["rem_f"] + row["rem_g"] + parts.d_crit

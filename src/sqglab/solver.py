@@ -3,8 +3,8 @@
 The truncated linear problem is solved matrix-free with GMRES on the
 coercive operator A = I + (-Delta)^{-alpha} P_N (v . grad .), as a real
 system in the real and imaginary parts of the half-disk modes; the outer
-iteration walks a dyadic truncation schedule and then refines at the top
-level until the projected nonlinear residual is below tolerance.
+iteration walks a dyadic truncation schedule, refining at the top level, and
+stops at the first iterate whose top-level nonlinear residual is below tolerance.
 """
 from __future__ import annotations
 
@@ -277,6 +277,14 @@ def gmres(matvec, b: np.ndarray, x0: np.ndarray, ax0: np.ndarray | None = None, 
     return x, rnorm, col + 1, bool(rnorm <= atol)
 
 
+def _smallness_gate(v: VelocityField | None, N: int, alpha: float) -> None:
+    """Refuse v (None is the zero velocity) unless ||v||_{H^{2-2alpha}} is at most the threshold; NaN is refused."""
+    vnorm = 0.0 if v is None else velocity_hs_norm(v, 2.0 - 2.0 * alpha)
+    if not vnorm <= _SMALLNESS_THRESHOLD:
+        raise SmallnessError(f"||v||_H^{2 - 2 * alpha:g} = {vnorm:.6g} at N={N} exceeds the smallness threshold "
+                             f"{_SMALLNESS_THRESHOLD:g}; coercivity is not guaranteed")
+
+
 def _linear_solve_info(
     v: VelocityField | None, f: SpectralField, N: int, cfg: SolverConfig,
     x0: np.ndarray | None = None, adv0: np.ndarray | None = None, b: np.ndarray | None = None,
@@ -288,12 +296,7 @@ def _linear_solve_info(
     if v is not None and v.grid != f.grid:
         raise ValueError("velocity and force live on different grids")
     level, _ = _range_of_P(N, None, f)
-    vnorm = 0.0 if v is None else velocity_hs_norm(v, 2.0 - 2.0 * cfg.alpha)
-    if not vnorm <= _SMALLNESS_THRESHOLD:  # a NaN norm is refused too
-        raise SmallnessError(
-            f"||v||_H^{2 - 2 * cfg.alpha:g} = {vnorm:.6g} at N={N} exceeds the smallness threshold "
-            f"{_SMALLNESS_THRESHOLD:g}; coercivity is not guaranteed"
-        )
+    _smallness_gate(v, N, cfg.alpha)
 
     # The unknowns are the real and imaginary parts of the half-disk modes
     # (a complex array viewed as float64); their partners follow by
@@ -362,23 +365,21 @@ def _nested_start(theta: SpectralField, b: np.ndarray, level: LevelTable,
 
 
 def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, SolveReport]:
-    """Approximation sequence theta_1, theta_2, ... with top-level refinement.
+    """Approximation sequence theta_1, theta_2, ... for the P_{N_top} problem, N_top the top of default_schedule(grid).
 
-    theta_1 = (-Delta)^{-alpha} P_N f at the first level N of the schedule
-    default_schedule(grid); each later step solves the linear problem at the
-    next level with the previously induced velocity; after the top level
-    2^{N_top} is reached it is iterated to a fixed point. Convergence is declared when the projected nonlinear
-    residual drops below outer_tol * ||f||_{H^{-alpha}}; a nonzero force
-    whose norm underflows to 0 or overflows leaves no target and is a ConfigError, and so is a step
-    whose arithmetic overflows.
+    theta_1 = (-Delta)^{-alpha} P_N f at the first level N of the schedule; each later step solves the linear
+    problem at the next level with the previously induced velocity, and at the top level 2^{N_top} it is iterated
+    to a fixed point. The first iterate, at any level, whose residual at P_{N_top} drops below
+    outer_tol * ||f||_{H^{-alpha}} is accepted once its velocity passes the smallness gate of the solves; a nonzero
+    force whose norm underflows to 0 or overflows leaves no target and is a ConfigError, and so is a step whose
+    arithmetic overflows.
 
     Each solve starts from the last iterate (nested iteration, see _nested_start); every residual before
     a top-level solve takes its product at that solve's P, which hands GMRES A theta when the start is
     theta, and a solve that returns its start theta changes no bit of it and keeps its residual. A
     top-level solve that does so above the target cannot progress, and is a ConvergenceError at once.
     """
-    grid = f.grid
-    schedule = default_schedule(grid)
+    grid, schedule = f.grid, default_schedule(f.grid)
     n_top = schedule[-1]
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -394,7 +395,7 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
     N, theta, res, v, adv, unchanged = schedule[0] - 1, field_from_modes(grid, {}), math.inf, None, None, False
     try:  # an overflow is refused where it happens, before an inf or NaN reaches the next smallness gate
         with np.errstate(over="raise", invalid="raise"):
-            while not (N == n_top and res <= target):
+            while not res <= target:
                 stalled = unchanged and N == n_top
                 if stalled or len(report.steps) >= cfg.max_outer:
                     raise ConvergenceError(
@@ -424,11 +425,11 @@ def outer_iterate(f: SpectralField, cfg: SolverConfig) -> tuple[SpectralField, S
                     n=N, h_alpha=hs_norm(theta, cfg.alpha), h_crit=hs_norm(theta, 2.0 - 2.0 * cfg.alpha),
                     diff_h_alpha=diff, residual=res, **info,
                 ))
+            _smallness_gate(v, N, cfg.alpha)  # the accepted iterate's velocity, as the next solve would take it
     except FloatingPointError as exc:
         raise ConfigError(f"the outer step at N={N} leaves the float range ({exc}); the force is too large") from None
 
-    report.converged = True
-    report.residual = res
+    report.converged, report.residual = True, res
     f_crit = hs_norm(f, 2.0 - 4.0 * cfg.alpha)
     report.c_star = report.steps[-1].h_crit / f_crit if f_crit > 0 else None
     return theta, report

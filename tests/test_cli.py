@@ -48,7 +48,9 @@ class TestSolve:
     """The solve subcommand and its artifact set."""
 
     def test_artifacts_and_manifest(self, tmp_path):
-        """A converged run writes the field, report, norms, and checksums."""
+        """A converged run writes the field, report, norms, and checksums. The single-mode force is an exact
+        solution, so theta_1 meets the target and the run stops at level 1 with nothing solved; the two-mode
+        force's solves iterate and run products."""
         out = tmp_path / "run"
         rc = main(["solve", "--K", "64", "--outdir", str(out)])
         assert rc == 0
@@ -61,7 +63,7 @@ class TestSolve:
             report = json.load(fh)
         assert report["converged"] is True
         assert all(step["matvecs"] >= step["inner_iters"] for step in report["steps"])
-        assert report["steps"][-1]["transform_size"] > 0
+        assert [(s["n"], s["transform_size"]) for s in report["steps"]] == [(1, 0)]
         assert report["steps"][0]["inner_residual"] == 0.0
         assert all(0.0 <= step["inner_residual"] <= 1e-10 for step in report["steps"])
         # a force whose solves iterate leaves a nonzero final residual below inner_tol
@@ -70,6 +72,7 @@ class TestSolve:
             steps = json.load(fh)["steps"]
         assert all(0.0 < s["inner_residual"] <= 1e-10 for s in steps if s["inner_iters"] > 0)
         assert any(s["inner_iters"] > 0 for s in steps)
+        assert steps[-1]["transform_size"] > 0
         theta = read_field(out / "theta.sqgf")
         with open(out / "norms.json") as fh:
             norms = json.load(fh)

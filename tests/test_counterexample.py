@@ -430,6 +430,25 @@ class TestNormTable:
                                                                  3.0610068145696104e-19)
         assert table.warnings == []
 
+    def test_torus_remainders_are_of_the_top_problem(self, monkeypatch):
+        """The Picard remainders compare each solve with theta2 of the P_{n_top} problem it solves, n_top the
+        top of the grid's schedule, wherever the solve stops: at K=1024, L=2pi the n=3 f solve stops at
+        level 5 of 7, both theta2 calls take project_N=7, and rem_f is the distance to it, bit for bit. (Here
+        theta2 at P_5 has the same bits, since its product's modes lie inside level 5's disk.)"""
+        import sqglab.counterexample as counterexample
+        from sqglab import default_schedule, outer_iterate, theta2
+
+        levels = []
+        monkeypatch.setattr(counterexample, "theta2", lambda a, alpha, project_N: levels.append(project_N)
+                            or theta2(a, alpha, project_N=project_N))
+        grid, cfg = make_grid(1024, 2.0 * np.pi), SolverConfig(alpha=ALPHA)
+        (row,) = nonuniform_experiment(SPEC, (3,), (grid, cfg)).rows
+        assert levels == [7, 7]
+        f_t = to_torus(build_forces(SPEC, 3)[0], grid)
+        theta_f, report = outer_iterate(f_t, cfg)
+        assert (report.steps[-1].n, default_schedule(grid)[-1]) == (5, 7)
+        assert row["rem_f"] == hs_norm(theta_f - theta2(f_t, ALPHA, project_N=7), 2.0 - 2.0 * ALPHA)
+
     def test_torus_level_past_the_band_refused(self, monkeypatch):
         """A level whose force leaves the dealias band (n=4 reaches |xi| = 18 past K=512's cutoff 10.6) is a
         ValueError naming it, raised before any level is decomposed or solved."""
